@@ -32,9 +32,6 @@ GAMMA_CONTRACTION = "GammaContraction"
 NOT_GAMMA = "NotGamma"
 INCONCLUSIVE = "Inconclusive"
 
-WORD_BUDGET = 200_000
-
-
 @dataclass
 class ClassificationReport:
     kind: str
@@ -285,10 +282,11 @@ def find_unitary_intertwiner(
 ):
     """Search for a unitary U with U T = T' U for every listed operator.
 
-    Solves the joint Sylvester system for intertwiners of the operators
-    and their adjoints, then extracts a unitary by polar decomposition of
-    an invertible element of that space.  Returns (U, residual) or
-    (None, inf).
+    The intertwiners of the operators and their adjoints form the null
+    space of the Hermitian n^2 x n^2 Gram operator of the joint Sylvester
+    system, spanned by its eigenvectors with eigenvalues at most
+    (null_tol * scale)^2.  A unitary is extracted by polar decomposition of
+    a random element of that space.  Returns (U, residual) or (None, inf).
     """
     ops1 = [as_matrix(T) for T in ops1]
     ops2 = [as_matrix(T) for T in ops2]
@@ -301,20 +299,27 @@ def find_unitary_intertwiner(
     if n != m:
         return None, np.inf
 
+    # Gram operator G = sum K^H K of the Sylvester maps X -> B X - X A, with
+    # K = I (x) B - A^T (x) I on column-major vec(X), assembled from n x n
+    # factors as one sum of Kronecker products; K itself is never formed.
     eye = np.eye(n)
-    rows = []
-    for T1, T2 in zip(ops1, ops2):
-        for A, B in ((T1, T2), (adj(T1), adj(T2))):
-            rows.append(np.kron(eye, B) - np.kron(A.T, eye))
-    K = np.vstack(rows)
-    _, s, Vh = np.linalg.svd(K)
+    pairs = [
+        (A, B) for T1, T2 in zip(ops1, ops2) for A, B in ((T1, T2), (adj(T1), adj(T2)))
+    ]
+    left = [eye, sum((A @ adj(A)).T for A, _ in pairs)]
+    right = [sum(adj(B) @ B for _, B in pairs), eye]
+    for A, B in pairs:
+        left += [-A.T, -A.conj()]
+        right += [adj(B), B]
+    L = np.stack(left).reshape(len(left), n * n)
+    R = np.stack(right).reshape(len(right), n * n)
+    G = (L.T @ R).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     scale = max(1.0, max(opnorm(T) for T in ops1 + ops2))
-    keep = s <= null_tol * scale
-    # pad: svd of a tall matrix reports min(n^2, rows) values
-    n_null = int(np.sum(keep)) + max(0, n * n - len(s))
+    evals, evecs = np.linalg.eigh(G)
+    n_null = int(np.sum(evals <= (null_tol * scale) ** 2))
     if n_null == 0:
         return None, np.inf
-    basis = adj(Vh)[:, Vh.shape[0] - n_null :]
+    basis = evecs[:, :n_null]
 
     rng = np.random.default_rng(seed)
     best_U, best_res = None, np.inf
@@ -362,15 +367,13 @@ def _trace_words_agree(ops1, ops2, max_len: int, tol: Tolerance) -> bool:
 def joint_unitary_equiv(
     ops1,
     ops2,
-    max_word_len: Optional[int] = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> bool:
     """Joint unitary equivalence of two operator tuples.
 
-    Traces of all words in the operators and adjoints up to the word-length
-    bound are compared; when exhausting the bound is infeasible the
-    comparison is settled exactly by the unitary-intertwiner certificate.
-    A False from the trace comparison is always definitive.
+    The unitary-intertwiner certificate ||U T - T' U|| decides.  Traces of
+    the words of length at most 2 in the operators and adjoints are compared
+    first; they only reject, and a False from them is definitive.
     """
     ops1 = [as_matrix(T) for T in ops1]
     ops2 = [as_matrix(T) for T in ops2]
@@ -386,16 +389,7 @@ def joint_unitary_equiv(
         return False
     if n == 0:
         return True
-
-    if max_word_len is None:
-        max_word_len = 2 * n * n
-    k = 2 * len(ops1)
-    feasible = int(np.floor(np.log(WORD_BUDGET) / np.log(k))) if k > 1 else max_word_len
-    eff = min(max_word_len, max(feasible, 2))
-
-    if not _trace_words_agree(ops1, ops2, eff, tol):
+    if not _trace_words_agree(ops1, ops2, 2, tol):
         return False
-    if eff >= max_word_len:
-        return True
     U, res = find_unitary_intertwiner(ops1, ops2, tol)
     return U is not None and res <= max(tol.residual_tol * 100, 1e-7)

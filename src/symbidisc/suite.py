@@ -240,7 +240,7 @@ def criterion_nf_model(cfg: RunConfig) -> CriterionResult:
             rank_tol=cfg.rank_tol,
             residual_tol=max(cfg.residual_tol, ms.trunc_error),
         )
-        if not joint_unitary_equiv([P_model], [P], max_word_len=8, tol=tol2):
+        if not joint_unitary_equiv([P_model], [P], tol=tol2):
             bad_equiv += 1
         Pi = pi_nf_matrix(P, cfg.N, cfg.tol)
         worst_id = max(

@@ -126,3 +126,43 @@ def test_find_unitary_intertwiner_fails_when_inequivalent():
     assert res > 1e-2
     V, res = find_unitary_intertwiner([np.eye(2)], [-np.eye(2)])
     assert V is None or res > 1e-2
+
+
+def _conjugated_model_pair(seed):
+    rng = np.random.default_rng(seed)
+    pair = gamma_isometry_model(random_symbol(rng, 2), 3)
+    U = random_unitary(rng, pair.dim)
+    return rng, [pair.S, pair.P], [U @ pair.S @ adj(U), U @ pair.P @ adj(U)]
+
+
+@pytest.mark.parametrize("eps, expected", [(1e-12, True), (1e-5, False)])
+def test_joint_unitary_equiv_perturbed_conjugate(eps, expected):
+    # the null threshold is squared on the Gram eigenvalues: a 1e-12
+    # perturbation stays inside it, a 1e-5 one leaves the null space empty
+    rng, ops1, (S2, P2) = _conjugated_model_pair(7)
+    E = rng.standard_normal(S2.shape) + 1j * rng.standard_normal(S2.shape)
+    S2 = S2 + eps * E / opnorm(E)
+    assert joint_unitary_equiv(ops1, [S2, P2]) is expected
+    V, _ = find_unitary_intertwiner(ops1, [S2, P2])
+    assert (V is not None) is expected
+
+
+def test_joint_unitary_equiv_direct_sum_has_wide_null_space():
+    rng, (S, P), _ = _conjugated_model_pair(8)
+    n = S.shape[0]
+    z = np.zeros((n, n))
+    S1, P1 = np.block([[S, z], [z, S]]), np.block([[P, z], [z, P]])
+    U = random_unitary(rng, 2 * n)
+    assert joint_unitary_equiv([S1, P1], [U @ S1 @ adj(U), U @ P1 @ adj(U)])
+
+
+def test_joint_unitary_equiv_two_by_two():
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    W = random_unitary(rng, 2)
+    assert joint_unitary_equiv([A], [W @ A @ adj(W)])
+    assert joint_unitary_equiv([A], [A.T])
+    # an eigenvalue gap of 1e-4 gives Gram eigenvalues near 1e-8, outside the
+    # squared null threshold; drawn into the null space they would spoil U
+    D = np.diag([1.0, 1.0 + 1e-4])
+    assert joint_unitary_equiv([D], [W @ D @ adj(W)])
