@@ -27,7 +27,7 @@ print("  kind:", is_gamma_contraction(pair).kind)
 print("\nScalar pair (1.2, 0.5)")
 pair = make_pair([[1.2]], [[0.5]])
 rep = is_gamma_contraction(pair)
-F, residual = fundamental_op(pair)
+F, residual = fundamental_op(pair.S, rep.defect)
 print(f"  kind: {rep.kind}, fundamental operator {F[0,0].real:.4f} "
       f"(residual {residual:.1e}), w(A) = {rep.wA:.4f}")
 

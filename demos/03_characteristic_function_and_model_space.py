@@ -22,7 +22,7 @@ from symbidisc import (
 )
 
 c = 0.5
-cf = theta_taylor([[c]], 6)
+cf = theta_taylor(defect_data([[c]]), 6)
 print(f"Scalar P = {c}: Taylor coefficients of Theta (Moebius map)")
 print(" ", [round(float(cf.taylor.coeffs[k][0, 0].real), 6) for k in range(7)])
 print("  expected: -c, (1-c^2) c^(k-1) =",
@@ -30,21 +30,21 @@ print("  expected: -c, (1-c^2) c^(k-1) =",
 
 rng = np.random.default_rng(2)
 P = random_strict_contraction(rng, 3, 0.8, rho_max=0.5)
-cf = theta_taylor(P, 0)
+dd = defect_data(P)
+cf = theta_taylor(dd, 0)
 norms = [opnorm(theta_eval(cf, np.exp(1j * t))) for t in np.linspace(0, 6.28, 64)]
 deltas = [opnorm(delta_eval(cf, t)) for t in np.linspace(0, 6.28, 64)]
 print(f"\nRandom 3x3 contraction: max ||Theta|| on circle = {max(norms):.12f}")
 print(f"  max boundary defect ||Delta|| = {max(deltas):.2e}  (inner => 0)")
 
 N = 32
-ms = build_model_space(P, N)
+ms = build_model_space(dd, N)
 print(f"\nModel space at truncation N = {N}: dim = {ms.dim} (source dim 3), "
       f"tail = {ms.trunc_error:.1e}")
 
-rs = defect_data(P).rank_dPstar
-Mz = shift_op(rs, N).matrix
+Mz = shift_op(dd.rank_dPstar, N).matrix
 P_model = compress(Mz, ms.basis)
-Pi = pi_nf_matrix(P, N)
+Pi = pi_nf_matrix(dd, N)
 print("  || Pi* Mz Pi - P ||      =", f"{opnorm(adj(Pi) @ Mz @ Pi - P):.2e}")
 print("  || Mz* Pi - Pi P* ||     =", f"{opnorm(adj(Mz) @ Pi - Pi @ adj(P)):.2e}")
 print("  spectrum of compressed shift vs P:",

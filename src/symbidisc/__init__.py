@@ -31,13 +31,11 @@ from .defect import (
     default_truncation,
     defect_data,
     delta_eval,
-    pi_nf_embed,
     pi_nf_matrix,
     spectral_radius,
     theta_eval,
     theta_taylor,
     truncation_tail,
-    x_limit,
 )
 from .dilation import (
     CompressedScalar,
@@ -53,7 +51,6 @@ from .errors import (
     ClassificationFailed,
     DimensionMismatch,
     IndefiniteInput,
-    NonConvergence,
     NotAContraction,
     NotADilation,
     NotCnu,
@@ -71,7 +68,6 @@ from .gamma_point import (
     GammaPoint,
     beta_solve,
     boundary_grid,
-    boundary_sample,
     in_gamma,
     symmetrize,
 )
@@ -97,13 +93,12 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     adj,
-    null_basis,
     opnorm,
     psd_sqrt,
     range_basis,
     sandwich_solve,
 )
-from .numrad import NumRadResult, numerical_radius, within_unit_radius
+from .numrad import NumRadResult, numerical_radius
 from .pair import OperatorPair, degree_mask, make_pair, restrict
 from .suite import CriterionResult, RunConfig, run_suite
 

@@ -69,16 +69,40 @@ def _commutation_matrix(n: int) -> np.ndarray:
     return K
 
 
-def _coefficient_residual(A, theta: SymbolPoly, B) -> float:
+def _coefficient_pairs(theta: SymbolPoly):
+    """(Theta_k, Theta_{k-1}) for k = 0..deg+1, zero outside the coefficient range."""
     d = theta.degree
     coeffs = list(theta.coeffs)
-    worst = 0.0
-    for k in range(d + 2):
-        Tk = coeffs[k] if k <= d else np.zeros_like(coeffs[0])
-        Tk1 = coeffs[k - 1] if k >= 1 else np.zeros_like(coeffs[0])
-        E = A @ Tk + adj(A) @ Tk1 - Tk @ B - Tk1 @ adj(B)
-        worst = max(worst, opnorm(E))
-    return worst
+    zero = np.zeros_like(coeffs[0])
+    return [
+        (coeffs[k] if k <= d else zero, coeffs[k - 1] if k >= 1 else zero)
+        for k in range(d + 2)
+    ]
+
+
+def _conjugate_linear_lstsq(n: int, lin, anti, rhs, rcond):
+    """Least-squares n x n X with lin_k vec(X) + anti_k vec(X*) = rhs_k for all k.
+
+    vec is column-major.  Since vec(X*) = K vec(conj X), the stacked system
+    M1 v + M2 conj(v) = r is solved as a real system in (Re v, Im v).
+    Returns (X, rank of the real system).
+    """
+    M1 = np.vstack(lin)
+    M2 = np.vstack(anti) @ _commutation_matrix(n)
+    r = np.concatenate(rhs)
+    top = np.hstack([(M1 + M2).real, -(M1 - M2).imag])
+    bot = np.hstack([(M1 + M2).imag, (M1 - M2).real])
+    sol, _, rank, _ = np.linalg.lstsq(
+        np.vstack([top, bot]), np.concatenate([r.real, r.imag]), rcond=rcond
+    )
+    return (sol[: n * n] + 1j * sol[n * n :]).reshape((n, n), order="F"), int(rank)
+
+
+def _coefficient_residual(A, theta: SymbolPoly, B) -> float:
+    return max(
+        opnorm(A @ Tk + adj(A) @ Tk1 - Tk @ B - Tk1 @ adj(B))
+        for Tk, Tk1 in _coefficient_pairs(theta)
+    )
 
 
 def blh_solve(prob: BlhProblem, tol: Tolerance = DEFAULT_TOL):
@@ -90,41 +114,34 @@ def blh_solve(prob: BlhProblem, tol: Tolerance = DEFAULT_TOL):
     Theta.
     """
     A, theta = prob.A, prob.theta
-    d = theta.degree
     e = theta.dom_dim
-    es = theta.cod_dim
-    K = _commutation_matrix(e)
     eye_e = np.eye(e)
-
-    lin_blocks, anti_blocks, rhs_blocks = [], [], []
-    zero = np.zeros((es, e))
-    coeffs = list(theta.coeffs)
-    for k in range(d + 2):
-        Tk = coeffs[k] if k <= d else zero
-        Tk1 = coeffs[k - 1] if k >= 1 else zero
-        lin_blocks.append(np.kron(eye_e, Tk))
-        anti_blocks.append(np.kron(eye_e, Tk1) @ K)
-        rhs_blocks.append((A @ Tk + adj(A) @ Tk1).reshape(-1, order="F"))
-
-    M1 = np.vstack(lin_blocks)
-    M2 = np.vstack(anti_blocks)
-    r = np.concatenate(rhs_blocks)
-
-    # M1 v + M2 conj(v) = r  as a real system in (Re v, Im v)
-    top = np.hstack([(M1 + M2).real, -(M1 - M2).imag])
-    bot = np.hstack([(M1 + M2).imag, (M1 - M2).real])
-    R = np.vstack([top, bot])
-    rhs = np.concatenate([r.real, r.imag])
-
-    sol, _, rank, _ = np.linalg.lstsq(R, rhs, rcond=tol.rank_tol)
-    kernel_dim = 2 * e * e - int(rank)
-    B = (sol[: e * e] + 1j * sol[e * e :]).reshape((e, e), order="F")
+    lin, anti, rhs = [], [], []
+    for Tk, Tk1 in _coefficient_pairs(theta):
+        lin.append(np.kron(eye_e, Tk))
+        anti.append(np.kron(eye_e, Tk1))
+        rhs.append((A @ Tk + adj(A) @ Tk1).reshape(-1, order="F"))
+    B, rank = _conjugate_linear_lstsq(e, lin, anti, rhs, tol.rank_tol)
+    kernel_dim = 2 * e * e - rank
 
     residual = _coefficient_residual(A, theta, B)
     if residual > tol.residual_tol * max(1.0, opnorm(A)):
         return NoSolution(B, float(residual))
     wB = numerical_radius(B, tol).value
     return BlhSolution(B, float(residual), kernel_dim, float(wB))
+
+
+def mirror_solve(B, theta: SymbolPoly) -> np.ndarray:
+    """The same equation solved for A: least-squares A with
+    A Theta_k + A* Theta_{k-1} = Theta_k B + Theta_{k-1} B* for all k."""
+    eye = np.eye(theta.cod_dim)
+    lin, anti, rhs = [], [], []
+    for Tk, Tk1 in _coefficient_pairs(theta):
+        lin.append(np.kron(Tk.T, eye))
+        anti.append(np.kron(Tk1.T, eye))
+        rhs.append((Tk @ B + Tk1 @ adj(B)).reshape(-1, order="F"))
+    A, _ = _conjugate_linear_lstsq(theta.cod_dim, lin, anti, rhs, rcond=None)
+    return A
 
 
 def invariance_check(A, theta: SymbolPoly, N: int, tol: Tolerance = DEFAULT_TOL):

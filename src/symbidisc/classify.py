@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .defect import defect_data
-from .errors import DimensionMismatch, NotCommuting, NotPureModelForm
+from .defect import DefectData, defect_data
+from .errors import DimensionMismatch, NotAContraction, NotCommuting, NotPureModelForm
 from .gamma_point import boundary_grid
 from .hardy import block_of
 from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm, sandwich_solve
@@ -39,12 +39,17 @@ class ClassificationReport:
     fundamental_residual: float = np.inf
     wA: float = np.inf
     checks: list = field(default_factory=list)
+    defect: Optional[DefectData] = None
 
     def add(self, name: str, ok: bool, residual: float):
         self.checks.append((name, bool(ok), float(residual)))
 
     def failed(self):
         return [c for c in self.checks if not c[1]]
+
+
+_UNITARY_CHECKS = ("P isometric", "P co-isometric", "S = S*P", "||S|| <= 2")
+_ISOMETRY_CHECKS = ("P isometric", "S = S*P", "||S|| <= 2")
 
 
 def _commutator_gate(pair: OperatorPair, tol: Tolerance) -> None:
@@ -55,50 +60,55 @@ def _commutator_gate(pair: OperatorPair, tol: Tolerance) -> None:
         )
 
 
-def is_gamma_unitary(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL):
-    _commutator_gate(pair, tol)
+def _algebra_checks(pair: OperatorPair, tol: Tolerance) -> dict:
+    """Check name -> (ok, residual) for the unitary and isometric cases.
+
+    Residuals are restricted to the pair's window; each is computed once.
+    """
     S, P, w = pair.S, pair.P, pair.window
     eye = np.eye(P.shape[0])
-    rep = ClassificationReport(kind=INCONCLUSIVE)
+    t = tol.residual_tol
     r_iso = opnorm(restrict(adj(P) @ P - eye, w))
     r_coiso = opnorm(restrict(P @ adj(P) - eye, w))
     r_sym = opnorm(restrict(S - adj(S) @ P, w))
     ns = opnorm(S)
-    t = tol.residual_tol
-    rep.add("P isometric", r_iso <= t, r_iso)
-    rep.add("P co-isometric", r_coiso <= t, r_coiso)
-    rep.add("S = S*P", r_sym <= t, r_sym)
-    rep.add("||S|| <= 2", ns <= 2 + t, max(0.0, ns - 2))
-    ok = not rep.failed()
-    rep.kind = GAMMA_UNITARY if ok else NOT_GAMMA
-    return ok, rep
+    return {
+        "P isometric": (r_iso <= t, r_iso),
+        "P co-isometric": (r_coiso <= t, r_coiso),
+        "S = S*P": (r_sym <= t, r_sym),
+        "||S|| <= 2": (ns <= 2 + t, max(0.0, ns - 2)),
+    }
+
+
+def _passes(checks: dict, names) -> bool:
+    return all(checks[name][0] for name in names)
+
+
+def _algebra_verdict(pair: OperatorPair, tol: Tolerance, names, kind: str):
+    _commutator_gate(pair, tol)
+    checks = _algebra_checks(pair, tol)
+    rep = ClassificationReport(kind=kind if _passes(checks, names) else NOT_GAMMA)
+    for name in names:
+        rep.add(name, *checks[name])
+    return rep.kind == kind, rep
+
+
+def is_gamma_unitary(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL):
+    return _algebra_verdict(pair, tol, _UNITARY_CHECKS, GAMMA_UNITARY)
 
 
 def is_gamma_isometry(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL):
-    _commutator_gate(pair, tol)
-    S, P, w = pair.S, pair.P, pair.window
-    eye = np.eye(P.shape[0])
-    rep = ClassificationReport(kind=INCONCLUSIVE)
-    r_iso = opnorm(restrict(adj(P) @ P - eye, w))
-    r_sym = opnorm(restrict(S - adj(S) @ P, w))
-    ns = opnorm(S)
-    t = tol.residual_tol
-    rep.add("P isometric", r_iso <= t, r_iso)
-    rep.add("S = S*P", r_sym <= t, r_sym)
-    rep.add("||S|| <= 2", ns <= 2 + t, max(0.0, ns - 2))
-    ok = not rep.failed()
-    rep.kind = GAMMA_ISOMETRY if ok else NOT_GAMMA
-    return ok, rep
+    return _algebra_verdict(pair, tol, _ISOMETRY_CHECKS, GAMMA_ISOMETRY)
 
 
-def fundamental_op(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL):
-    """Solve S - S*P = D_P A D_P; returns (A on the defect basis, residual)."""
-    S, P = pair.S, pair.P
-    dd = defect_data(P, tol)
-    C = S - adj(S) @ P
-    X, residual = sandwich_solve(dd.D_P, dd.D_P, C, tol)
-    F = adj(dd.Q_dP) @ X @ dd.Q_dP
-    return F, residual
+def fundamental_op(S, dd: DefectData, tol: Tolerance = DEFAULT_TOL):
+    """Solve S - S*P = D_P A D_P, with dd the defect data of P = dd.P.
+
+    Returns (A on the D_P defect basis, residual).  Called on S* with
+    dd.adjoint() it yields the adjoint of the functional-model symbol.
+    """
+    X, residual = sandwich_solve(dd.D_P, dd.D_P, S - adj(S) @ dd.P, tol)
+    return adj(dd.Q_dP) @ X @ dd.Q_dP, residual
 
 
 def is_gamma_contraction(
@@ -109,20 +119,24 @@ def is_gamma_contraction(
     """Full classification of a commuting pair.
 
     Produces the strongest applicable kind; every sub-check is recorded in
-    the report with its residual.
+    the report with its residual.  ||P|| <= 1 passes exactly when
+    `defect_data` accepts P, and the report carries that DefectData.
     """
     _commutator_gate(pair, tol)
-    uni, rep_u = is_gamma_unitary(pair, tol)
     S, P = pair.S, pair.P
-    nP, nS = opnorm(P), opnorm(S)
+    algebra = _algebra_checks(pair, tol)
+    try:
+        dd = defect_data(P, tol)
+    except NotAContraction:
+        dd = None
     t = tol.residual_tol
-    rep = ClassificationReport(kind=INCONCLUSIVE)
-    rep.add("||P|| <= 1", nP <= 1 + t, max(0.0, nP - 1))
-    rep.add("||S|| <= 2", nS <= 2 + t, max(0.0, nS - 2))
+    rep = ClassificationReport(kind=INCONCLUSIVE, defect=dd)
+    rep.add("||P|| <= 1", dd is not None, max(0.0, opnorm(P) - 1))
+    rep.add("||S|| <= 2", *algebra["||S|| <= 2"])
     if rep.failed():
         rep.kind = NOT_GAMMA
         return rep
-    F, residual = fundamental_op(pair, tol)
+    F, residual = fundamental_op(S, dd, tol)
     wA = numerical_radius(F, tol).value
     rep.fundamental_op = F
     rep.fundamental_residual = residual
@@ -131,12 +145,12 @@ def is_gamma_contraction(
     rep.add("w(A) <= 1", wA <= 1 + wr_slack, max(0.0, wA - 1))
     if rep.failed():
         rep.kind = NOT_GAMMA
-        return rep
-    if uni:
+    elif _passes(algebra, _UNITARY_CHECKS):
         rep.kind = GAMMA_UNITARY
-        return rep
-    iso, _ = is_gamma_isometry(pair, tol)
-    rep.kind = GAMMA_ISOMETRY if iso else GAMMA_CONTRACTION
+    elif _passes(algebra, _ISOMETRY_CHECKS):
+        rep.kind = GAMMA_ISOMETRY
+    else:
+        rep.kind = GAMMA_CONTRACTION
     return rep
 
 
@@ -273,6 +287,23 @@ def von_neumann_margin(
 # ---------------------------------------------------------------------------
 
 
+def _operator_lists(ops1, ops2):
+    """Coerce two operator lists and check their shapes.
+
+    Both lists must be non-empty and of equal length, and each must hold
+    square matrices of one size; otherwise DimensionMismatch.
+    """
+    ops1 = [as_matrix(T) for T in ops1]
+    ops2 = [as_matrix(T) for T in ops2]
+    if len(ops1) != len(ops2) or not ops1:
+        raise DimensionMismatch("operator lists must be non-empty and equal length")
+    for name, ops in (("first", ops1), ("second", ops2)):
+        n = ops[0].shape[0]
+        if any(T.shape != (n, n) for T in ops):
+            raise DimensionMismatch(f"{name} operator list has mismatched shapes")
+    return ops1, ops2
+
+
 def find_unitary_intertwiner(
     ops1,
     ops2,
@@ -288,15 +319,9 @@ def find_unitary_intertwiner(
     (null_tol * scale)^2.  A unitary is extracted by polar decomposition of
     a random element of that space.  Returns (U, residual) or (None, inf).
     """
-    ops1 = [as_matrix(T) for T in ops1]
-    ops2 = [as_matrix(T) for T in ops2]
+    ops1, ops2 = _operator_lists(ops1, ops2)
     n = ops1[0].shape[0]
-    if any(T.shape != (n, n) for T in ops1):
-        raise DimensionMismatch("first operator list has mismatched shapes")
-    m = ops2[0].shape[0]
-    if any(T.shape != (m, m) for T in ops2):
-        raise DimensionMismatch("second operator list has mismatched shapes")
-    if n != m:
+    if n != ops2[0].shape[0]:
         return None, np.inf
 
     # Gram operator G = sum K^H K of the Sylvester maps X -> B X - X A, with
@@ -375,17 +400,9 @@ def joint_unitary_equiv(
     the words of length at most 2 in the operators and adjoints are compared
     first; they only reject, and a False from them is definitive.
     """
-    ops1 = [as_matrix(T) for T in ops1]
-    ops2 = [as_matrix(T) for T in ops2]
-    if len(ops1) != len(ops2) or not ops1:
-        raise DimensionMismatch("operator lists must be non-empty and equal length")
+    ops1, ops2 = _operator_lists(ops1, ops2)
     n = ops1[0].shape[0]
-    if any(T.shape != (n, n) for T in ops1):
-        raise DimensionMismatch("first operator list has mismatched shapes")
-    m = ops2[0].shape[0]
-    if any(T.shape != (m, m) for T in ops2):
-        raise DimensionMismatch("second operator list has mismatched shapes")
-    if n != m:
+    if n != ops2[0].shape[0]:
         return False
     if n == 0:
         return True

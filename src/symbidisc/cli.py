@@ -129,9 +129,10 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
 
 def _cmd_fundamental(args, cfg: RunConfig) -> int:
     from .classify import fundamental_op
+    from .defect import defect_data
 
     pair = _load_pair(args, cfg)
-    F, residual = fundamental_op(pair, cfg.tol)
+    F, residual = fundamental_op(pair.S, defect_data(pair.P, cfg.tol), cfg.tol)
     _emit(
         {
             "A": matrix_to_json(F),

@@ -14,16 +14,19 @@ by orthonormalizing the columns of the minimal-dilation embedding
     h  ->  sum_k z^k (D_P* P*^k h),
 
 whose range spans that complement up to the geometric truncation tail.
+The routines that need the defect spaces take the DefectData record of P,
+built once by `defect_data`, instead of P itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
-    NonConvergence,
+    IndefiniteInput,
     NotAContraction,
     NotCnu,
     ResolventSingular,
@@ -34,11 +37,17 @@ from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm, psd_sqrt, ra
 
 CNU_MARGIN = 1e-8
 TAIL_TARGET = 1e-10
-X_LIMIT_MAX_ITER = 20000
 
 
 @dataclass(frozen=True)
 class DefectData:
+    """A contraction P with its defect operators and their range bases.
+
+    Built once per P by `defect_data` and handed on to every routine that
+    needs the defect spaces.
+    """
+
+    P: np.ndarray
     D_P: np.ndarray
     D_Pstar: np.ndarray
     Q_dP: np.ndarray
@@ -52,14 +61,20 @@ class DefectData:
     def rank_dPstar(self) -> int:
         return self.Q_dPstar.shape[1]
 
+    @cached_property
+    def spectral_radius(self) -> float:
+        return spectral_radius(self.P)
+
+    def adjoint(self) -> "DefectData":
+        """The record of P*: the two defect operators and their bases swap."""
+        return DefectData(adj(self.P), self.D_Pstar, self.D_P, self.Q_dPstar, self.Q_dP)
+
 
 @dataclass(frozen=True)
 class CharFn:
     """Taylor data of the characteristic function in defect bases."""
 
     taylor: SymbolPoly
-    source_P: np.ndarray
-    degree_used: int
     defect: DefectData
 
 
@@ -77,11 +92,6 @@ class ModelSpace:
         return self.basis.shape[1]
 
 
-def contraction_check(P: np.ndarray, tol: Tolerance) -> None:
-    if opnorm(P) > 1 + tol.rank_tol * 10:
-        raise NotAContraction(f"||P|| = {opnorm(P):.6f} exceeds 1")
-
-
 def spectral_radius(P) -> float:
     P = as_matrix(P)
     if P.size == 0:
@@ -89,32 +99,37 @@ def spectral_radius(P) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(P))))
 
 
-def cnu_check(P: np.ndarray) -> None:
-    """Finite c.n.u. contraction <=> spectral radius < 1."""
-    if spectral_radius(P) >= 1 - CNU_MARGIN:
+def cnu_check(dd: DefectData) -> None:
+    """Finite c.n.u. contraction <=> spectral radius < 1 (read from dd)."""
+    if dd.spectral_radius >= 1 - CNU_MARGIN:
         raise NotCnu("P has a (numerically) unimodular eigenvalue; split the unitary part first")
 
 
 def defect_data(P, tol: Tolerance = DEFAULT_TOL) -> DefectData:
+    """Defect operators D_P, D_P* and their range bases.
+
+    P is a contraction exactly when psd_sqrt accepts both I - P*P and
+    I - PP*; otherwise NotAContraction.  Classification uses the same test
+    for its ||P|| <= 1 check.
+    """
     P = as_matrix(P)
-    contraction_check(P, tol)
-    n = P.shape[0]
-    eye = np.eye(n)
-    D_P = psd_sqrt(eye - adj(P) @ P, tol)
-    D_Ps = psd_sqrt(eye - P @ adj(P), tol)
-    return DefectData(D_P, D_Ps, range_basis(D_P, tol), range_basis(D_Ps, tol))
+    eye = np.eye(P.shape[0])
+    try:
+        D_P = psd_sqrt(eye - adj(P) @ P, tol)
+        D_Ps = psd_sqrt(eye - P @ adj(P), tol)
+    except IndefiniteInput:
+        raise NotAContraction(f"||P|| = {opnorm(P):.6f} exceeds 1") from None
+    return DefectData(P, D_P, D_Ps, range_basis(D_P, tol), range_basis(D_Ps, tol))
 
 
-def theta_taylor(P, K: int, tol: Tolerance = DEFAULT_TOL) -> CharFn:
-    """First K+1 Taylor coefficients of the characteristic function.
+def theta_taylor(dd: DefectData, K: int) -> CharFn:
+    """First K+1 Taylor coefficients of the characteristic function of dd.P.
 
     C_0 = -Q* P Q restricted to the defect bases; C_k for k >= 1 comes from
     the Neumann expansion of the resolvent.
     """
-    P = as_matrix(P)
-    dd = defect_data(P, tol)
-    cnu_check(P)
-    Qp, Qs = dd.Q_dP, dd.Q_dPstar
+    cnu_check(dd)
+    P, Qp, Qs = dd.P, dd.Q_dP, dd.Q_dPstar
     coeffs = [-adj(Qs) @ P @ Qp]
     left = adj(Qs) @ dd.D_Pstar
     right = dd.D_P @ Qp
@@ -122,13 +137,13 @@ def theta_taylor(P, K: int, tol: Tolerance = DEFAULT_TOL) -> CharFn:
     for _ in range(1, K + 1):
         coeffs.append(left @ power @ right)
         power = adj(P) @ power
-    return CharFn(SymbolPoly(coeffs), P, K, dd)
+    return CharFn(SymbolPoly(coeffs), dd)
 
 
 def theta_eval(charfn: CharFn, z: complex) -> np.ndarray:
     """Evaluate Theta(z) directly through the resolvent (not the series)."""
-    P = charfn.source_P
     dd = charfn.defect
+    P = dd.P
     n = P.shape[0]
     M = np.eye(n) - z * adj(P)
     if np.linalg.cond(M) > 1e14:
@@ -143,22 +158,6 @@ def delta_eval(charfn: CharFn, t: float, tol: Tolerance = DEFAULT_TOL) -> np.nda
     return psd_sqrt(np.eye(th.shape[1]) - adj(th) @ th, tol)
 
 
-def x_limit(P, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Square root of the strong limit of P^m P*^m (zero for c.n.u. matrices)."""
-    P = as_matrix(P)
-    contraction_check(P, tol)
-    M = np.eye(P.shape[0], dtype=complex)
-    for _ in range(X_LIMIT_MAX_ITER):
-        nxt = P @ M @ adj(P)
-        delta = opnorm(nxt - M)
-        M = nxt
-        if delta <= tol.convergence_tol:
-            return psd_sqrt(0.5 * (M + adj(M)), tol)
-    raise NonConvergence(
-        f"power iteration did not settle after {X_LIMIT_MAX_ITER} steps (last delta {delta:.3e})"
-    )
-
-
 def default_truncation(P, target: float = TAIL_TARGET) -> int:
     """Smallest N >= 32 with spectral_radius(P)^(N+1) below the tail target."""
     rho = spectral_radius(as_matrix(P))
@@ -168,15 +167,14 @@ def default_truncation(P, target: float = TAIL_TARGET) -> int:
     return max(32, int(need)) if np.isfinite(need) else 32
 
 
-def pi_nf_matrix(P, N: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Matrix of the truncated minimal-dilation embedding.
+def pi_nf_matrix(dd: DefectData, N: int) -> np.ndarray:
+    """Matrix of the truncated minimal-dilation embedding of dd.P.
 
     Degree-k row block is Q_dPstar* D_P* P*^k; columns are the embeddings
     of the standard basis of the source space.
     """
-    P = as_matrix(P)
-    dd = defect_data(P, tol)
-    cnu_check(P)
+    cnu_check(dd)
+    P = dd.P
     n = P.shape[0]
     rs = dd.rank_dPstar
     top = adj(dd.Q_dPstar) @ dd.D_Pstar
@@ -188,12 +186,6 @@ def pi_nf_matrix(P, N: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return Pi
 
 
-def pi_nf_embed(P, N: int, h, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Embed a vector into the truncated model-space ambient."""
-    h = np.asarray(h, dtype=complex).ravel()
-    return pi_nf_matrix(P, N, tol) @ h
-
-
 def truncation_tail(P, N: int) -> float:
     """||P^(N+1)||, the norm bound on everything the truncation discards."""
     P = as_matrix(P)
@@ -203,27 +195,25 @@ def truncation_tail(P, N: int) -> float:
 
 
 def build_model_space(
-    P,
+    dd: DefectData,
     N: int,
     tol: Tolerance = DEFAULT_TOL,
     delta_grid: int = 256,
 ) -> ModelSpace:
-    """Orthonormal basis of the truncated model space.
+    """Orthonormal basis of the truncated model space of dd.P.
 
     The boundary defect is sampled on a t-grid and recorded; it must vanish
     for matrix inputs (class C_00), which is what licenses dropping the
     boundary summand of the ambient space.
     """
-    P = as_matrix(P)
-    rho = spectral_radius(P)
-    cnu_check(P)
+    rho = dd.spectral_radius
+    cnu_check(dd)
     if rho > 0 and rho ** (N + 1) > 1e-8:
         raise TruncationTooSmall(
-            f"spectral radius {rho:.4f} needs N > {default_truncation(P)} (got {N})"
+            f"spectral radius {rho:.4f} needs N > {default_truncation(dd.P)} (got {N})"
         )
-    cf = theta_taylor(P, 0, tol)
+    cf = theta_taylor(dd, 0)
     ts = 2 * np.pi * np.arange(delta_grid) / delta_grid
-    delta_norm = max(opnorm(delta_eval(cf, t, tol)) for t in ts) if cf.defect.rank_dP else 0.0
-    Pi = pi_nf_matrix(P, N, tol)
-    basis = range_basis(Pi, tol)
-    return ModelSpace(basis, N, float(delta_norm), truncation_tail(P, N))
+    delta_norm = max(opnorm(delta_eval(cf, t, tol)) for t in ts) if dd.rank_dP else 0.0
+    basis = range_basis(pi_nf_matrix(dd, N), tol)
+    return ModelSpace(basis, N, float(delta_norm), truncation_tail(dd.P, N))

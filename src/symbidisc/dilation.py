@@ -22,6 +22,7 @@ from .classify import (
     GAMMA_ISOMETRY,
     GAMMA_UNITARY,
     find_unitary_intertwiner,
+    fundamental_op,
     is_gamma_contraction,
 )
 from .defect import ModelSpace, build_model_space, defect_data, pi_nf_matrix
@@ -33,15 +34,7 @@ from .errors import (
     ResidualTooLarge,
 )
 from .hardy import build_mult_op, compress, shift_op, symbol_a_plus_astar_z
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    adj,
-    as_matrix,
-    opnorm,
-    range_basis,
-    sandwich_solve,
-)
+from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm, range_basis
 from .numrad import numerical_radius
 from .pair import OperatorPair, make_pair
 
@@ -84,6 +77,7 @@ class CompressedScalar:
 
 
 def _require_gamma(pair: OperatorPair, tol: Tolerance):
+    """Classification report of a passing pair; it carries the DefectData of P."""
     report = is_gamma_contraction(pair, tol)
     if report.kind not in _PASSING:
         raise ClassificationFailed(f"pair classified {report.kind}: {report.failed()}")
@@ -94,13 +88,13 @@ def schaffer_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> 
     """Explicit isometric dilation pair (W, V) on H + truncated Hardy space.
 
     The adjoint intertwinings with the embedding are exact: no truncation
-    enters the embedded columns.
+    enters the embedded columns.  The defect data of P comes from the
+    classification report.
     """
     report = _require_gamma(pair, tol)
-    S, P = pair.S, pair.P
+    S, P, dd = pair.S, pair.P, report.defect
     n = S.shape[0]
     F = report.fundamental_op
-    dd = defect_data(P, tol)
     r = dd.rank_dP
     hardy_dim = (N + 1) * r
     dim = n + hardy_dim
@@ -131,17 +125,16 @@ def schaffer_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> 
 def nf_ay_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> NfAyModel:
     """Functional model of a c.n.u. pair on the truncated model space.
 
-    The symbol is extracted from S* - S P* sandwiched between the D_P*
-    defect operators; the model operators are compressions of the pure
-    model pair, certified against the input by an explicit unitary.
+    The symbol is the adjoint of the fundamental operator of (S*, P*),
+    solved on the swapped defect data of P from the classification report;
+    the model operators are compressions of the pure model pair, certified
+    against the input by an explicit unitary.
     """
-    _require_gamma(pair, tol)
     S, P = pair.S, pair.P
-    dd = defect_data(P, tol)
-    G, _ = sandwich_solve(dd.D_Pstar, dd.D_Pstar, adj(S) - S @ adj(P), tol)
-    symbol_A = adj(adj(dd.Q_dPstar) @ G @ dd.Q_dPstar)
+    dd = _require_gamma(pair, tol).defect
+    symbol_A = adj(fundamental_op(adj(S), dd.adjoint(), tol)[0])
 
-    model = build_model_space(P, N, tol)
+    model = build_model_space(dd, N, tol)
     rs = dd.rank_dPstar
     S_model = compress(build_mult_op(symbol_a_plus_astar_z(symbol_A), N), model.basis)
     P_model = compress(shift_op(rs, N), model.basis)
@@ -206,9 +199,9 @@ def factorization_check(
     if d_res > max(tol.residual_tol, 100 * tol.convergence_tol) * 100:
         raise NotADilation(f"adjoint intertwining fails by {d_res:.3e}")
 
-    Pi = pi_nf_matrix(P, N, tol)
-    rs = Pi.shape[0] // (N + 1)
-    Mz = shift_op(rs, N).matrix
+    dd = defect_data(P, tol)
+    Pi = pi_nf_matrix(dd, N)
+    Mz = shift_op(dd.rank_dPstar, N).matrix
 
     depth = min(depth, N - 1)
     G_stages, T_stages = [Pi], [embed]

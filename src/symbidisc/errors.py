@@ -33,10 +33,6 @@ class ResolventSingular(SymbidiscError):
     pass
 
 
-class NonConvergence(SymbidiscError):
-    pass
-
-
 class NotCommuting(SymbidiscError):
     pass
 

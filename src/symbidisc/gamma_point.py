@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_BOUNDARY_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,12 @@ def symmetrize(z1: complex, z2: complex) -> GammaPoint:
 
 def _quadratic_roots(s: complex, p: complex):
     """Roots of t^2 - s t + p with a cancellation-stable branch choice."""
-    d = cmath.sqrt(s * s - 4 * p)
+    disc = s * s - 4 * p
+    # A discriminant within its own rounding error is a double root: its
+    # square root would split the roots by about sqrt(eps).
+    if abs(disc) <= 8 * _EPS * (abs(s) ** 2 + 4 * abs(p)):
+        disc = 0.0
+    d = cmath.sqrt(disc)
     # pick the sign that avoids subtractive cancellation in s +/- d
     if abs(s + d) >= abs(s - d):
         big = (s + d) / 2
@@ -75,25 +81,12 @@ def beta_solve(pt: GammaPoint) -> BetaSolution:
     return BetaSolution(beta, exact, residual)
 
 
-def boundary_sample(n: int) -> list:
-    """n^2 distinguished-boundary points from the uniform n x n torus grid.
-
-    Every returned point has |p| = 1.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    angles = 2 * np.pi * np.arange(n) / n
-    pts = []
-    for tj in angles:
-        z1 = cmath.exp(1j * tj)
-        for tk in angles:
-            z2 = cmath.exp(1j * tk)
-            pts.append(symmetrize(z1, z2))
-    return pts
-
-
 def boundary_grid(n: int):
-    """Vectorized (s, p) arrays for the n x n boundary grid."""
+    """(s, p) arrays of the distinguished boundary over the uniform n x n torus grid.
+
+    Point j * n + k is the symmetrization of (e^{2 pi i j/n}, e^{2 pi i k/n});
+    every point has |p| = 1.
+    """
     z = np.exp(2j * np.pi * np.arange(n) / n)
     z1, z2 = np.meshgrid(z, z, indexing="ij")
     return (z1 + z2).ravel(), (z1 * z2).ravel()

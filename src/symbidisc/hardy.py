@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, TruncationTooSmall
 from .linalg import adj, as_matrix
-from .pair import OperatorPair, make_pair
+from .pair import OperatorPair, degree_mask, make_pair
 
 
 @dataclass(frozen=True)
@@ -64,26 +64,11 @@ class TruncatedOp:
     """Block matrix on a truncated Hardy/Fourier space.
 
     interior_hi is the largest degree on which truncated identities are
-    exact.  block_rows/block_cols may differ for rectangular symbols; for
-    square symbols block_size is the common value.
+    exact.
     """
 
     matrix: np.ndarray
-    block_rows: int
-    block_cols: int
-    degree_lo: int
-    degree_hi: int
     interior_hi: int
-
-    @property
-    def block_size(self) -> int:
-        if self.block_rows != self.block_cols:
-            raise DimensionMismatch("rectangular blocks have no single block_size")
-        return self.block_rows
-
-    @property
-    def n_degrees(self) -> int:
-        return self.degree_hi - self.degree_lo + 1
 
 
 def build_mult_op(phi: SymbolPoly, N: int) -> TruncatedOp:
@@ -101,7 +86,7 @@ def build_mult_op(phi: SymbolPoly, N: int) -> TruncatedOp:
         for j in range(N + 1 - k):
             i = j + k
             M[i * b_r : (i + 1) * b_r, j * b_c : (j + 1) * b_c] = C
-    return TruncatedOp(M, b_r, b_c, 0, N, N - d)
+    return TruncatedOp(M, N - d)
 
 
 def shift_op(block_size: int, N: int) -> TruncatedOp:
@@ -121,7 +106,7 @@ def gamma_isometry_model(A, N: int) -> OperatorPair:
     b = A.shape[0]
     S = build_mult_op(symbol_a_plus_astar_z(A), N)
     P = shift_op(b, N)
-    return make_pair(S.matrix, P.matrix, interior_hi=N - 1, block_size=b)
+    return make_pair(S.matrix, P.matrix, window=degree_mask(S.matrix.shape[0], b, N - 1))
 
 
 def compress(op, basis) -> np.ndarray:
@@ -133,15 +118,6 @@ def compress(op, basis) -> np.ndarray:
             f"operator dimension {M.shape[1]} does not match basis rows {Q.shape[0]}"
         )
     return adj(Q) @ M @ Q
-
-
-def pc_tensor(A, N: int) -> np.ndarray:
-    """A acting on the constant functions: A in the (0, 0) block, 0 elsewhere."""
-    A = as_matrix(A)
-    b = A.shape[0]
-    M = np.zeros(((N + 1) * b, (N + 1) * b), dtype=complex)
-    M[:b, :b] = A
-    return M
 
 
 def block_of(M: np.ndarray, block_rows: int, block_cols: int, i: int, j: int) -> np.ndarray:

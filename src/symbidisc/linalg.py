@@ -106,17 +106,6 @@ def range_basis(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return _fix_phases(U[:, :r])
 
 
-def null_basis(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the (numerical) null space of M."""
-    M = as_matrix(M)
-    if M.size == 0:
-        return np.eye(M.shape[1], dtype=complex)
-    U, s, Vh = np.linalg.svd(M)
-    smax = s[0] if len(s) else 0.0
-    r = int(np.sum(s > tol.rank_tol * smax)) if smax > 0 else 0
-    return _fix_phases(adj(Vh)[:, r:])
-
-
 def sandwich_solve(L, R, C, tol: Tolerance = DEFAULT_TOL):
     """Minimal-Frobenius-norm solution X of L X R = C.
 

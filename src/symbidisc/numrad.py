@@ -66,8 +66,3 @@ def numerical_radius(A, tol: Tolerance = DEFAULT_TOL) -> NumRadResult:
     value = float(w[-1])
     cert = V[:, -1]
     return NumRadResult(value, float(theta), cert)
-
-
-def within_unit_radius(A, slack: float = WR_SLACK, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """The w(A) <= 1 gate used by the classification routines."""
-    return numerical_radius(A, tol).value <= 1.0 + slack

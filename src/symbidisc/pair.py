@@ -21,18 +21,14 @@ def restrict(M: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
 class OperatorPair:
     """A commuting pair (S, P) with cached commutator norm.
 
-    For pairs living on a truncated Hardy space, `block_size` and
-    `interior_hi` describe the degree-major block layout and the largest
-    degree on which operator identities are exact; `window` is the
-    corresponding boolean coordinate mask.  Plain matrix pairs leave all
-    three unset.
+    For pairs living on a truncated Hardy space, `window` is the boolean
+    coordinate mask of the degrees on which operator identities are exact
+    (see `degree_mask`).  Plain matrix pairs leave it unset.
     """
 
     S: np.ndarray
     P: np.ndarray
     commutator_norm: float
-    interior_hi: Optional[int] = None
-    block_size: Optional[int] = None
     window: Optional[np.ndarray] = None
 
     @property
@@ -46,18 +42,10 @@ def degree_mask(dim: int, block_size: int, degree_hi: int) -> np.ndarray:
     return degs <= degree_hi
 
 
-def make_pair(
-    S,
-    P,
-    interior_hi: Optional[int] = None,
-    block_size: Optional[int] = None,
-    window: Optional[np.ndarray] = None,
-) -> OperatorPair:
+def make_pair(S, P, window: Optional[np.ndarray] = None) -> OperatorPair:
     S, P = as_matrix(S), as_matrix(P)
     if S.shape != P.shape or S.shape[0] != S.shape[1]:
         raise ValueError("S and P must be square matrices of the same size")
-    if window is None and interior_hi is not None and block_size is not None:
-        window = degree_mask(S.shape[0], block_size, interior_hi)
     comm = restrict(S @ P - P @ S, window)
     norm = float(np.linalg.norm(comm, 2)) if comm.size else 0.0
-    return OperatorPair(S, P, norm, interior_hi, block_size, window)
+    return OperatorPair(S, P, norm, window)

@@ -13,7 +13,13 @@ from typing import Callable, List
 
 import numpy as np
 
-from .blh import BlhSolution, blh_solve, invariance_check, make_problem
+from .blh import (
+    BlhSolution,
+    blh_solve,
+    invariance_check,
+    make_problem,
+    mirror_solve,
+)
 from .classify import (
     GAMMA_CONTRACTION,
     GAMMA_UNITARY,
@@ -200,7 +206,7 @@ def criterion_char_fn(cfg: RunConfig) -> CriterionResult:
     rng = _rng(cfg, 6)
     worst_coeff = 0.0
     for c in (0.3, 0.5, 0.9):
-        cf = theta_taylor([[c]], 20, cfg.tol)
+        cf = theta_taylor(defect_data([[c]], cfg.tol), 20)
         expect = [-c] + [(1 - c * c) * c ** (k - 1) for k in range(1, 21)]
         got = [cf.taylor.coeffs[k][0, 0] for k in range(21)]
         worst_coeff = max(worst_coeff, max(abs(g - e) for g, e in zip(got, expect)))
@@ -209,7 +215,7 @@ def criterion_char_fn(cfg: RunConfig) -> CriterionResult:
     for _ in range(20):
         dim = int(rng.integers(2, 5))
         P = random_strict_contraction(rng, dim, 0.9)
-        cf = theta_taylor(P, 0, cfg.tol)
+        cf = theta_taylor(defect_data(P, cfg.tol), 0)
         for t in ts:
             worst_norm = max(worst_norm, opnorm(theta_eval(cf, np.exp(1j * t))))
             worst_delta = max(worst_delta, opnorm(delta_eval(cf, t, cfg.tol)))
@@ -229,11 +235,11 @@ def criterion_nf_model(cfg: RunConfig) -> CriterionResult:
     for _ in range(20):
         dim = int(rng.integers(1, 4))
         P = random_strict_contraction(rng, dim, 0.9, rho_max=RHO_CAP)
-        ms = build_model_space(P, cfg.N, cfg.tol)
+        dd = defect_data(P, cfg.tol)
+        ms = build_model_space(dd, cfg.N, cfg.tol)
         if ms.dim != dim:
             bad_dim += 1
             continue
-        dd = defect_data(P, cfg.tol)
         Mz = shift_op(dd.rank_dPstar, cfg.N).matrix
         P_model = compress(Mz, ms.basis)
         tol2 = Tolerance(
@@ -242,7 +248,7 @@ def criterion_nf_model(cfg: RunConfig) -> CriterionResult:
         )
         if not joint_unitary_equiv([P_model], [P], tol=tol2):
             bad_equiv += 1
-        Pi = pi_nf_matrix(P, cfg.N, cfg.tol)
+        Pi = pi_nf_matrix(dd, cfg.N)
         worst_id = max(
             worst_id,
             opnorm(adj(Pi) @ Mz @ Pi - P),
@@ -316,37 +322,9 @@ def _blh_instance(rng: np.random.Generator):
     if branch == 1:
         # transported: mirror-solve A from a target B with w(B) <= 1
         B0 = random_symbol(rng, e)
-        A = _mirror_solve(B0, theta)
+        A = mirror_solve(B0, theta)
         return A, theta
     return random_symbol(rng, e), theta
-
-
-def _mirror_solve(B, theta: SymbolPoly) -> np.ndarray:
-    """Least-squares A with A theta_k + A* theta_{k-1} = theta_k B + theta_{k-1} B*."""
-    e = theta.cod_dim
-    d = theta.degree
-    K = np.zeros((e * e, e * e))
-    for i in range(e):
-        for j in range(e):
-            K[j * e + i, i * e + j] = 1.0
-    zero = np.zeros_like(theta.coeffs[0])
-    lin, anti, rhs = [], [], []
-    coeffs = list(theta.coeffs)
-    for k in range(d + 2):
-        Tk = coeffs[k] if k <= d else zero
-        Tk1 = coeffs[k - 1] if k >= 1 else zero
-        lin.append(np.kron(Tk.T, np.eye(e)))
-        anti.append(np.kron(Tk1.T, np.eye(e)) @ K)
-        rhs.append((Tk @ B + Tk1 @ adj(B)).reshape(-1, order="F"))
-    M1, M2, r = np.vstack(lin), np.vstack(anti), np.concatenate(rhs)
-    R = np.vstack(
-        [
-            np.hstack([(M1 + M2).real, -(M1 - M2).imag]),
-            np.hstack([(M1 + M2).imag, (M1 - M2).real]),
-        ]
-    )
-    sol, *_ = np.linalg.lstsq(R, np.concatenate([r.real, r.imag]), rcond=None)
-    return (sol[: e * e] + 1j * sol[e * e :]).reshape((e, e), order="F")
 
 
 def criterion_blh(cfg: RunConfig) -> CriterionResult:

@@ -13,8 +13,9 @@ from symbidisc.classify import (
     recover_pure_symbol,
     von_neumann_margin,
 )
+from symbidisc.defect import defect_data
 from symbidisc.dilation import gamma_unitary_synth
-from symbidisc.errors import NotCommuting, NotPureModelForm
+from symbidisc.errors import DimensionMismatch, NotCommuting, NotPureModelForm
 from symbidisc.generate import (
     random_commuting_unitaries,
     random_gamma_contraction,
@@ -44,7 +45,7 @@ def test_commutator_gate():
 def test_scalar_fundamental_operator():
     # (s, p) = (1.2, 0.5): A = (s - s*p) / (1 - p^2) = 0.8
     pair = make_pair([[1.2]], [[0.5]])
-    F, residual = fundamental_op(pair)
+    F, residual = fundamental_op(pair.S, defect_data(pair.P))
     assert residual < 1e-12
     assert F[0, 0] == pytest.approx(0.8, abs=1e-12)
     rep = is_gamma_contraction(pair)
@@ -55,6 +56,20 @@ def test_scalar_fundamental_operator():
 def test_designed_negatives():
     assert is_gamma_contraction(make_pair(np.diag([1.2, 0.0]), np.zeros((2, 2)))).kind == NOT_GAMMA
     assert is_gamma_contraction(make_pair([[2.2]], [[1.0]])).kind == NOT_GAMMA
+
+
+@pytest.mark.parametrize(
+    "P",
+    [[[1 + 5e-11]], [[1 + 5e-10]], [[1 + 5e-9]], np.diag([1 + 5e-9, 0.3]), [[1 + 2e-8]]],
+    ids=["5e-11", "5e-10", "5e-9", "5e-9-diag", "2e-8"],
+)
+def test_barely_non_contractive_p_answers_not_gamma(P):
+    # the ||P|| <= 1 check and defect_data share one threshold, so P just
+    # past it is answered, not raised on
+    P = np.asarray(P, dtype=complex)
+    rep = is_gamma_contraction(make_pair(np.zeros_like(P), P))
+    assert rep.kind == NOT_GAMMA
+    assert ("||P|| <= 1", False, opnorm(P) - 1) in rep.checks
 
 
 def test_jordan_pair_is_gamma_contraction():
@@ -126,6 +141,16 @@ def test_find_unitary_intertwiner_fails_when_inequivalent():
     assert res > 1e-2
     V, res = find_unitary_intertwiner([np.eye(2)], [-np.eye(2)])
     assert V is None or res > 1e-2
+
+
+def test_operator_lists_must_match():
+    rng = np.random.default_rng(10)
+    A, B = random_symbol(rng, 3), random_symbol(rng, 3)
+    U = random_unitary(rng, 3)
+    with pytest.raises(DimensionMismatch):
+        find_unitary_intertwiner([A, B], [U @ A @ adj(U)])
+    with pytest.raises(DimensionMismatch):
+        find_unitary_intertwiner([], [])
 
 
 def _conjugated_model_pair(seed):

@@ -12,10 +12,9 @@ from symbidisc.defect import (
     theta_eval,
     theta_taylor,
     truncation_tail,
-    x_limit,
 )
 from symbidisc.errors import NotAContraction, NotCnu, TruncationTooSmall
-from symbidisc.generate import random_strict_contraction, random_unitary
+from symbidisc.generate import random_gamma_contraction, random_strict_contraction, random_unitary
 from symbidisc.linalg import adj, opnorm
 
 
@@ -40,13 +39,23 @@ def test_contraction_check():
 
 def test_cnu_check_rejects_unimodular_spectrum():
     with pytest.raises(NotCnu):
-        cnu_check(np.diag([1.0, 0.3]))
+        cnu_check(defect_data(np.diag([1.0, 0.3])))
+
+
+def test_adjoint_record_equals_defect_data_of_adjoint():
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        P = random_gamma_contraction(rng).P
+        swapped = defect_data(P).adjoint()
+        direct = defect_data(adj(P))
+        for name in ("P", "D_P", "D_Pstar", "Q_dP", "Q_dPstar"):
+            assert np.array_equal(getattr(swapped, name), getattr(direct, name)), name
 
 
 def test_scalar_moebius_coefficients():
     # Theta for P = c is the Moebius map: C_0 = -c, C_k = (1 - c^2) c^(k-1)
     for c in (0.3, 0.5, 0.9):
-        cf = theta_taylor([[c]], 10)
+        cf = theta_taylor(defect_data([[c]]), 10)
         assert cf.taylor.coeffs[0][0, 0] == pytest.approx(-c, abs=1e-13)
         for k in range(1, 11):
             expect = (1 - c * c) * c ** (k - 1)
@@ -57,7 +66,7 @@ def test_theta_eval_matches_taylor_series():
     rng = np.random.default_rng(3)
     P = random_strict_contraction(rng, 3, 0.6)
     K = 60
-    cf = theta_taylor(P, K)
+    cf = theta_taylor(defect_data(P), K)
     z = 0.4 + 0.3j
     series = sum(cf.taylor.coeffs[k] * z**k for k in range(K + 1))
     assert np.allclose(series, theta_eval(cf, z), atol=1e-10)
@@ -66,7 +75,7 @@ def test_theta_eval_matches_taylor_series():
 def test_theta_contractive_on_disk():
     rng = np.random.default_rng(4)
     P = random_strict_contraction(rng, 3, 0.9)
-    cf = theta_taylor(P, 0)
+    cf = theta_taylor(defect_data(P), 0)
     for t in np.linspace(0, 2 * np.pi, 32, endpoint=False):
         assert opnorm(theta_eval(cf, np.exp(1j * t))) <= 1 + 1e-10
 
@@ -74,14 +83,8 @@ def test_theta_contractive_on_disk():
 def test_boundary_defect_vanishes_for_matrices():
     rng = np.random.default_rng(5)
     P = random_strict_contraction(rng, 2, 0.8)
-    cf = theta_taylor(P, 0)
+    cf = theta_taylor(defect_data(P), 0)
     assert opnorm(delta_eval(cf, 1.234)) < 1e-7
-
-
-def test_x_limit():
-    assert opnorm(x_limit(np.diag([0.5, 0.2]))) < 1e-6
-    U = random_unitary(np.random.default_rng(6), 3)
-    assert np.allclose(x_limit(U), np.eye(3))
 
 
 def test_truncation_controls():
@@ -96,7 +99,7 @@ def test_model_space_dimension_equals_source():
     rng = np.random.default_rng(7)
     for n in (1, 2, 3):
         P = random_strict_contraction(rng, n, 0.8, rho_max=0.5)
-        ms = build_model_space(P, 32)
+        ms = build_model_space(defect_data(P), 32)
         assert ms.dim == n
         assert ms.delta_norm <= 1e-7
         assert ms.trunc_error <= 1e-6
@@ -104,14 +107,14 @@ def test_model_space_dimension_equals_source():
 
 def test_model_space_rejects_insufficient_truncation():
     with pytest.raises(TruncationTooSmall):
-        build_model_space(np.diag([0.9, 0.1]), 8)
+        build_model_space(defect_data(np.diag([0.9, 0.1])), 8)
 
 
 def test_pi_nf_identities():
     rng = np.random.default_rng(8)
     P = random_strict_contraction(rng, 3, 0.8, rho_max=0.5)
     N = 40
-    Pi = pi_nf_matrix(P, N)
+    Pi = pi_nf_matrix(defect_data(P), N)
     assert np.allclose(adj(Pi) @ Pi, np.eye(3), atol=1e-8)
     from symbidisc.hardy import shift_op
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from symbidisc.classify import is_gamma_isometry
-from symbidisc.defect import pi_nf_matrix
+from symbidisc.classify import fundamental_op, is_gamma_isometry
+from symbidisc.defect import defect_data, pi_nf_matrix
 from symbidisc.dilation import (
     compressed_scalar,
     factorization_check,
@@ -65,6 +65,14 @@ def test_nf_ay_round_trip_residuals():
     assert max(m.residual_S, m.residual_P) <= m.tolerance_bound
 
 
+def test_nf_ay_symbol_is_adjoint_of_fundamental_op_of_adjoint_pair():
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        pair = random_gamma_contraction(rng)
+        F, _ = fundamental_op(adj(pair.S), defect_data(adj(pair.P)))
+        assert np.array_equal(nf_ay_build(pair, N).symbol_A, adj(F))
+
+
 def test_compressed_scalar_identity():
     rng = np.random.default_rng(3)
     pair = random_gamma_contraction(rng)
@@ -88,9 +96,9 @@ def test_gamma_unitary_synth_guards():
 def test_factorization_against_nf_itself():
     rng = np.random.default_rng(5)
     pair = random_gamma_contraction(rng)
-    Pi = pi_nf_matrix(pair.P, N)
-    rs = Pi.shape[0] // (N + 1)
-    Mz = shift_op(rs, N).matrix
+    dd = defect_data(pair.P)
+    Pi = pi_nf_matrix(dd, N)
+    Mz = shift_op(dd.rank_dPstar, N).matrix
     Phi, iso_res, block_res = factorization_check(pair, (Mz, Pi), N)
     assert iso_res < 1e-10
     assert block_res < 1e-10
@@ -100,9 +108,9 @@ def test_factorization_against_padded_nf():
     # NF dilation plus an unused extra shift summand: still factors
     rng = np.random.default_rng(6)
     pair = random_gamma_contraction(rng)
-    Pi = pi_nf_matrix(pair.P, N)
-    rs = Pi.shape[0] // (N + 1)
-    Mz = shift_op(rs, N).matrix
+    dd = defect_data(pair.P)
+    Pi = pi_nf_matrix(dd, N)
+    Mz = shift_op(dd.rank_dPstar, N).matrix
     extra = shift_op(1, N).matrix
     V = scipy.linalg.block_diag(Mz, extra)
     embed = np.vstack([Pi, np.zeros((extra.shape[0], Pi.shape[1]))])

@@ -5,7 +5,6 @@ from symbidisc.gamma_point import (
     GammaPoint,
     beta_solve,
     boundary_grid,
-    boundary_sample,
     in_gamma,
     symmetrize,
 )
@@ -52,15 +51,29 @@ def test_beta_solve_matches_membership_inside():
 
 
 def test_boundary_sample_lies_on_distinguished_boundary():
-    pts = boundary_sample(7)
-    assert len(pts) == 49
-    for pt in pts:
-        assert abs(abs(pt.p) - 1) < 1e-12
-        assert in_gamma(pt)
+    # the distinguished boundary is |p| = 1, s = conj(s) p, |s| <= 2
+    s, p = boundary_grid(7)
+    assert len(s) == len(p) == 49
+    assert np.all(np.abs(np.abs(p) - 1) < 1e-12)
+    assert np.all(np.abs(s - s.conj() * p) < 1e-12)
+    assert np.all(np.abs(s) <= 2 + 1e-12)
+    assert all(in_gamma(GammaPoint(a, b)) for a, b in zip(s, p))
+
+
+def test_double_roots_on_the_torus_are_members():
+    # s^2 - 4p rounds to about 1e-16 at z1 = z2; its square root must not
+    # push the roots off the circle by ~1e-8
+    s, p = boundary_grid(64)
+    diag = np.arange(64) * 65
+    assert all(in_gamma(GammaPoint(s[i], p[i])) for i in diag)
+    z = (1 + 3e-9) * np.exp(0.3j)
+    assert not in_gamma(GammaPoint(2 * z, z * z))
 
 
 def test_boundary_grid_matches_sample():
+    # point j * n + k symmetrizes the torus point (z_j, z_k)
     s, p = boundary_grid(5)
-    pts = boundary_sample(5)
+    z = np.exp(2j * np.pi * np.arange(5) / 5)
+    pts = [symmetrize(z1, z2) for z1 in z for z2 in z]
     assert np.allclose(s, [q.s for q in pts])
     assert np.allclose(p, [q.p for q in pts])

@@ -6,7 +6,6 @@ from symbidisc.errors import IndefiniteInput, NotHermitian
 from symbidisc.linalg import (
     Tolerance,
     adj,
-    null_basis,
     opnorm,
     psd_sqrt,
     range_basis,
@@ -82,13 +81,6 @@ def test_range_basis_phase_convention_is_deterministic():
         k = np.argmax(np.abs(Q1[:, j]))
         assert Q1[k, j].imag == pytest.approx(0.0, abs=1e-14)
         assert Q1[k, j].real > 0
-
-
-def test_null_basis():
-    M = np.array([[1.0, 1.0, 0.0]])
-    Z = null_basis(M)
-    assert Z.shape == (3, 2)
-    assert np.allclose(M @ Z, 0)
 
 
 def test_sandwich_solve_invertible_oracle():

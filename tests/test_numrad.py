@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from symbidisc.linalg import adj
-from symbidisc.numrad import numerical_radius, within_unit_radius
+from symbidisc.numrad import numerical_radius
 
 
 def test_jordan_block_oracle():
@@ -47,8 +47,3 @@ def test_rayleigh_lower_bound_never_exceeds_value():
         v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         v /= np.linalg.norm(v)
         assert abs(np.vdot(v, A @ v)) <= w + 1e-9
-
-
-def test_within_unit_radius():
-    assert within_unit_radius([[0.0, 2.0], [0.0, 0.0]])
-    assert not within_unit_radius([[0.0, 2.1], [0.0, 0.0]])
