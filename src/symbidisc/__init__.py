@@ -12,6 +12,7 @@ from .classify import (
     GAMMA_CONTRACTION,
     GAMMA_ISOMETRY,
     GAMMA_UNITARY,
+    INCONCLUSIVE,
     NOT_GAMMA,
     ClassificationReport,
     find_unitary_intertwiner,

@@ -38,6 +38,7 @@ class ClassificationReport:
     fundamental_op: Optional[np.ndarray] = None
     fundamental_residual: float = np.inf
     wA: float = np.inf
+    wA_upper: float = np.inf
     checks: list = field(default_factory=list)
     defect: Optional[DefectData] = None
 
@@ -121,6 +122,9 @@ def is_gamma_contraction(
     Produces the strongest applicable kind; every sub-check is recorded in
     the report with its residual.  ||P|| <= 1 passes exactly when
     `defect_data` accepts P, and the report carries that DefectData.
+    w(A) <= 1 passes when the certified upper bound on w(A) is at most
+    1 + wr_slack; the answer is NotGamma when the lower bound exceeds it,
+    and Inconclusive when the two bounds straddle it.
     """
     _commutator_gate(pair, tol)
     S, P = pair.S, pair.P
@@ -137,14 +141,16 @@ def is_gamma_contraction(
         rep.kind = NOT_GAMMA
         return rep
     F, residual = fundamental_op(S, dd, tol)
-    wA = numerical_radius(F, tol).value
+    wr = numerical_radius(F, tol)
     rep.fundamental_op = F
     rep.fundamental_residual = residual
-    rep.wA = wA
+    rep.wA, rep.wA_upper = wr.value, wr.upper
     rep.add("fundamental equation consistent", residual <= t, residual)
-    rep.add("w(A) <= 1", wA <= 1 + wr_slack, max(0.0, wA - 1))
-    if rep.failed():
+    rep.add("w(A) <= 1", wr.upper <= 1 + wr_slack, max(0.0, wr.upper - 1))
+    if residual > t or wr.value > 1 + wr_slack:
         rep.kind = NOT_GAMMA
+    elif rep.failed():
+        rep.kind = INCONCLUSIVE  # the bounds on w(A) straddle 1 + wr_slack
     elif _passes(algebra, _UNITARY_CHECKS):
         rep.kind = GAMMA_UNITARY
     elif _passes(algebra, _ISOMETRY_CHECKS):

@@ -120,6 +120,7 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
         "fundamental_residual": rep.fundamental_residual,
         "kind": rep.kind,
         "wA": rep.wA,
+        "wA_upper": rep.wA_upper,
     }
     if rep.fundamental_op is not None:
         out["fundamental_op"] = matrix_to_json(rep.fundamental_op)
@@ -145,7 +146,7 @@ def _cmd_fundamental(args, cfg: RunConfig) -> int:
 
 def _cmd_numrad(args, cfg: RunConfig) -> int:
     res = numerical_radius(load_matrix(args.A), cfg.tol)
-    _emit({"argmax_angle": res.argmax_angle, "value": res.value})
+    _emit({"argmax_angle": res.argmax_angle, "upper": res.upper, "value": res.value})
     return 0
 
 

@@ -37,9 +37,13 @@ def random_commuting_unitaries(rng: np.random.Generator, n: int):
 
 
 def random_symbol(rng: np.random.Generator, n: int, wr_max: float = 1.0) -> np.ndarray:
-    """Random matrix rescaled so its numerical radius lands in (0, wr_max]."""
+    """Random matrix rescaled so its numerical radius lands in (0, wr_max].
+
+    The rescaling divides by the certified upper bound on w(A), so the
+    bound wr_max is proven, not estimated.
+    """
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    w = numerical_radius(A).value
+    w = numerical_radius(A).upper
     target = wr_max * (0.4 + 0.6 * rng.random())
     return A * (target / w)
 

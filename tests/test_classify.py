@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from symbidisc import classify
 from symbidisc.classify import (
     GAMMA_CONTRACTION,
     GAMMA_UNITARY,
+    INCONCLUSIVE,
     NOT_GAMMA,
     find_unitary_intertwiner,
     fundamental_op,
@@ -24,6 +26,7 @@ from symbidisc.generate import (
 )
 from symbidisc.hardy import gamma_isometry_model
 from symbidisc.linalg import adj, opnorm
+from symbidisc.numrad import WR_SLACK, NumRadResult
 from symbidisc.pair import make_pair
 
 
@@ -70,6 +73,47 @@ def test_barely_non_contractive_p_answers_not_gamma(P):
     rep = is_gamma_contraction(make_pair(np.zeros_like(P), P))
     assert rep.kind == NOT_GAMMA
     assert ("||P|| <= 1", False, opnorm(P) - 1) in rep.checks
+
+
+def test_off_grid_numerical_radius_peak_answers_not_gamma():
+    # w(S) = 1.000005 peaks between the angles of a uniform 720-angle grid;
+    # with P = 0 the fundamental operator is S itself
+    S = np.diag([1.0, 1.000005 * np.exp(1j * (np.pi / 2 + np.pi / 720))])
+    rep = is_gamma_contraction(make_pair(S, np.zeros((2, 2))))
+    assert rep.kind == NOT_GAMMA
+    assert rep.wA <= 1.000005 <= rep.wA_upper
+
+
+@pytest.mark.parametrize(
+    "value, upper, kind",
+    [
+        (0.5, 0.5 + 1e-12, GAMMA_CONTRACTION),
+        (1 + WR_SLACK / 2, 1 + 2 * WR_SLACK, INCONCLUSIVE),
+        (1 + 2 * WR_SLACK, 1 + 3 * WR_SLACK, NOT_GAMMA),
+    ],
+    ids=["pass", "straddle", "fail"],
+)
+def test_numerical_radius_gate(monkeypatch, value, upper, kind):
+    bounds = NumRadResult(value, 0.0, np.ones(1, dtype=complex), upper)
+    monkeypatch.setattr(classify, "numerical_radius", lambda A, tol: bounds)
+    pair = random_gamma_contraction(np.random.default_rng(6))
+    rep = is_gamma_contraction(pair)
+    assert rep.kind == kind
+    assert (rep.wA, rep.wA_upper) == (value, upper)
+    assert ("w(A) <= 1", kind == GAMMA_CONTRACTION, max(0.0, upper - 1)) in rep.checks
+
+
+@pytest.mark.parametrize("outside", [True, False], ids=["outside", "inside"])
+def test_knife_edge_pairs(outside):
+    # (S, 0) with S normal, one eigenvalue of modulus 1 +/- 1e-6 and the
+    # rest on the circle: a Gamma-contraction exactly when w(S) <= 1
+    rng = np.random.default_rng(15)
+    for n in range(2, 7):
+        eigs = np.exp(2j * np.pi * rng.random(n))
+        eigs[0] *= 1 + 1e-6 if outside else 1 - 1e-6
+        U = random_unitary(rng, n)
+        rep = is_gamma_contraction(make_pair((U * eigs) @ adj(U), np.zeros((n, n))))
+        assert rep.kind == (NOT_GAMMA if outside else GAMMA_CONTRACTION)
 
 
 def test_jordan_pair_is_gamma_contraction():

@@ -56,6 +56,8 @@ def test_classify_command(capsys, tmp_path):
     assert code == 0
     obj = json.loads(out)
     assert obj["kind"] == "GammaContraction"
+    assert obj["wA"] <= obj["wA_upper"]
+    assert 1.0 <= obj["wA_upper"] <= 1 + 1e-8
     assert obj["wA"] == pytest.approx(1.0, abs=1e-8)
 
 
@@ -73,7 +75,10 @@ def test_numrad_command(capsys, tmp_path):
     a_path = write_matrix(tmp_path / "A.json", np.array([[0.0, 2.0], [0.0, 0.0]]))
     code, out, _ = run(capsys, ["numrad", "--A", a_path])
     assert code == 0
-    assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-9)
+    obj = json.loads(out)
+    assert obj["value"] == pytest.approx(1.0, abs=1e-9)
+    assert obj["value"] <= obj["upper"]
+    assert 1.0 <= obj["upper"] <= 1 + 1e-11
 
 
 def test_blh_solve_command_echoes_a_for_shift_theta(capsys, tmp_path):
