@@ -32,10 +32,11 @@ rng = np.random.default_rng(2)
 P = random_strict_contraction(rng, 3, 0.8, rho_max=0.5)
 dd = defect_data(P)
 cf = theta_taylor(dd, 0)
-norms = [opnorm(theta_eval(cf, np.exp(1j * t))) for t in np.linspace(0, 6.28, 64)]
-deltas = [opnorm(delta_eval(cf, t)) for t in np.linspace(0, 6.28, 64)]
-print(f"\nRandom 3x3 contraction: max ||Theta|| on circle = {max(norms):.12f}")
-print(f"  max boundary defect ||Delta|| = {max(deltas):.2e}  (inner => 0)")
+ts = np.linspace(0, 6.28, 64)
+norms = opnorm(theta_eval(cf, np.exp(1j * ts)))  # one norm per point of the stack
+deltas = opnorm(delta_eval(cf, ts))
+print(f"\nRandom 3x3 contraction: max ||Theta|| on circle = {norms.max():.12f}")
+print(f"  max boundary defect ||Delta|| = {deltas.max():.2e}  (inner => 0)")
 
 N = 32
 ms = build_model_space(dd, N)

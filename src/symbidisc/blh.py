@@ -33,16 +33,17 @@ class BlhProblem:
         return self.inner_residual <= INNER_WARN
 
 
-def make_problem(A, theta: SymbolPoly, grid: int = INNER_GRID) -> BlhProblem:
-    """Bundle a symbol and multiplier; records how far Theta is from inner."""
+def make_problem(A, theta: SymbolPoly) -> BlhProblem:
+    """Bundle a symbol and multiplier; records how far Theta is from inner.
+
+    The inner residual is max ||Theta* Theta - I|| over INNER_GRID boundary
+    points, evaluated as one stack.
+    """
     A = as_matrix(A)
     if A.shape[0] != A.shape[1] or A.shape[0] != theta.cod_dim:
         raise ValueError("A must be square on the codomain of theta")
-    worst = 0.0
-    eye = np.eye(theta.dom_dim)
-    for t in 2 * np.pi * np.arange(grid) / grid:
-        Th = theta.eval(np.exp(1j * t))
-        worst = max(worst, opnorm(adj(Th) @ Th - eye))
+    Th = theta.eval(np.exp(2j * np.pi * np.arange(INNER_GRID) / INNER_GRID))
+    worst = np.max(opnorm(adj(Th) @ Th - np.eye(theta.dom_dim)))
     return BlhProblem(A, theta, float(worst))
 
 

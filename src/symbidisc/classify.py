@@ -53,18 +53,21 @@ _UNITARY_CHECKS = ("P isometric", "P co-isometric", "S = S*P", "||S|| <= 2")
 _ISOMETRY_CHECKS = ("P isometric", "S = S*P", "||S|| <= 2")
 
 
-def _commutator_gate(pair: OperatorPair, tol: Tolerance) -> None:
-    scale = max(1.0, opnorm(pair.S) * opnorm(pair.P))
-    if pair.commutator_norm > tol.residual_tol * scale:
+def _commutator_gate(pair: OperatorPair, tol: Tolerance):
+    """NotCommuting unless SP = PS within tolerance; returns (||S||, ||P||)."""
+    norm_S, norm_P = opnorm(pair.S), opnorm(pair.P)
+    if pair.commutator_norm > tol.residual_tol * max(1.0, norm_S * norm_P):
         raise NotCommuting(
             f"commutator norm {pair.commutator_norm:.3e} exceeds tolerance"
         )
+    return norm_S, norm_P
 
 
-def _algebra_checks(pair: OperatorPair, tol: Tolerance) -> dict:
+def _algebra_checks(pair: OperatorPair, tol: Tolerance, norm_S: float) -> dict:
     """Check name -> (ok, residual) for the unitary and isometric cases.
 
     Residuals are restricted to the pair's window; each is computed once.
+    norm_S is ||S||, from the commutator gate.
     """
     S, P, w = pair.S, pair.P, pair.window
     eye = np.eye(P.shape[0])
@@ -72,12 +75,11 @@ def _algebra_checks(pair: OperatorPair, tol: Tolerance) -> dict:
     r_iso = opnorm(restrict(adj(P) @ P - eye, w))
     r_coiso = opnorm(restrict(P @ adj(P) - eye, w))
     r_sym = opnorm(restrict(S - adj(S) @ P, w))
-    ns = opnorm(S)
     return {
         "P isometric": (r_iso <= t, r_iso),
         "P co-isometric": (r_coiso <= t, r_coiso),
         "S = S*P": (r_sym <= t, r_sym),
-        "||S|| <= 2": (ns <= 2 + t, max(0.0, ns - 2)),
+        "||S|| <= 2": (norm_S <= 2 + t, max(0.0, norm_S - 2)),
     }
 
 
@@ -86,8 +88,8 @@ def _passes(checks: dict, names) -> bool:
 
 
 def _algebra_verdict(pair: OperatorPair, tol: Tolerance, names, kind: str):
-    _commutator_gate(pair, tol)
-    checks = _algebra_checks(pair, tol)
+    norm_S, _ = _commutator_gate(pair, tol)
+    checks = _algebra_checks(pair, tol, norm_S)
     rep = ClassificationReport(kind=kind if _passes(checks, names) else NOT_GAMMA)
     for name in names:
         rep.add(name, *checks[name])
@@ -126,16 +128,16 @@ def is_gamma_contraction(
     1 + wr_slack; the answer is NotGamma when the lower bound exceeds it,
     and Inconclusive when the two bounds straddle it.
     """
-    _commutator_gate(pair, tol)
+    norm_S, norm_P = _commutator_gate(pair, tol)
     S, P = pair.S, pair.P
-    algebra = _algebra_checks(pair, tol)
+    algebra = _algebra_checks(pair, tol, norm_S)
     try:
         dd = defect_data(P, tol)
     except NotAContraction:
         dd = None
     t = tol.residual_tol
     rep = ClassificationReport(kind=INCONCLUSIVE, defect=dd)
-    rep.add("||P|| <= 1", dd is not None, max(0.0, opnorm(P) - 1))
+    rep.add("||P|| <= 1", dd is not None, max(0.0, norm_P - 1))
     rep.add("||S|| <= 2", *algebra["||S|| <= 2"])
     if rep.failed():
         rep.kind = NOT_GAMMA
@@ -192,25 +194,21 @@ def recover_pure_symbol(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL
 # ---------------------------------------------------------------------------
 
 
-def _poly_on_boundary_sup(coeffs: np.ndarray, grid: int) -> float:
-    """Sup of |p(s, p)| over the boundary grid, with one local refinement."""
+def _monomials(s: np.ndarray, p: np.ndarray, degree: int) -> np.ndarray:
+    """s^a p^b at each point; row a * (degree + 1) + b, one column per point."""
+    spow = np.cumprod([np.ones_like(s)] + [s] * degree, axis=0)
+    ppow = np.cumprod([np.ones_like(p)] + [p] * degree, axis=0)
+    return (spow[:, None] * ppow[None]).reshape(-1, s.size)
+
+
+def _boundary_sup(coeffs: np.ndarray, table: np.ndarray, grid: int) -> float:
+    """Sup of |p(s, p)| over boundary_grid(grid), with one local refinement.
+
+    table is _monomials of boundary_grid(grid).
+    """
     deg = coeffs.shape[0] - 1
-
-    def _eval(svals, pvals):
-        out = np.zeros_like(svals, dtype=complex)
-        spow = np.ones_like(svals, dtype=complex)
-        for a in range(deg + 1):
-            ppow = np.ones_like(pvals, dtype=complex)
-            for b in range(deg + 1):
-                c = coeffs[a, b]
-                if c != 0:
-                    out += c * spow * ppow
-                ppow = ppow * pvals
-            spow = spow * svals
-        return np.abs(out)
-
-    svals, pvals = boundary_grid(grid)
-    vals = _eval(svals, pvals)
+    c = coeffs.ravel()
+    vals = np.abs(c @ table)
     best = int(np.argmax(vals))
     sup = float(vals[best])
     # refine around the winning torus point
@@ -221,28 +219,12 @@ def _poly_on_boundary_sup(coeffs: np.ndarray, grid: int) -> float:
         loc = np.linspace(-h, h, 17)
         a1, a2 = np.meshgrid(tj + loc, tk + loc, indexing="ij")
         z1, z2 = np.exp(1j * a1).ravel(), np.exp(1j * a2).ravel()
-        v = _eval(z1 + z2, z1 * z2)
+        v = np.abs(c @ _monomials(z1 + z2, z1 * z2, deg))
         k = int(np.argmax(v))
         sup = max(sup, float(v[k]))
         tj, tk = a1.ravel()[k], a2.ravel()[k]
         h /= 8
     return sup
-
-
-def _poly_of_pair(coeffs: np.ndarray, S: np.ndarray, P: np.ndarray) -> np.ndarray:
-    deg = coeffs.shape[0] - 1
-    n = S.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    Spow = np.eye(n, dtype=complex)
-    for a in range(deg + 1):
-        Ppow = np.eye(n, dtype=complex)
-        for b in range(deg + 1):
-            c = coeffs[a, b]
-            if c != 0:
-                out += c * Spow @ Ppow
-            Ppow = Ppow @ P
-        Spow = Spow @ S
-    return out
 
 
 def von_neumann_margin(
@@ -255,37 +237,35 @@ def von_neumann_margin(
 ):
     """Minimum of sup-norm-on-boundary minus ||p(S, P)|| over sampled polynomials.
 
-    The coordinate monomials are always included alongside the random
-    trials, so canonical violations are found deterministically.  A
-    negative margin certifies the pair is not a Gamma-contraction (up to
-    grid slack).
+    The coordinate monomials s and p are always included alongside the
+    random trials (coefficients uniform in the unit square for a + b <=
+    degree), so canonical violations are found deterministically.  All
+    candidates are evaluated on the pair at once, from one table of the
+    words S^a P^b; each is evaluated on one monomial table of
+    boundary_grid(grid).  A negative margin certifies the pair is not a
+    Gamma-contraction (up to grid slack).
     """
     _commutator_gate(pair, tol)
-    rng = np.random.default_rng(seed)
     S, P = pair.S, pair.P
+    # (a, b) with a + b <= degree in row-major order, the order the coefficients are drawn in
+    a, b = np.nonzero(np.add.outer(np.arange(degree + 1), np.arange(degree + 1)) <= degree)
+    draws = np.random.default_rng(seed).uniform(-1, 1, size=(trials, a.size, 2))
+    cands = np.zeros((trials + 2, degree + 1, degree + 1), dtype=complex)
+    cands[0, 1, 0] = cands[1, 0, 1] = 1.0
+    cands[2:, a, b] = draws[..., 0] + 1j * draws[..., 1]
 
-    def _coeff_array(pairs):
-        c = np.zeros((degree + 1, degree + 1), dtype=complex)
-        for (a, b), v in pairs:
-            c[a, b] = v
-        return c
+    spow = [np.eye(S.shape[0], dtype=complex)]
+    ppow = [np.eye(S.shape[0], dtype=complex)]
+    for _ in range(degree):
+        spow.append(spow[-1] @ S)
+        ppow.append(ppow[-1] @ P)
+    words = np.stack([Sa @ Pb for Sa in spow for Pb in ppow])
+    norms = opnorm(np.tensordot(cands.reshape(trials + 2, -1), words, axes=1))
 
-    candidates = [_coeff_array([((1, 0), 1.0)]), _coeff_array([((0, 1), 1.0)])]
-    for _ in range(trials):
-        c = np.zeros((degree + 1, degree + 1), dtype=complex)
-        for a in range(degree + 1):
-            for b in range(degree + 1 - a):
-                c[a, b] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        candidates.append(c)
-
-    min_margin = np.inf
-    witness = candidates[0]
-    for c in candidates:
-        margin = _poly_on_boundary_sup(c, grid) - opnorm(_poly_of_pair(c, S, P))
-        if margin < min_margin:
-            min_margin = margin
-            witness = c
-    return float(min_margin), witness
+    table = _monomials(*boundary_grid(grid), degree)
+    margins = np.array([_boundary_sup(c, table, grid) for c in cands]) - norms
+    k = int(np.argmin(margins))
+    return float(margins[k]), cands[k]
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +325,8 @@ def find_unitary_intertwiner(
     L = np.stack(left).reshape(len(left), n * n)
     R = np.stack(right).reshape(len(right), n * n)
     G = (L.T @ R).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    scale = max(1.0, max(opnorm(T) for T in ops1 + ops2))
+    norms1 = [max(1.0, opnorm(T)) for T in ops1]
+    scale = max(norms1 + [opnorm(T) for T in ops2])
     evals, evecs = np.linalg.eigh(G)
     n_null = int(np.sum(evals <= (null_tol * scale) ** 2))
     if n_null == 0:
@@ -360,38 +341,30 @@ def find_unitary_intertwiner(
         W, _, Zh = np.linalg.svd(X)
         U = W @ Zh
         res = max(
-            opnorm(U @ T1 - T2 @ U) / max(1.0, opnorm(T1))
-            for T1, T2 in zip(ops1, ops2)
+            opnorm(U @ T1 - T2 @ U) / norm1 for T1, T2, norm1 in zip(ops1, ops2, norms1)
         )
         if res < best_res:
             best_U, best_res = U, res
     return best_U, float(best_res)
 
 
-def _trace_words_agree(ops1, ops2, max_len: int, tol: Tolerance) -> bool:
-    """Exhaustive DFS over words in the operators and adjoints."""
-    alpha1 = ops1 + [adj(T) for T in ops1]
-    alpha2 = ops2 + [adj(T) for T in ops2]
-    n = ops1[0].shape[0]
-    nrm = max(1.0, max(opnorm(T) for T in alpha1 + alpha2))
+def _trace_words_agree(ops1, ops2, tol: Tolerance) -> bool:
+    """Traces of the words of length 1 and 2 in the operators and adjoints agree.
 
-    def agree(t1, t2, length):
-        slack = tol.residual_tol * 10 * max(1.0, nrm**length, abs(t1), abs(t2))
-        return abs(t1 - t2) <= slack
-
-    if not agree(float(n), float(ops2[0].shape[0]), 0):
-        return False
-
-    stack = [(np.eye(n, dtype=complex), np.eye(n, dtype=complex), 0)]
-    while stack:
-        W1, W2, length = stack.pop()
-        if length >= max_len:
-            continue
-        for L1, L2 in zip(alpha1, alpha2):
-            V1, V2 = L1 @ W1, L2 @ W2
-            if not agree(np.trace(V1), np.trace(V2), length + 1):
-                return False
-            stack.append((V1, V2, length + 1))
+    tr(L_i L_j) is one einsum over all letter pairs.  The slack for words of
+    length k is residual_tol * 10 * max(1, ||.||^k, |t1|, |t2|).
+    """
+    alpha1 = np.stack(ops1 + [adj(T) for T in ops1])
+    alpha2 = np.stack(ops2 + [adj(T) for T in ops2])
+    nrm = max(1.0, np.max(opnorm(alpha1)), np.max(opnorm(alpha2)))
+    by_length = (
+        (1, np.einsum("iaa->i", alpha1), np.einsum("iaa->i", alpha2)),
+        (2, np.einsum("iab,jba->ij", alpha1, alpha1), np.einsum("iab,jba->ij", alpha2, alpha2)),
+    )
+    for length, t1, t2 in by_length:
+        slack = tol.residual_tol * 10 * np.maximum(nrm**length, np.maximum(abs(t1), abs(t2)))
+        if np.any(abs(t1 - t2) > slack):
+            return False
     return True
 
 
@@ -412,7 +385,7 @@ def joint_unitary_equiv(
         return False
     if n == 0:
         return True
-    if not _trace_words_agree(ops1, ops2, 2, tol):
+    if not _trace_words_agree(ops1, ops2, tol):
         return False
     U, res = find_unitary_intertwiner(ops1, ops2, tol)
     return U is not None and res <= max(tol.residual_tol * 100, 1e-7)

@@ -37,6 +37,7 @@ from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm, psd_sqrt, ra
 
 CNU_MARGIN = 1e-8
 TAIL_TARGET = 1e-10
+DELTA_GRID = 256  # boundary angles at which the defect of Theta is sampled
 
 
 @dataclass(frozen=True)
@@ -140,22 +141,30 @@ def theta_taylor(dd: DefectData, K: int) -> CharFn:
     return CharFn(SymbolPoly(coeffs), dd)
 
 
-def theta_eval(charfn: CharFn, z: complex) -> np.ndarray:
-    """Evaluate Theta(z) directly through the resolvent (not the series)."""
+def theta_eval(charfn: CharFn, z) -> np.ndarray:
+    """Evaluate Theta(z) directly through the resolvent (not the series).
+
+    An array of points gives the stack of values, one per point.
+    """
     dd = charfn.defect
     P = dd.P
-    n = P.shape[0]
-    M = np.eye(n) - z * adj(P)
-    if np.linalg.cond(M) > 1e14:
-        raise ResolventSingular(f"I - z P* is singular at z = {z}")
-    core = -P + z * dd.D_Pstar @ np.linalg.solve(M, dd.D_P)
+    z = np.asarray(z)
+    zs = z[..., None, None]
+    M = np.eye(P.shape[0]) - zs * adj(P)
+    singular = np.linalg.cond(M) > 1e14
+    if np.any(singular):
+        raise ResolventSingular(f"I - z P* is singular at z = {z[singular][0]}")
+    core = -P + zs * dd.D_Pstar @ np.linalg.solve(M, dd.D_P)
     return adj(dd.Q_dPstar) @ core @ dd.Q_dP
 
 
-def delta_eval(charfn: CharFn, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Boundary defect [I - Theta(e^it)* Theta(e^it)]^(1/2) on the D_P basis."""
-    th = theta_eval(charfn, np.exp(1j * t))
-    return psd_sqrt(np.eye(th.shape[1]) - adj(th) @ th, tol)
+def delta_eval(charfn: CharFn, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Boundary defect [I - Theta(e^it)* Theta(e^it)]^(1/2) on the D_P basis.
+
+    An array of angles gives the stack of defects, one per angle.
+    """
+    th = theta_eval(charfn, np.exp(1j * np.asarray(t)))
+    return psd_sqrt(np.eye(th.shape[-1]) - adj(th) @ th, tol)
 
 
 def default_truncation(P, target: float = TAIL_TARGET) -> int:
@@ -194,17 +203,13 @@ def truncation_tail(P, N: int) -> float:
     return opnorm(np.linalg.matrix_power(P, N + 1))
 
 
-def build_model_space(
-    dd: DefectData,
-    N: int,
-    tol: Tolerance = DEFAULT_TOL,
-    delta_grid: int = 256,
-) -> ModelSpace:
+def build_model_space(dd: DefectData, N: int, tol: Tolerance = DEFAULT_TOL) -> ModelSpace:
     """Orthonormal basis of the truncated model space of dd.P.
 
-    The boundary defect is sampled on a t-grid and recorded; it must vanish
-    for matrix inputs (class C_00), which is what licenses dropping the
-    boundary summand of the ambient space.
+    The boundary defect is sampled at DELTA_GRID angles in one stacked
+    evaluation and its largest norm recorded; it must vanish for matrix
+    inputs (class C_00), which is what licenses dropping the boundary
+    summand of the ambient space.
     """
     rho = dd.spectral_radius
     cnu_check(dd)
@@ -212,8 +217,10 @@ def build_model_space(
         raise TruncationTooSmall(
             f"spectral radius {rho:.4f} needs N > {default_truncation(dd.P)} (got {N})"
         )
-    cf = theta_taylor(dd, 0)
-    ts = 2 * np.pi * np.arange(delta_grid) / delta_grid
-    delta_norm = max(opnorm(delta_eval(cf, t, tol)) for t in ts) if dd.rank_dP else 0.0
+    delta_norm = 0.0
+    if dd.rank_dP:
+        ts = 2 * np.pi * np.arange(DELTA_GRID) / DELTA_GRID
+        delta = delta_eval(theta_taylor(dd, 0), ts, tol)
+        delta_norm = float(np.max(opnorm(delta)))
     basis = range_basis(pi_nf_matrix(dd, N), tol)
-    return ModelSpace(basis, N, float(delta_norm), truncation_tail(dd.P, N))
+    return ModelSpace(basis, N, delta_norm, truncation_tail(dd.P, N))

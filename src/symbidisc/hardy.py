@@ -46,8 +46,10 @@ class SymbolPoly:
     def dom_dim(self) -> int:
         return self.coeffs[0].shape[1]
 
-    def eval(self, z: complex) -> np.ndarray:
-        out = np.zeros_like(self.coeffs[0])
+    def eval(self, z) -> np.ndarray:
+        """Value at z by Horner's rule; an array of points gives a stack of values."""
+        z = np.asarray(z)[..., None, None]
+        out = np.zeros(z.shape[:-2] + self.coeffs[0].shape, dtype=complex)
         for c in reversed(self.coeffs):
             out = out * z + c
         return out

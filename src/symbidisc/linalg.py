@@ -45,16 +45,19 @@ def as_matrix(M) -> np.ndarray:
     return A
 
 
-def opnorm(M) -> float:
-    """Spectral (operator) norm; 0 for empty matrices."""
+def opnorm(M):
+    """Spectral (operator) norm; 0 for empty matrices.
+
+    A stack (..., m, n) gives an array with one norm per matrix.
+    """
     M = np.atleast_2d(np.asarray(M))
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.norm(M, 2))
+    norms = np.linalg.svd(M, compute_uv=False)[..., 0] if M.size else np.zeros(M.shape[:-2])
+    return float(norms) if M.ndim == 2 else norms
 
 
 def adj(M: np.ndarray) -> np.ndarray:
-    return M.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return M.conj().swapaxes(-1, -2)
 
 
 def psd_sqrt(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -62,21 +65,22 @@ def psd_sqrt(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Eigenvalues within rank_tol*max(1, ||M||) of zero are treated as exact
     zeros (this keeps defect operators of unitaries identically zero instead
-    of noise-sized); anything below -rank_tol raises IndefiniteInput.
+    of noise-sized); anything below -rank_tol raises IndefiniteInput.  A
+    stack (m, n, n) is rooted matrix by matrix, each with its own ||M||, and
+    raises if any of its matrices would.
     """
     M = as_matrix(M)
     if M.size == 0:
         return M.copy()
-    scale = opnorm(M)
-    if opnorm(M - adj(M)) > tol.rank_tol * max(1.0, scale) * 10:
+    cut = tol.rank_tol * np.maximum(1.0, opnorm(M))
+    if np.any(opnorm(M - adj(M)) > cut * 10):
         raise NotHermitian("matrix is not hermitian within tolerance")
-    H = 0.5 * (M + adj(M))
-    w, V = np.linalg.eigh(H)
-    cut = tol.rank_tol * max(1.0, scale)
+    w, V = np.linalg.eigh(0.5 * (M + adj(M)))
+    cut = cut[..., None]  # one threshold per matrix, against each of its eigenvalues
     if np.any(w < -cut):
         raise IndefiniteInput(f"eigenvalue {w.min():.3e} below -rank_tol*||M||")
     w = np.where(w < cut, 0.0, w)
-    R = (V * np.sqrt(w)) @ adj(V)
+    R = (V * np.sqrt(w)[..., None, :]) @ adj(V)
     return 0.5 * (R + adj(R))
 
 
@@ -99,7 +103,7 @@ def range_basis(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     phase convention (largest entry real positive).
     """
     M = as_matrix(M)
-    if M.size == 0 or opnorm(M) == 0.0:
+    if M.size == 0:
         return np.zeros((M.shape[0], 0), dtype=complex)
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     r = int(np.sum(s > tol.rank_tol * s[0]))

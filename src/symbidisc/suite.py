@@ -30,6 +30,7 @@ from .classify import (
     von_neumann_margin,
 )
 from .defect import (
+    DELTA_GRID,
     build_model_space,
     defect_data,
     delta_eval,
@@ -65,8 +66,6 @@ class RunConfig:
     wr_slack: float = 1e-8
     N: int = 32
     seed: int = 0
-    boundary_grid: int = 256
-    vn_grid: int = 64
 
     def __post_init__(self):
         if not (self.rank_tol > 0 and self.residual_tol > 0 and self.wr_slack > 0):
@@ -190,11 +189,11 @@ def criterion_von_neumann(cfg: RunConfig) -> CriterionResult:
     for i in range(100):
         pair = random_gamma_contraction(rng, tol=cfg.tol)
         margin, _ = von_neumann_margin(
-            pair, degree=3, trials=100, grid=cfg.vn_grid, seed=cfg.seed + i, tol=cfg.tol
+            pair, degree=3, trials=100, seed=cfg.seed + i, tol=cfg.tol
         )
         worst = min(worst, margin)
     bad_margin, _ = von_neumann_margin(
-        make_pair([[2.2]], [[1.0]]), degree=3, trials=100, grid=cfg.vn_grid, seed=cfg.seed
+        make_pair([[2.2]], [[1.0]]), degree=3, trials=100, seed=cfg.seed
     )
     ok = worst >= -1e-6 and bad_margin <= -0.19
     detail = f"min margin {worst:.3e} over 100 pairs; violation margin {bad_margin:.3f}"
@@ -211,14 +210,13 @@ def criterion_char_fn(cfg: RunConfig) -> CriterionResult:
         got = [cf.taylor.coeffs[k][0, 0] for k in range(21)]
         worst_coeff = max(worst_coeff, max(abs(g - e) for g, e in zip(got, expect)))
     worst_norm = worst_delta = 0.0
-    ts = 2 * np.pi * np.arange(cfg.boundary_grid) / cfg.boundary_grid
+    ts = 2 * np.pi * np.arange(DELTA_GRID) / DELTA_GRID
     for _ in range(20):
         dim = int(rng.integers(2, 5))
         P = random_strict_contraction(rng, dim, 0.9)
         cf = theta_taylor(defect_data(P, cfg.tol), 0)
-        for t in ts:
-            worst_norm = max(worst_norm, opnorm(theta_eval(cf, np.exp(1j * t))))
-            worst_delta = max(worst_delta, opnorm(delta_eval(cf, t, cfg.tol)))
+        worst_norm = max(worst_norm, np.max(opnorm(theta_eval(cf, np.exp(1j * ts)))))
+        worst_delta = max(worst_delta, np.max(opnorm(delta_eval(cf, ts, cfg.tol))))
     ok = worst_coeff <= 1e-12 and worst_norm <= 1 + 1e-9 and worst_delta <= 1e-7
     detail = (
         f"Moebius error {worst_coeff:.3e}; max boundary norm {worst_norm:.12f}; "

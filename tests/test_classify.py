@@ -25,7 +25,7 @@ from symbidisc.generate import (
     random_unitary,
 )
 from symbidisc.hardy import gamma_isometry_model
-from symbidisc.linalg import adj, opnorm
+from symbidisc.linalg import DEFAULT_TOL, adj, opnorm
 from symbidisc.numrad import WR_SLACK, NumRadResult
 from symbidisc.pair import make_pair
 
@@ -149,6 +149,64 @@ def test_von_neumann_margin_nonnegative_on_contraction():
     assert margin >= -1e-6
 
 
+def _margin_point_by_point(pair, degree, trials, grid, seed):
+    """The margin, one candidate and one boundary point at a time (reference)."""
+    rng = np.random.default_rng(seed)
+    cands = [np.zeros((degree + 1, degree + 1), dtype=complex) for _ in range(trials + 2)]
+    cands[0][1, 0] = cands[1][0, 1] = 1.0
+    for c in cands[2:]:
+        for a in range(degree + 1):
+            for b in range(degree + 1 - a):
+                c[a, b] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    S, P = pair.S, pair.P
+    mpow = np.linalg.matrix_power
+    degs = [(a, b) for a in range(degree + 1) for b in range(degree + 1)]
+
+    def value(c, z1, z2):
+        return abs(sum(c[a, b] * (z1 + z2) ** a * (z1 * z2) ** b for a, b in degs))
+
+    def sup(c):
+        z = np.exp(2j * np.pi * np.arange(grid) / grid)
+        vals = [value(c, z1, z2) for z1 in z for z2 in z]
+        best = int(np.argmax(vals))
+        tj, tk = 2 * np.pi * (best // grid) / grid, 2 * np.pi * (best % grid) / grid
+        h, top = 2 * np.pi / grid, max(vals)
+        for _ in range(3):
+            loc = np.linspace(-h, h, 17)
+            pts = [(tj + x, tk + y) for x in loc for y in loc]
+            vals = [value(c, np.exp(1j * x), np.exp(1j * y)) for x, y in pts]
+            k = int(np.argmax(vals))
+            top, (tj, tk), h = max(top, vals[k]), pts[k], h / 8
+        return top
+
+    margins = [
+        sup(c) - opnorm(sum(c[a, b] * mpow(S, a) @ mpow(P, b) for a, b in degs)) for c in cands
+    ]
+    k = int(np.argmin(margins))
+    return margins[k], cands[k]
+
+
+def test_von_neumann_margin_matches_point_by_point_reference():
+    rng = np.random.default_rng(4)
+    for pair in (random_gamma_contraction(rng), make_pair([[2.2]], [[1.0]])):
+        margin, witness = von_neumann_margin(pair, trials=6, grid=8, seed=3)
+        ref_margin, ref_witness = _margin_point_by_point(pair, 3, 6, 8, 3)
+        assert margin == pytest.approx(ref_margin, abs=1e-12)
+        assert np.allclose(witness, ref_witness, rtol=0, atol=1e-12)
+
+
+def test_von_neumann_margin_is_invariant_under_unitary_conjugation():
+    rng = np.random.default_rng(8)
+    outside = make_pair(np.diag([2.2, 0.5, -0.3j]), np.diag([1.0, 0.1, 0.2]))
+    for pair in (random_gamma_contraction(rng), outside):
+        U = random_unitary(rng, pair.dim)
+        conjugate = make_pair(U @ pair.S @ adj(U), U @ pair.P @ adj(U))
+        margin, witness = von_neumann_margin(pair, trials=20, seed=2)
+        margin2, witness2 = von_neumann_margin(conjugate, trials=20, seed=2)
+        assert margin == pytest.approx(margin2, abs=1e-12)
+        assert np.allclose(witness, witness2, rtol=0, atol=1e-12)
+
+
 def test_joint_unitary_equiv_conjugates():
     rng = np.random.default_rng(5)
     pair = random_gamma_contraction(rng)
@@ -166,6 +224,14 @@ def test_joint_unitary_equiv_detects_inequivalence():
     A2[1, 2] = 1.0
     assert not joint_unitary_equiv([A1], [A2])
     assert not joint_unitary_equiv([np.eye(2)], [np.eye(3)])
+
+
+def test_trace_words_of_length_two_reject():
+    # tr A = tr B = 0, but tr(A A*) = 2 and tr(B B*) = 4
+    A, B = np.diag([1.0, -1.0]), np.array([[0.0, 2.0], [0.0, 0.0]])
+    U = random_unitary(np.random.default_rng(3), 2)
+    assert classify._trace_words_agree([A, B], [U @ A @ adj(U), U @ B @ adj(U)], DEFAULT_TOL)
+    assert not classify._trace_words_agree([A], [B], DEFAULT_TOL)
 
 
 def test_find_unitary_intertwiner_recovers_conjugation():

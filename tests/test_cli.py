@@ -165,7 +165,8 @@ def test_deterministic_output(capsys, tmp_path):
 
 def test_config_file_round_trip(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 3, "N": 16}))
+    # unknown keys, such as the former grid sizes, are ignored
+    cfg.write_text(json.dumps({"seed": 3, "N": 16, "boundary_grid": 256, "vn_grid": 64}))
     a_path = write_matrix(tmp_path / "A.json", np.eye(2))
     code, out, _ = run(capsys, ["--config", str(cfg), "numrad", "--A", a_path])
     assert code == 0

@@ -13,7 +13,7 @@ from symbidisc.defect import (
     theta_taylor,
     truncation_tail,
 )
-from symbidisc.errors import NotAContraction, NotCnu, TruncationTooSmall
+from symbidisc.errors import NotAContraction, NotCnu, ResolventSingular, TruncationTooSmall
 from symbidisc.generate import random_gamma_contraction, random_strict_contraction, random_unitary
 from symbidisc.linalg import adj, opnorm
 
@@ -85,6 +85,25 @@ def test_boundary_defect_vanishes_for_matrices():
     P = random_strict_contraction(rng, 2, 0.8)
     cf = theta_taylor(defect_data(P), 0)
     assert opnorm(delta_eval(cf, 1.234)) < 1e-7
+
+
+def test_boundary_samplers_stack_matches_point_by_point():
+    rng = np.random.default_rng(6)
+    cf = theta_taylor(defect_data(random_strict_contraction(rng, 3, 0.9)), 0)
+    ts = 2 * np.pi * rng.random(17)
+    thetas = theta_eval(cf, np.exp(1j * ts))
+    deltas = delta_eval(cf, ts)
+    assert thetas.shape == (17, cf.defect.rank_dPstar, cf.defect.rank_dP)
+    for t, th, de in zip(ts, thetas, deltas):
+        assert np.allclose(th, theta_eval(cf, np.exp(1j * t)), rtol=0, atol=1e-14)
+        assert np.allclose(de, delta_eval(cf, t), rtol=0, atol=1e-14)
+
+
+def test_stacked_theta_eval_rejects_one_singular_resolvent():
+    # I - z P* is singular at z = 1 / conj(0.5) = 2
+    cf = theta_taylor(defect_data(np.diag([0.5, 0.2])), 0)
+    with pytest.raises(ResolventSingular):
+        theta_eval(cf, np.array([0.3, 2.0, 0.1j]))
 
 
 def test_truncation_controls():

@@ -23,6 +23,17 @@ def test_symbol_poly_eval():
     assert np.allclose(phi.eval(2.0), C0 + 2 * C1)
 
 
+def test_symbol_poly_eval_on_a_stack_of_points():
+    rng = np.random.default_rng(1)
+    phi = SymbolPoly([rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+                      for _ in range(4)])
+    zs = np.exp(2j * np.pi * rng.random(9)) * rng.random(9)
+    values = phi.eval(zs)
+    assert values.shape == (9, 2, 3)
+    for z, value in zip(zs, values):
+        assert np.allclose(value, phi.eval(complex(z)), rtol=0, atol=1e-14)
+
+
 def test_symbol_poly_rejects_mixed_shapes():
     with pytest.raises(DimensionMismatch):
         SymbolPoly([np.eye(2), np.eye(3)])

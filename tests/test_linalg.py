@@ -55,6 +55,27 @@ def test_psd_sqrt_rejects_bad_input():
         psd_sqrt(np.diag([1.0, -0.5]))
 
 
+def test_psd_sqrt_stack_matches_matrix_by_matrix():
+    rng = np.random.default_rng(12)
+    Bs = [rand_complex(rng, 4, 4) for _ in range(5)]
+    # 5e-10 is kept against its own norm 1 but would be flushed against 100
+    edge = [np.diag([2.0, 1e-14, -1e-14, 0.0]), np.diag([1.0, 5e-10, 0.0, 0.0]), 100 * np.eye(4)]
+    stack = np.stack([B @ adj(B) for B in Bs] + edge)
+    roots = psd_sqrt(stack)
+    for M, R in zip(stack, roots):
+        assert np.allclose(R, psd_sqrt(M), rtol=0, atol=1e-14)
+    assert np.allclose(opnorm(stack), [opnorm(M) for M in stack], rtol=0, atol=1e-14)
+    assert np.array_equal(adj(stack)[2], adj(stack[2]))
+
+
+def test_psd_sqrt_stack_rejects_one_bad_matrix():
+    good = np.eye(3)
+    with pytest.raises(IndefiniteInput):
+        psd_sqrt(np.stack([good, np.diag([1.0, -0.5, 0.0]), good]))
+    with pytest.raises(NotHermitian):
+        psd_sqrt(np.stack([good, np.triu(np.ones((3, 3)))]))
+
+
 def test_range_basis_rank_and_span():
     rng = np.random.default_rng(3)
     cols = rand_complex(rng, 6, 2)
