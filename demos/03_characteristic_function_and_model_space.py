@@ -43,7 +43,7 @@ ms = build_model_space(dd, N)
 print(f"\nModel space at truncation N = {N}: dim = {ms.dim} (source dim 3), "
       f"tail = {ms.trunc_error:.1e}")
 
-Mz = shift_op(dd.rank_dPstar, N).matrix
+Mz = shift_op(dd.rank_dPstar, N)
 P_model = compress(Mz, ms.basis)
 Pi = pi_nf_matrix(dd, N)
 print("  || Pi* Mz Pi - P ||      =", f"{opnorm(adj(Pi) @ Mz @ Pi - P):.2e}")

@@ -52,6 +52,7 @@ from .errors import (
     ClassificationFailed,
     DimensionMismatch,
     IndefiniteInput,
+    NonFiniteInput,
     NotAContraction,
     NotADilation,
     NotCnu,
@@ -83,7 +84,6 @@ from .generate import (
 )
 from .hardy import (
     SymbolPoly,
-    TruncatedOp,
     build_mult_op,
     compress,
     gamma_isometry_model,

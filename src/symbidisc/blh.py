@@ -61,15 +61,6 @@ class NoSolution:
     residual: float
 
 
-def _commutation_matrix(n: int) -> np.ndarray:
-    """K with vec(X^T) = K vec(X) for n x n matrices (column-major vec)."""
-    K = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            K[j * n + i, i * n + j] = 1.0
-    return K
-
-
 def _coefficient_pairs(theta: SymbolPoly):
     """(Theta_k, Theta_{k-1}) for k = 0..deg+1, zero outside the coefficient range."""
     d = theta.degree
@@ -84,12 +75,13 @@ def _coefficient_pairs(theta: SymbolPoly):
 def _conjugate_linear_lstsq(n: int, lin, anti, rhs, rcond):
     """Least-squares n x n X with lin_k vec(X) + anti_k vec(X*) = rhs_k for all k.
 
-    vec is column-major.  Since vec(X*) = K vec(conj X), the stacked system
-    M1 v + M2 conj(v) = r is solved as a real system in (Re v, Im v).
+    vec is column-major.  vec(X*) is vec(conj X) with its entries permuted
+    by the transpose, so permuting the columns of the anti blocks the same
+    way gives M1 v + M2 conj(v) = r, solved as a real system in (Re v, Im v).
     Returns (X, rank of the real system).
     """
     M1 = np.vstack(lin)
-    M2 = np.vstack(anti) @ _commutation_matrix(n)
+    M2 = np.vstack(anti)[:, np.arange(n * n).reshape(n, n).T.ravel()]
     r = np.concatenate(rhs)
     top = np.hstack([(M1 + M2).real, -(M1 - M2).imag])
     bot = np.hstack([(M1 + M2).imag, (M1 - M2).real])
@@ -157,11 +149,11 @@ def invariance_check(A, theta: SymbolPoly, N: int, tol: Tolerance = DEFAULT_TOL)
     if N < d + 1:
         raise TruncationTooSmall(f"need N >= deg + 1 = {d + 1}")
     e = theta.dom_dim
-    T_theta = build_mult_op(theta, N).matrix
+    T_theta = build_mult_op(theta, N)
     dom_cols = (N - d) * e
     Q_small = range_basis(T_theta[:, :dom_cols], tol)
     Q_big = range_basis(T_theta[:, : dom_cols + e], tol)
-    T = build_mult_op(symbol_a_plus_astar_z(A), N).matrix
+    T = build_mult_op(symbol_a_plus_astar_z(A), N)
     img = T @ Q_small
     residual = float(opnorm(img - Q_big @ (adj(Q_big) @ img)))
     return residual <= tol.residual_tol * max(1.0, opnorm(A)), residual

@@ -22,6 +22,7 @@ from .dilation import nf_ay_build, schaffer_build
 from .errors import SymbidiscError
 from .gamma_point import GammaPoint, beta_solve, in_gamma
 from .hardy import SymbolPoly
+from .linalg import as_matrix
 from .numrad import numerical_radius
 from .pair import make_pair
 from .suite import RunConfig, run_suite
@@ -46,10 +47,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     data = obj["data"]
     if len(data) != r * c:
         raise ValueError(f"data length {len(data)} != rows*cols = {r * c}")
-    flat = np.array([complex(re, im) for re, im in data])
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("matrix file has non-finite entries")
-    return flat.reshape(r, c)
+    return as_matrix(np.array([complex(re, im) for re, im in data]).reshape(r, c))
 
 
 def load_matrix(path: str) -> np.ndarray:

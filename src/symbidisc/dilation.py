@@ -105,13 +105,13 @@ def schaffer_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> 
     V[:n, :n] = P
     if r:
         V[n : n + r, :n] = row
-        V[n:, n:] = shift_op(r, N).matrix
+        V[n:, n:] = shift_op(r, N)
 
     W = np.zeros((dim, dim), dtype=complex)
     W[:n, :n] = S
     if r:
         W[n : n + r, :n] = adj(F) @ row
-        W[n:, n:] = build_mult_op(symbol_a_plus_astar_z(F), N).matrix
+        W[n:, n:] = build_mult_op(symbol_a_plus_astar_z(F), N)
 
     embed = np.zeros((dim, n), dtype=complex)
     embed[:n, :n] = np.eye(n)
@@ -201,7 +201,7 @@ def factorization_check(
 
     dd = defect_data(P, tol)
     Pi = pi_nf_matrix(dd, N)
-    Mz = shift_op(dd.rank_dPstar, N).matrix
+    Mz = shift_op(dd.rank_dPstar, N)
 
     depth = min(depth, N - 1)
     G_stages, T_stages = [Pi], [embed]

@@ -5,6 +5,10 @@ class SymbidiscError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class NonFiniteInput(SymbidiscError, ValueError):
+    """Input matrix has a NaN or infinite entry."""
+
+
 class NotHermitian(SymbidiscError):
     pass
 

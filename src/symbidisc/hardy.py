@@ -61,23 +61,11 @@ def symbol_a_plus_astar_z(A) -> SymbolPoly:
     return SymbolPoly([A, adj(A)])
 
 
-@dataclass(frozen=True)
-class TruncatedOp:
-    """Block matrix on a truncated Hardy/Fourier space.
-
-    interior_hi is the largest degree on which truncated identities are
-    exact.
-    """
-
-    matrix: np.ndarray
-    interior_hi: int
-
-
-def build_mult_op(phi: SymbolPoly, N: int) -> TruncatedOp:
+def build_mult_op(phi: SymbolPoly, N: int) -> np.ndarray:
     """Block-Toeplitz multiplication operator for an analytic symbol.
 
     Acts on degrees 0..N with the coefficient C_k on the k-th block
-    subdiagonal; interior_hi = N - deg(phi).
+    subdiagonal; truncated identities are exact up to degree N - deg(phi).
     """
     d = phi.degree
     if N < d:
@@ -88,10 +76,10 @@ def build_mult_op(phi: SymbolPoly, N: int) -> TruncatedOp:
         for j in range(N + 1 - k):
             i = j + k
             M[i * b_r : (i + 1) * b_r, j * b_c : (j + 1) * b_c] = C
-    return TruncatedOp(M, N - d)
+    return M
 
 
-def shift_op(block_size: int, N: int) -> TruncatedOp:
+def shift_op(block_size: int, N: int) -> np.ndarray:
     """Truncated multiplication by z on H^2 tensor C^block_size."""
     zero = np.zeros((block_size, block_size))
     eye = np.eye(block_size)
@@ -108,12 +96,12 @@ def gamma_isometry_model(A, N: int) -> OperatorPair:
     b = A.shape[0]
     S = build_mult_op(symbol_a_plus_astar_z(A), N)
     P = shift_op(b, N)
-    return make_pair(S.matrix, P.matrix, window=degree_mask(S.matrix.shape[0], b, N - 1))
+    return make_pair(S, P, window=degree_mask(S.shape[0], b, N - 1))
 
 
 def compress(op, basis) -> np.ndarray:
     """Compression Q* op Q onto the span of orthonormal columns Q."""
-    M = op.matrix if isinstance(op, TruncatedOp) else as_matrix(op)
+    M = as_matrix(op)
     Q = as_matrix(basis)
     if M.shape[1] != Q.shape[0]:
         raise DimensionMismatch(

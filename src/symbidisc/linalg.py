@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndefiniteInput, NotHermitian
+from .errors import IndefiniteInput, NonFiniteInput, NotHermitian
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,10 @@ DEFAULT_TOL = Tolerance()
 
 
 def as_matrix(M) -> np.ndarray:
-    """Coerce input to a 2-d complex ndarray and reject non-finite entries."""
+    """Coerce input to a 2-d complex ndarray; non-finite entries raise NonFiniteInput."""
     A = np.atleast_2d(np.asarray(M, dtype=complex))
     if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
+        raise NonFiniteInput("matrix has non-finite entries")
     return A
 
 

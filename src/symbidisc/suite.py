@@ -238,7 +238,7 @@ def criterion_nf_model(cfg: RunConfig) -> CriterionResult:
         if ms.dim != dim:
             bad_dim += 1
             continue
-        Mz = shift_op(dd.rank_dPstar, cfg.N).matrix
+        Mz = shift_op(dd.rank_dPstar, cfg.N)
         P_model = compress(Mz, ms.basis)
         tol2 = Tolerance(
             rank_tol=cfg.rank_tol,

@@ -188,9 +188,15 @@ def _margin_point_by_point(pair, degree, trials, grid, seed):
 
 def test_von_neumann_margin_matches_point_by_point_reference():
     rng = np.random.default_rng(4)
-    for pair in (random_gamma_contraction(rng), make_pair([[2.2]], [[1.0]])):
-        margin, witness = von_neumann_margin(pair, trials=6, grid=8, seed=3)
-        ref_margin, ref_witness = _margin_point_by_point(pair, 3, 6, 8, 3)
+    cases = [
+        (random_gamma_contraction(rng), 6),
+        (make_pair([[2.2]], [[1.0]]), 6),
+        # 37 candidates: two full blocks of the torus evaluation and a remainder
+        (random_gamma_contraction(rng), 35),
+    ]
+    for pair, trials in cases:
+        margin, witness = von_neumann_margin(pair, trials=trials, grid=8, seed=3)
+        ref_margin, ref_witness = _margin_point_by_point(pair, 3, trials, 8, 3)
         assert margin == pytest.approx(ref_margin, abs=1e-12)
         assert np.allclose(witness, ref_witness, rtol=0, atol=1e-12)
 

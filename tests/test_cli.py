@@ -150,6 +150,15 @@ def test_domain_error_exit_code_and_json_stderr(capsys, tmp_path):
     assert "error" in obj and "message" in obj
 
 
+def test_non_finite_matrix_file_is_a_typed_error(capsys, tmp_path):
+    s_path = tmp_path / "S.json"
+    s_path.write_text(json.dumps({"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]}))
+    p_path = write_matrix(tmp_path / "P.json", np.zeros((1, 1)))
+    code, out, err = run(capsys, ["classify", "--S", str(s_path), "--P", p_path])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "NonFiniteInput"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_command(["no-such-command"])

@@ -138,6 +138,6 @@ def test_pi_nf_identities():
     from symbidisc.hardy import shift_op
 
     rs = Pi.shape[0] // (N + 1)
-    Mz = shift_op(rs, N).matrix
+    Mz = shift_op(rs, N)
     assert opnorm(adj(Pi) @ Mz @ Pi - P) < 1e-8
     assert opnorm(adj(Mz) @ Pi - Pi @ adj(P)) < 1e-8

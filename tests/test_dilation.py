@@ -98,7 +98,7 @@ def test_factorization_against_nf_itself():
     pair = random_gamma_contraction(rng)
     dd = defect_data(pair.P)
     Pi = pi_nf_matrix(dd, N)
-    Mz = shift_op(dd.rank_dPstar, N).matrix
+    Mz = shift_op(dd.rank_dPstar, N)
     Phi, iso_res, block_res = factorization_check(pair, (Mz, Pi), N)
     assert iso_res < 1e-10
     assert block_res < 1e-10
@@ -110,8 +110,8 @@ def test_factorization_against_padded_nf():
     pair = random_gamma_contraction(rng)
     dd = defect_data(pair.P)
     Pi = pi_nf_matrix(dd, N)
-    Mz = shift_op(dd.rank_dPstar, N).matrix
-    extra = shift_op(1, N).matrix
+    Mz = shift_op(dd.rank_dPstar, N)
+    extra = shift_op(1, N)
     V = scipy.linalg.block_diag(Mz, extra)
     embed = np.vstack([Pi, np.zeros((extra.shape[0], Pi.shape[1]))])
     Phi, iso_res, block_res = factorization_check(pair, (V, embed), N)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from symbidisc.errors import IndefiniteInput, NotHermitian
+from symbidisc.errors import IndefiniteInput, NonFiniteInput, NotHermitian, SymbidiscError
 from symbidisc.linalg import (
     Tolerance,
     adj,
+    as_matrix,
     opnorm,
     psd_sqrt,
     range_basis,
@@ -24,6 +25,14 @@ def test_tolerance_validation():
         Tolerance(residual_tol=0.0)
     with pytest.raises(ValueError):
         Tolerance(rank_tol=2.0)
+
+
+def test_as_matrix_rejects_non_finite_with_a_typed_value_error():
+    for bad in ([[np.nan]], [[1.0, np.inf]]):
+        with pytest.raises(NonFiniteInput) as exc:
+            as_matrix(bad)
+        assert isinstance(exc.value, SymbidiscError)
+        assert isinstance(exc.value, ValueError)
 
 
 def test_psd_sqrt_diagonal():
