@@ -60,6 +60,7 @@ from .errors import (
     NotHermitian,
     NotPureModelForm,
     NotUnitary,
+    ProblemTooLarge,
     ResidualTooLarge,
     ResolventSingular,
     SymbidiscError,

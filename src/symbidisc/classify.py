@@ -20,7 +20,13 @@ from typing import Optional
 import numpy as np
 
 from .defect import DefectData, defect_data
-from .errors import DimensionMismatch, NotAContraction, NotCommuting, NotPureModelForm
+from .errors import (
+    DimensionMismatch,
+    NotAContraction,
+    NotCommuting,
+    NotPureModelForm,
+    ProblemTooLarge,
+)
 from .hardy import block_of
 from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm, sandwich_solve
 from .numrad import WR_SLACK, numerical_radius
@@ -284,6 +290,14 @@ def von_neumann_margin(
 # joint unitary equivalence
 # ---------------------------------------------------------------------------
 
+# Eigenvalues of the random Hermitian element closer than _MERGE_GAP times its
+# norm share a cluster: a split at gap g turns an input perturbation e into a
+# certificate of about e / g, so only wide gaps split.  A reduced Gram
+# operator over GRAM_BUDGET_BYTES (4096 unknowns, one cluster of size 64)
+# raises ProblemTooLarge.
+_MERGE_GAP = 1e-3
+GRAM_BUDGET_BYTES = 2**28
+
 
 def _operator_lists(ops1, ops2):
     """Coerce two operator lists and check their shapes.
@@ -302,6 +316,58 @@ def _operator_lists(ops1, ops2):
     return ops1, ops2
 
 
+def _accept_threshold(tol: Tolerance) -> float:
+    """Largest certificate ||U T - T' U|| / max(1, ||T||) that counts as equivalence."""
+    return max(tol.residual_tol * 100, 1e-7)
+
+
+def _intertwiner_space(ops1, ops2, scale: float, tol: Tolerance, null_tol: float, rng):
+    """Null space of the intertwining equations on the spectral blocks.
+
+    Returns (V1, V2, I, J, basis): the intertwiners are V2 D V1* with D_IJ
+    in the span of the columns of basis and D zero elsewhere.  None when
+    the spectra or an empty null space rule out an intertwiner.
+    """
+    k = 2 * len(ops1)
+    c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    d = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    # H = sum c_i L_i + sum d_ij L_i L_j + h.c. on letters of norm <= 1; with
+    # sum|c| + 2 sum|d| = 1 an accepted certificate t moves H, and so each
+    # sorted eigenvalue (Weyl), by at most 2 t.  The slack doubles that.
+    w = np.sum(abs(c)) + 2 * np.sum(abs(d))
+    L = np.stack([ops + [adj(T) for T in ops] for ops in (ops1, ops2)]) / scale
+    M = np.einsum("i,tiab->tab", c / w, L) + (L @ np.einsum("ij,tjab->tiab", d / w, L)).sum(1)
+    lam, V = np.linalg.eigh(M + adj(M))
+    slack = 4 * _accept_threshold(tol)
+    if np.any(abs(lam[0] - lam[1]) > slack):
+        return None
+    # An intertwiner maps each eigenspace of H_1 onto that of H_2.  Merge
+    # clusters generously: a merge only enlarges a block, while a split can
+    # lose a true intertwiner.
+    gap = max(_MERGE_GAP * np.max(abs(lam[0])), 2 * slack)
+    cluster = np.concatenate(([0], np.cumsum(np.diff(lam).min(0) > gap)))
+    I, J = np.nonzero(cluster[:, None] == cluster)
+    if 16 * I.size**2 > GRAM_BUDGET_BYTES:
+        raise ProblemTooLarge(f"intertwiner Gram operator on {I.size} unknowns is over budget")
+
+    # Gram operator G = sum K^H K of the Sylvester maps X -> B X - X A over the
+    # letter pairs (T, T') and (T*, T'*), at the entries X_IJ:
+    #   G_(ij),(kl) = d_jl (sum B^H B)_ik + (sum A A^H)^T_jl d_ik
+    #                 - sum conj(A)_jl B_ik - sum A^T_jl B^H_ik.
+    # Both letter pairs give the same cross terms, the second term being the
+    # adjoint of the first.
+    A, B = adj(V)[:, None] @ np.stack([ops1, ops2]) @ V[:, None]
+    AA, BB = (A @ adj(A) + adj(A) @ A).sum(0), (B @ adj(B) + adj(B) @ B).sum(0)
+    ii, jj = np.ix_(I, I), np.ix_(J, J)
+    G = (J[:, None] == J) * BB[ii] + (I[:, None] == I) * AA.T[jj]
+    for Ak, Bk in zip(A, B):
+        C = Ak.conj()[jj] * Bk[ii]
+        G -= 2 * (C + adj(C))
+    evals, evecs = np.linalg.eigh(G)
+    n_null = int(np.sum(evals <= (null_tol * scale) ** 2))
+    return (V[0], V[1], I, J, evecs[:, :n_null]) if n_null else None
+
+
 def find_unitary_intertwiner(
     ops1,
     ops2,
@@ -311,47 +377,34 @@ def find_unitary_intertwiner(
 ):
     """Search for a unitary U with U T = T' U for every listed operator.
 
-    The intertwiners of the operators and their adjoints form the null
-    space of the Hermitian n^2 x n^2 Gram operator of the joint Sylvester
-    system, spanned by its eigenvectors with eigenvalues at most
-    (null_tol * scale)^2.  A unitary is extracted by polar decomposition of
-    a random element of that space.  Returns (U, residual) or (None, inf).
+    Every intertwiner also intertwines one random Hermitian element H of
+    each tuple's *-algebra.  The spectra of H_1 and H_2 must agree, which
+    only rejects; in their eigenbases the Gram operator of the joint
+    Sylvester system is solved on the sum m_k^2 block-diagonal unknowns of
+    the eigenvalue clusters, n for a simple spectrum.  Its null space is
+    spanned by the eigenvectors with eigenvalues at most (null_tol*scale)^2,
+    and a unitary is extracted by polar decomposition of a random element.
+    Returns (U, residual) or (None, inf).  Raises ProblemTooLarge when the
+    Gram operator would exceed GRAM_BUDGET_BYTES.
     """
     ops1, ops2 = _operator_lists(ops1, ops2)
     n = ops1[0].shape[0]
-    if n != ops2[0].shape[0]:
+    if n != ops2[0].shape[0] or n == 0:
         return None, np.inf
-
-    # Gram operator G = sum K^H K of the Sylvester maps X -> B X - X A, with
-    # K = I (x) B - A^T (x) I on column-major vec(X), assembled from n x n
-    # factors as one sum of Kronecker products; K itself is never formed.
-    eye = np.eye(n)
-    pairs = [
-        (A, B) for T1, T2 in zip(ops1, ops2) for A, B in ((T1, T2), (adj(T1), adj(T2)))
-    ]
-    left = [eye, sum((A @ adj(A)).T for A, _ in pairs)]
-    right = [sum(adj(B) @ B for _, B in pairs), eye]
-    for A, B in pairs:
-        left += [-A.T, -A.conj()]
-        right += [adj(B), B]
-    L = np.stack(left).reshape(len(left), n * n)
-    R = np.stack(right).reshape(len(right), n * n)
-    G = (L.T @ R).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     norms1 = [max(1.0, opnorm(T)) for T in ops1]
     scale = max(norms1 + [opnorm(T) for T in ops2])
-    evals, evecs = np.linalg.eigh(G)
-    n_null = int(np.sum(evals <= (null_tol * scale) ** 2))
-    if n_null == 0:
-        return None, np.inf
-    basis = evecs[:, :n_null]
-
     rng = np.random.default_rng(seed)
+    space = _intertwiner_space(ops1, ops2, scale, tol, null_tol, rng)
+    if space is None:
+        return None, np.inf
+    V1, V2, I, J, basis = space
     best_U, best_res = None, np.inf
+    D = np.zeros((n, n), dtype=complex)
     for _ in range(8):
-        coef = rng.standard_normal(n_null) + 1j * rng.standard_normal(n_null)
-        X = (basis @ coef).reshape((n, n), order="F")
-        W, _, Zh = np.linalg.svd(X)
-        U = W @ Zh
+        z = rng.standard_normal((2, basis.shape[1]))
+        D[I, J] = basis @ (z[0] + 1j * z[1])
+        W, _, Zh = np.linalg.svd(D)
+        U = V2 @ W @ Zh @ adj(V1)
         res = max(
             opnorm(U @ T1 - T2 @ U) / norm1 for T1, T2, norm1 in zip(ops1, ops2, norms1)
         )
@@ -387,9 +440,13 @@ def joint_unitary_equiv(
 ) -> bool:
     """Joint unitary equivalence of two operator tuples.
 
-    The unitary-intertwiner certificate ||U T - T' U|| decides.  Traces of
-    the words of length at most 2 in the operators and adjoints are compared
-    first; they only reject, and a False from them is definitive.
+    The unitary-intertwiner certificate ||U T - T' U|| / max(1, ||T||) <=
+    max(100 residual_tol, 1e-7) decides.  Two checks come first and only
+    reject, definitively: the traces of the words of length at most 2 in
+    the operators and adjoints, then the spectra of one random Hermitian
+    element of each tuple's *-algebra (in find_unitary_intertwiner, whose
+    block-diagonal Gram null space supplies U).  Raises ProblemTooLarge
+    when that Gram operator would exceed GRAM_BUDGET_BYTES.
     """
     ops1, ops2 = _operator_lists(ops1, ops2)
     n = ops1[0].shape[0]
@@ -400,4 +457,4 @@ def joint_unitary_equiv(
     if not _trace_words_agree(ops1, ops2, tol):
         return False
     U, res = find_unitary_intertwiner(ops1, ops2, tol)
-    return U is not None and res <= max(tol.residual_tol * 100, 1e-7)
+    return U is not None and res <= _accept_threshold(tol)

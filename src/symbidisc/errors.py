@@ -59,3 +59,7 @@ class NotADilation(SymbidiscError):
 
 class ResidualTooLarge(SymbidiscError):
     pass
+
+
+class ProblemTooLarge(SymbidiscError):
+    """A dense system would exceed its fixed memory budget."""

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from symbidisc import classify
 from symbidisc.classify import (
@@ -17,7 +20,13 @@ from symbidisc.classify import (
 )
 from symbidisc.defect import defect_data
 from symbidisc.dilation import gamma_unitary_synth
-from symbidisc.errors import DimensionMismatch, NotCommuting, NotPureModelForm
+from symbidisc.errors import (
+    DimensionMismatch,
+    NotCommuting,
+    NotPureModelForm,
+    ProblemTooLarge,
+    SymbidiscError,
+)
 from symbidisc.generate import (
     random_commuting_unitaries,
     random_gamma_contraction,
@@ -307,3 +316,169 @@ def test_joint_unitary_equiv_two_by_two():
     # squared null threshold; drawn into the null space they would spoil U
     D = np.diag([1.0, 1.0 + 1e-4])
     assert joint_unitary_equiv([D], [W @ D @ adj(W)])
+
+
+# ---------------------------------------------------------------------------
+# spectral blocks of the random Hermitian element
+# ---------------------------------------------------------------------------
+
+
+def _haar(rng, ops):
+    U = random_unitary(rng, ops[0].shape[0])
+    return [U @ T @ adj(U) for T in ops]
+
+
+def _model_ops(rng, b, N):
+    pair = gamma_isometry_model(random_symbol(rng, b), N)
+    return [pair.S, pair.P]
+
+
+@pytest.mark.parametrize("b, N", [(4, 10), (6, 12)], ids=["n44", "n78"])
+def test_pure_model_pairs_at_scale(b, N):
+    rng = np.random.default_rng(b)
+    ops1 = _model_ops(rng, b, N)
+    S2, P2 = _haar(rng, ops1)
+    U, res = find_unitary_intertwiner(ops1, [S2, P2])
+    assert res <= 1e-12
+    assert opnorm(adj(U) @ U - np.eye(U.shape[0])) < 1e-12
+    assert joint_unitary_equiv(ops1, [S2, P2])
+    E = rng.standard_normal(S2.shape) + 1j * rng.standard_normal(S2.shape)
+    assert not joint_unitary_equiv(ops1, [S2 + 1e-5 * E / opnorm(E), P2])
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-9, 1e-6])
+def test_joint_unitary_equiv_near_repeated_eigenvalue(delta):
+    # close eigenvalues of H share a cluster, so the intertwiner keeps its
+    # 2 x 2 block
+    D = np.diag([1.0, 1.0 + delta, 2.0])
+    W = random_unitary(np.random.default_rng(11), 3)
+    assert joint_unitary_equiv([D], [W @ D @ adj(W)])
+
+
+def test_joint_unitary_equiv_triple_direct_sum():
+    rng = np.random.default_rng(12)
+    ops = [block_diag(T, T, T) for T in _model_ops(rng, 2, 3)]
+    assert joint_unitary_equiv(ops, _haar(rng, ops))
+
+
+def test_joint_unitary_equiv_swapped_direct_sum():
+    rng = np.random.default_rng(13)
+    ops1, ops2 = _model_ops(rng, 2, 2), _model_ops(rng, 1, 4)
+    first = [block_diag(T1, T2) for T1, T2 in zip(ops1, ops2)]
+    second = [block_diag(T2, T1) for T1, T2 in zip(ops1, ops2)]
+    assert joint_unitary_equiv(first, second)
+
+
+def test_find_unitary_intertwiner_size_guard(monkeypatch):
+    # T + T on C^6 has a double spectrum: three 2 x 2 clusters, 12 unknowns
+    rng = np.random.default_rng(14)
+    ops = [block_diag(T, T) for T in _model_ops(rng, 1, 2)]
+    conj = _haar(rng, ops)
+    assert find_unitary_intertwiner(ops, conj)[1] < 1e-12
+    monkeypatch.setattr(classify, "GRAM_BUDGET_BYTES", 16 * 12**2 - 1)
+    with pytest.raises(ProblemTooLarge):
+        find_unitary_intertwiner(ops, conj)
+    assert issubclass(ProblemTooLarge, SymbidiscError)
+
+
+def _full_gram(ops1, ops2):
+    """The n^2 x n^2 Gram operator of the joint Sylvester system on column-major
+    vec(X), assembled as one sum of Kronecker products over all entries."""
+    n = ops1[0].shape[0]
+    eye = np.eye(n)
+    pairs = [
+        (A, B) for T1, T2 in zip(ops1, ops2) for A, B in ((T1, T2), (adj(T1), adj(T2)))
+    ]
+    left = [eye, sum((A @ adj(A)).T for A, _ in pairs)]
+    right = [sum(adj(B) @ B for _, B in pairs), eye]
+    for A, B in pairs:
+        left += [-A.T, -A.conj()]
+        right += [adj(B), B]
+    L = np.stack(left).reshape(len(left), n * n)
+    R = np.stack(right).reshape(len(right), n * n)
+    return (L.T @ R).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def _reference_case(case):
+    if case == "reducible":
+        # conjugated on both sides, so neither spectrum repeats exactly
+        rng = np.random.default_rng(40)
+        ops1 = _haar(rng, [block_diag(T, T) for T in _model_ops(rng, 1, 3)])
+        return ops1, _haar(rng, ops1)
+    rng = np.random.default_rng(20 + case)
+    pair = random_gamma_contraction(rng)
+    while pair.dim > 8:
+        pair = random_gamma_contraction(rng)
+    ops1 = [pair.S, pair.P]
+    return ops1, _haar(rng, ops1)
+
+
+@pytest.mark.parametrize("case", list(range(20)) + ["reducible"])
+def test_block_null_space_matches_full_gram(case):
+    # the full Gram null space holds every intertwiner; the block-diagonal
+    # one must hold as many, and give the same verdict
+    ops1, ops2 = _reference_case(case)
+    n = ops1[0].shape[0]
+    norms1 = [max(1.0, opnorm(T)) for T in ops1]
+    scale = max(norms1 + [opnorm(T) for T in ops2])
+    threshold = (1e-6 * scale) ** 2
+    evals, evecs = np.linalg.eigh(_full_gram(ops1, ops2))
+    ref_dim = int(np.sum(evals <= threshold))
+    rng = np.random.default_rng(0)
+    coef = rng.standard_normal(ref_dim) + 1j * rng.standard_normal(ref_dim)
+    W, _, Zh = np.linalg.svd((evecs[:, :ref_dim] @ coef).reshape((n, n), order="F"))
+    ref_res = max(
+        opnorm(W @ Zh @ T1 - T2 @ W @ Zh) / nrm for T1, T2, nrm in zip(ops1, ops2, norms1)
+    )
+
+    space = classify._intertwiner_space(ops1, ops2, scale, DEFAULT_TOL, 1e-6, rng)
+    assert space is not None
+    assert space[-1].shape[1] == ref_dim
+    _, res = find_unitary_intertwiner(ops1, ops2)
+    accept = max(100 * DEFAULT_TOL.residual_tol, 1e-7)
+    assert (res <= accept) == (ref_res <= accept)
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _trace_invariants(S, P):
+    """Traces of words in S, P and adjoints: equal for unitarily equivalent pairs."""
+    return np.array([np.trace(W) for W in (S, adj(S) @ S, adj(S) @ P, adj(P) @ P)])
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(_SEEDS)
+def test_joint_unitary_equiv_is_reflexive_under_conjugation(seed):
+    rng = np.random.default_rng(seed)
+    pair = random_gamma_contraction(rng)
+    ops = [pair.S, pair.P]
+    assert joint_unitary_equiv(ops, _haar(rng, ops))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(_SEEDS, st.booleans())
+def test_joint_unitary_equiv_is_symmetric(seed, conjugate):
+    rng = np.random.default_rng(seed)
+    pair = random_gamma_contraction(rng)
+    ops1 = [pair.S, pair.P]
+    if conjugate:
+        ops2 = _haar(rng, ops1)
+    else:
+        other = random_gamma_contraction(rng)
+        ops2 = [other.S, other.P]
+    assert joint_unitary_equiv(ops1, ops2) == joint_unitary_equiv(ops2, ops1)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(_SEEDS)
+def test_joint_unitary_equiv_rejects_strangers(seed):
+    # a stranger of the same dimension whose trace invariants differ
+    rng = np.random.default_rng(seed)
+    pair = random_gamma_contraction(rng)
+    other = random_gamma_contraction(rng)
+    while other.dim != pair.dim or np.allclose(
+        _trace_invariants(pair.S, pair.P), _trace_invariants(other.S, other.P), atol=1e-6
+    ):
+        other = random_gamma_contraction(rng)
+    assert not joint_unitary_equiv([pair.S, pair.P], [other.S, other.P])
