@@ -6,7 +6,7 @@ general case decided through the fundamental-operator equation
 
     S - S*P = D_P A D_P,   w(A) <= 1,
 
-solved as a sandwiched least-squares problem on the defect space.  A von
+solved on the eigenbasis of the defect space of P.  A von
 Neumann sampling check and a joint unitary-equivalence test round out the
 toolbox.
 """
@@ -28,7 +28,7 @@ from .errors import (
     ProblemTooLarge,
 )
 from .hardy import block_of
-from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm, sandwich_solve
+from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm
 from .numrad import WR_SLACK, numerical_radius
 from .pair import OperatorPair, restrict
 
@@ -47,6 +47,7 @@ class ClassificationReport:
     wA_upper: float = np.inf
     checks: list = field(default_factory=list)
     defect: Optional[DefectData] = None
+    flushed_max: float = 0.0  # largest |eigenvalue| of I - P*P cut to zero
 
     def add(self, name: str, ok: bool, residual: float):
         self.checks.append((name, bool(ok), float(residual)))
@@ -113,11 +114,14 @@ def is_gamma_isometry(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL):
 def fundamental_op(S, dd: DefectData, tol: Tolerance = DEFAULT_TOL):
     """Solve S - S*P = D_P A D_P, with dd the defect data of P = dd.P.
 
-    Returns (A on the D_P defect basis, residual).  Called on S* with
-    dd.adjoint() it yields the adjoint of the functional-model symbol.
+    With D_P Q = Q diag(r), A = diag(1/r) Q*CQ diag(1/r) for C = S - S*P on
+    the D_P defect basis Q, and the residual is ||QQ*CQQ* - C||_F.  dd made
+    the rank decision, so tol is not read.  Returns (A, residual).  Called
+    on S* with dd.adjoint() it yields the adjoint of the model symbol.
     """
-    X, residual = sandwich_solve(dd.D_P, dd.D_P, S - adj(S) @ dd.P, tol)
-    return adj(dd.Q_dP) @ X @ dd.Q_dP, residual
+    C, Q, inv = S - adj(S) @ dd.P, dd.Q_dP, 1 / dd.root_dP
+    B = adj(Q) @ C @ Q
+    return inv[:, None] * B * inv, float(np.linalg.norm(Q @ B @ adj(Q) - C))
 
 
 def is_gamma_contraction(
@@ -142,7 +146,7 @@ def is_gamma_contraction(
     except NotAContraction:
         dd = None
     t = tol.residual_tol
-    rep = ClassificationReport(kind=INCONCLUSIVE, defect=dd)
+    rep = ClassificationReport(INCONCLUSIVE, defect=dd, flushed_max=dd.flushed_max if dd else 0.0)
     rep.add("||P|| <= 1", dd is not None, max(0.0, norm_P - 1))
     rep.add("||S|| <= 2", *algebra["||S|| <= 2"])
     if rep.failed():

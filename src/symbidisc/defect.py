@@ -33,11 +33,21 @@ from .errors import (
     TruncationTooSmall,
 )
 from .hardy import SymbolPoly
-from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm, psd_sqrt, range_basis
+from .linalg import DEFAULT_TOL, Tolerance, _fix_phases, adj, as_matrix, opnorm, psd_eigh
+from .linalg import psd_sqrt, range_basis
 
 CNU_MARGIN = 1e-8
 TAIL_TARGET = 1e-10
 DELTA_GRID = 256  # boundary angles at which the defect of Theta is sampled
+
+
+def _side(w: np.ndarray, V: np.ndarray, flushed) -> tuple:
+    """(D, Q, root, flushed) from eigenpairs of D^2 with the cut ones zeroed:
+    Q holds the kept eigenvectors, descending, so that D Q = Q diag(root)."""
+    kept = np.flatnonzero(w)[::-1]
+    Q, root = _fix_phases(V[:, kept]), np.sqrt(w[kept])
+    D = (Q * root) @ adj(Q)
+    return 0.5 * (D + adj(D)), Q, root, float(flushed)
 
 
 @dataclass(frozen=True)
@@ -45,30 +55,41 @@ class DefectData:
     """A contraction P with its defect operators and their range bases.
 
     Built once per P by `defect_data` and handed on to every routine that
-    needs the defect spaces.
+    needs the defect spaces.  D_P Q_dP = Q_dP diag(root_dP); flushed_max
+    is the largest |eigenvalue| of I - P*P that the rank cut set to zero.
+    The D_P* side is built from its own eigh the first time it is read.
     """
 
     P: np.ndarray
     D_P: np.ndarray
-    D_Pstar: np.ndarray
     Q_dP: np.ndarray
-    Q_dPstar: np.ndarray
+    root_dP: np.ndarray
+    flushed_max: float
+    star: tuple | None = None  # a D_P* side already built, handed over by adjoint()
 
-    @property
-    def rank_dP(self) -> int:
-        return self.Q_dP.shape[1]
+    rank_dP = property(lambda self: self.Q_dP.shape[1])
+    D_Pstar = property(lambda self: self._star[0])
+    Q_dPstar = property(lambda self: self._star[1])
+    rank_dPstar = rank_dP  # the D_P* side is cut to the same rank
 
-    @property
-    def rank_dPstar(self) -> int:
-        return self.Q_dPstar.shape[1]
+    @cached_property
+    def _star(self) -> tuple:
+        """One eigh of I - PP* (the spectrum of I - P*P) cut to rank_dP: it never raises."""
+        if self.star is not None:
+            return self.star
+        M = np.eye(len(self.P)) - self.P @ adj(self.P)
+        w, V = np.linalg.eigh(0.5 * (M + adj(M)))
+        cut = np.arange(len(w)) < len(w) - self.rank_dP
+        return _side(np.where(cut, 0.0, w), V, np.max(np.abs(w) * cut, initial=0.0))
 
     @cached_property
     def spectral_radius(self) -> float:
         return spectral_radius(self.P)
 
     def adjoint(self) -> "DefectData":
-        """The record of P*: the two defect operators and their bases swap."""
-        return DefectData(adj(self.P), self.D_Pstar, self.D_P, self.Q_dPstar, self.Q_dP)
+        """The record of P*: the two sides swap, and neither is rebuilt."""
+        own = (self.D_P, self.Q_dP, self.root_dP, self.flushed_max)
+        return DefectData(adj(self.P), *self._star, star=own)
 
 
 @dataclass(frozen=True)
@@ -107,20 +128,18 @@ def cnu_check(dd: DefectData) -> None:
 
 
 def defect_data(P, tol: Tolerance = DEFAULT_TOL) -> DefectData:
-    """Defect operators D_P, D_P* and their range bases.
+    """Defect data of P: the D_P side from one eigh of I - P*P.
 
-    P is a contraction exactly when psd_sqrt accepts both I - P*P and
-    I - PP*; otherwise NotAContraction.  Classification uses the same test
-    for its ||P|| <= 1 check.
+    P is a contraction exactly when `psd_eigh` accepts I - P*P, which for
+    square P has the spectrum of I - PP*; otherwise NotAContraction.
+    Classification uses the same test for its ||P|| <= 1 check.
     """
     P = as_matrix(P)
-    eye = np.eye(P.shape[0])
     try:
-        D_P = psd_sqrt(eye - adj(P) @ P, tol)
-        D_Ps = psd_sqrt(eye - P @ adj(P), tol)
+        w, V, flushed = psd_eigh(np.eye(P.shape[0]) - adj(P) @ P, tol)
     except IndefiniteInput:
         raise NotAContraction(f"||P|| = {opnorm(P):.6f} exceeds 1") from None
-    return DefectData(P, D_P, D_Ps, range_basis(D_P, tol), range_basis(D_Ps, tol))
+    return DefectData(P, *_side(w, V, flushed))
 
 
 def theta_taylor(dd: DefectData, K: int) -> CharFn:

@@ -1,9 +1,9 @@
 """Dense complex linear-algebra substrate.
 
-Positive square roots, orthonormal range bases with a rank tolerance, and
-minimal-norm sandwiched least-squares solves.  Everything downstream (defect
-operators, model spaces, dilations) goes through these three primitives so
-the rank/phase conventions are fixed in one place.
+Flushed PSD eigendecompositions and square roots, orthonormal range bases
+and minimal-norm sandwiched least-squares solves.  Everything downstream
+(defect operators, model spaces, dilations) goes through these primitives
+so the rank/phase conventions are fixed in one place.
 """
 
 from __future__ import annotations
@@ -60,39 +60,46 @@ def adj(M: np.ndarray) -> np.ndarray:
     return M.conj().swapaxes(-1, -2)
 
 
-def psd_sqrt(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
+def psd_eigh(M, tol: Tolerance = DEFAULT_TOL):
+    """(w, V, flushed): eigenpairs of a Hermitian PSD M with the rank flush.
 
-    Eigenvalues within rank_tol*max(1, ||M||) of zero are treated as exact
-    zeros (this keeps defect operators of unitaries identically zero instead
-    of noise-sized); anything below -rank_tol raises IndefiniteInput.  A
-    stack (m, n, n) is rooted matrix by matrix, each with its own ||M||, and
-    raises if any of its matrices would.
+    Eigenvalues within cut = rank_tol*max(1, max|w|) of zero become exact
+    zeros, flushed is the largest |eigenvalue| so zeroed, and one below -cut
+    raises IndefiniteInput.  ||M - M*|| is screened in the Frobenius norm
+    before any SVD.  A stack (m, n, n) is treated matrix by matrix.
     """
     M = as_matrix(M)
-    if M.size == 0:
-        return M.copy()
-    cut = tol.rank_tol * np.maximum(1.0, opnorm(M))
-    if np.any(opnorm(M - adj(M)) > cut * 10):
-        raise NotHermitian("matrix is not hermitian within tolerance")
     w, V = np.linalg.eigh(0.5 * (M + adj(M)))
+    cut = tol.rank_tol * np.maximum(1.0, np.max(np.abs(w), axis=-1, initial=0.0))
+    skew = M - adj(M)
+    if np.any(np.linalg.norm(skew, axis=(-2, -1)) > cut * 10) and np.any(opnorm(skew) > cut * 10):
+        raise NotHermitian("matrix is not hermitian within tolerance")
     cut = cut[..., None]  # one threshold per matrix, against each of its eigenvalues
     if np.any(w < -cut):
         raise IndefiniteInput(f"eigenvalue {w.min():.3e} below -rank_tol*||M||")
-    w = np.where(w < cut, 0.0, w)
+    small = w < cut
+    return np.where(small, 0.0, w), V, np.max(np.abs(w) * small, axis=-1, initial=0.0)
+
+
+def psd_sqrt(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Hermitian PSD square root of M, or of each matrix in a stack.
+
+    The flush of `psd_eigh` keeps defect operators of unitaries identically
+    zero instead of noise-sized."""
+    M = as_matrix(M)
+    if M.size == 0:
+        return M.copy()
+    w, V, _ = psd_eigh(M, tol)
     R = (V * np.sqrt(w)[..., None, :]) @ adj(V)
     return 0.5 * (R + adj(R))
 
 
 def _fix_phases(Q: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry of each column real and positive."""
-    Q = Q.copy()
-    for j in range(Q.shape[1]):
-        k = int(np.argmax(np.abs(Q[:, j])))
-        a = Q[k, j]
-        if abs(a) > 0:
-            Q[:, j] *= np.conj(a) / abs(a)
-    return Q
+    if Q.size == 0:
+        return Q.copy()
+    a = Q[np.argmax(np.abs(Q), axis=0), np.arange(Q.shape[1])]  # unit columns: a != 0
+    return Q * np.array([np.conj(x) / abs(x) for x in a], dtype=complex)
 
 
 def range_basis(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -34,8 +34,8 @@ from symbidisc.generate import (
     random_unitary,
 )
 from symbidisc.hardy import gamma_isometry_model
-from symbidisc.linalg import DEFAULT_TOL, adj, opnorm
-from symbidisc.numrad import WR_SLACK, NumRadResult
+from symbidisc.linalg import DEFAULT_TOL, adj, opnorm, psd_sqrt, range_basis, sandwich_solve
+from symbidisc.numrad import WR_SLACK, NumRadResult, numerical_radius
 from symbidisc.pair import make_pair
 
 
@@ -482,3 +482,93 @@ def test_joint_unitary_equiv_rejects_strangers(seed):
     ):
         other = random_gamma_contraction(rng)
     assert not joint_unitary_equiv([pair.S, pair.P], [other.S, other.P])
+
+
+# ---------------------------------------------------------------------------
+# the fundamental operator from the eigenbasis of D_P
+# ---------------------------------------------------------------------------
+
+
+def _diagonal_gamma_pair(rng, n, gap):
+    """Haar conjugate of a diagonal Gamma-contraction s_j = b_j + conj(b_j) p_j
+    with |b_j| <= 0.95, |p_j| <= 0.9 and one |p_1| = 1 - gap."""
+    b = 0.95 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    p = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    p[0] = (1 - gap) * np.exp(2j * np.pi * rng.random())
+    U = random_unitary(rng, n)
+    return make_pair(U @ np.diag(b + b.conj() * p) @ adj(U), U @ np.diag(p) @ adj(U))
+
+
+@pytest.mark.parametrize("gap", [1e-10, 1e-9, 1e-8, 1e-6, 1e-4])
+def test_near_isometric_residual_stays_at_rounding_level(gap):
+    # D pinv(D) amplified rounding by cond(D_P)^2 (3e-12 at gap 1e-10);
+    # the eigenbasis solve does not
+    rng = np.random.default_rng(int(-np.log10(gap)))
+    for n in (2, 3, 5):
+        rep = is_gamma_contraction(_diagonal_gamma_pair(rng, n, gap))
+        assert rep.kind == GAMMA_CONTRACTION
+        assert rep.fundamental_residual <= 1e-13
+        assert rep.defect.rank_dP == n and rep.flushed_max == 0.0
+
+
+def test_full_rank_p_just_above_the_cut_has_rounding_level_residual():
+    # the smallest eigenvalue of I - P*P is 2e-10, just above rank_tol
+    rng = np.random.default_rng(21)
+    n = 4
+    U, V = random_unitary(rng, n), random_unitary(rng, n)
+    P = U @ np.diag([np.sqrt(1 - 2e-10), 0.7, 0.5, 0.3]) @ adj(V)
+    dd = defect_data(P)
+    assert dd.rank_dP == n and dd.root_dP[-1] ** 2 == pytest.approx(2e-10, rel=1e-4)
+    _, residual = fundamental_op(0.5 * P, dd)
+    assert residual <= 1e-13
+
+
+def test_flushed_max_separates_rounding_from_a_near_isometric_direction():
+    rep = is_gamma_contraction(make_pair(np.zeros((2, 2)), np.diag([1 - 1e-12, 0.5])))
+    assert rep.flushed_max == pytest.approx(2e-12, rel=1e-3)
+    assert rep.defect.rank_dP == 1
+    U1, U2 = random_commuting_unitaries(np.random.default_rng(22), 3)
+    rep = is_gamma_contraction(gamma_unitary_synth(U1, U2))
+    assert rep.kind == GAMMA_UNITARY and rep.flushed_max <= 1e-14
+
+
+def _svd_fundamental_op(S, P, tol=DEFAULT_TOL):
+    """The fundamental operator through pinv of D_P and an SVD range basis
+    (reference)."""
+    D = psd_sqrt(np.eye(P.shape[0]) - adj(P) @ P, tol)
+    X, residual = sandwich_solve(D, D, S - adj(S) @ P, tol)
+    Q = range_basis(D, tol)
+    return adj(Q) @ X @ Q, residual
+
+
+def _reference_pairs():
+    """30 generated pairs, then (S, P) with a simple, well-separated defect
+    spectrum; fundamental_op does not need S and P to commute."""
+    rng = np.random.default_rng(23)
+    pairs = [random_gamma_contraction(rng) for _ in range(30)]
+    pairs = [(pair.S, pair.P) for pair in pairs]
+    for n in (2, 3, 4, 6):
+        P = np.diag(np.linspace(0.2, 0.8, n)) @ random_unitary(rng, n)
+        pairs.append((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), P))
+    return pairs
+
+
+def test_fundamental_op_matches_svd_reference():
+    simple = repeated = 0
+    for S, P in _reference_pairs():
+        F, residual = fundamental_op(S, defect_data(P))
+        F_ref, res_ref = _svd_fundamental_op(S, P)
+        assert F.shape == F_ref.shape
+        assert abs(residual - res_ref) <= 1e-12
+        r = defect_data(P).root_dP
+        if np.all(-np.diff(r) > 1e-3):
+            simple += 1
+            assert np.allclose(F, F_ref, rtol=0, atol=1e-12)
+        else:
+            # another orthonormal basis inside a repeated eigenspace
+            repeated += 1
+            assert joint_unitary_equiv([F], [F_ref])
+            wr, wr_ref = numerical_radius(F), numerical_radius(F_ref)
+            assert abs(wr.value - wr_ref.value) <= 1e-12
+            assert abs(wr.upper - wr_ref.upper) <= 1e-12
+    assert simple >= 10 and repeated >= 10

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symbidisc.classify import is_gamma_contraction
 from symbidisc.defect import (
     build_model_space,
     cnu_check,
@@ -141,3 +144,80 @@ def test_pi_nf_identities():
     Mz = shift_op(rs, N)
     assert opnorm(adj(Pi) @ Mz @ Pi - P) < 1e-8
     assert opnorm(adj(Mz) @ Pi - Pi @ adj(P)) < 1e-8
+
+
+class _LinalgCounter:
+    """Counts calls of np.linalg eigh, svd and pinv while patched in."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {"eigh": 0, "svd": 0, "pinv": 0}
+        for name in self.calls:
+            monkeypatch.setattr(np.linalg, name, self._counted(name, getattr(np.linalg, name)))
+
+    def _counted(self, name, fn):
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+
+def test_defect_data_takes_one_eigh_and_builds_the_star_side_on_first_read(monkeypatch):
+    P = random_gamma_contraction(np.random.default_rng(10)).P
+    count = _LinalgCounter(monkeypatch)
+    dd = defect_data(P)
+    assert count.calls == {"eigh": 1, "svd": 0, "pinv": 0}
+    _ = dd.rank_dP, dd.D_P, dd.Q_dP, dd.flushed_max
+    assert count.calls["eigh"] == 1
+    _ = dd.D_Pstar, dd.Q_dPstar, dd.rank_dPstar
+    assert count.calls == {"eigh": 2, "svd": 0, "pinv": 0}
+    _ = dd.adjoint().adjoint().D_Pstar  # both sides are handed over, not rebuilt
+    assert count.calls["eigh"] == 2
+
+
+def test_classification_never_builds_the_star_side(monkeypatch):
+    pair = random_gamma_contraction(np.random.default_rng(11))
+    count = _LinalgCounter(monkeypatch)
+    rep = is_gamma_contraction(pair)
+    assert "_star" not in vars(rep.defect)
+    assert count.calls["pinv"] == 0
+
+
+@pytest.mark.parametrize("read_star_first", [False, True])
+def test_adjoint_hands_over_the_built_sides(read_star_first):
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        P = random_gamma_contraction(rng).P
+        dd = defect_data(P)
+        if read_star_first:
+            _ = dd.D_Pstar
+        swapped, direct = dd.adjoint(), defect_data(adj(P))
+        for name in ("P", "D_P", "D_Pstar", "Q_dP", "Q_dPstar", "flushed_max"):
+            assert np.array_equal(getattr(swapped, name), getattr(direct, name)), name
+        assert swapped.rank_dP == swapped.rank_dPstar == dd.rank_dP
+
+
+def test_star_side_never_raises_once_p_is_accepted():
+    # I - PP* and I - P*P have the same spectrum; the star side is cut to
+    # rank_dP, so rounding on its eigenvalues cannot make it indefinite
+    for p in (1 - 1e-12, 1 - 1e-11, 1 + 1e-11):
+        dd = defect_data(np.diag([p, 0.5]) @ random_unitary(np.random.default_rng(13), 2))
+        assert dd.rank_dPstar == dd.rank_dP == 1
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([0.0, 1e-12, 1e-9, 0.3]))
+def test_defect_side_identities(seed, n, gap):
+    # D_P^2 = I - P*P up to the flush, Q_dP is orthonormal, and D_P times
+    # D_P^+ on the range is the range projection Q_dP Q_dP*, up to the
+    # rounding in D_P amplified by 1 / sigma_min(D_P)
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0, 1, n)
+    s[0] = 1 - gap
+    P = random_unitary(rng, n) @ np.diag(s) @ random_unitary(rng, n)
+    dd = defect_data(P)
+    Q, root = dd.Q_dP, dd.root_dP
+    assert opnorm(dd.D_P @ dd.D_P - (np.eye(n) - adj(P) @ P)) <= dd.flushed_max + 1e-14
+    assert np.allclose(adj(Q) @ Q, np.eye(dd.rank_dP), rtol=0, atol=1e-14)
+    atol = 1e-14 / root.min(initial=1.0)
+    assert np.allclose(dd.D_P @ (Q / root) @ adj(Q), Q @ adj(Q), rtol=0, atol=atol)
