@@ -19,7 +19,6 @@ from .classify import (
     fundamental_op,
     is_gamma_contraction,
     is_gamma_isometry,
-    is_gamma_unitary,
     joint_unitary_equiv,
     recover_pure_symbol,
     von_neumann_margin,
@@ -29,7 +28,6 @@ from .defect import (
     DefectData,
     ModelSpace,
     build_model_space,
-    default_truncation,
     defect_data,
     delta_eval,
     pi_nf_matrix,

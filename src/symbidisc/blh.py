@@ -61,41 +61,41 @@ class NoSolution:
     residual: float
 
 
-def _coefficient_pairs(theta: SymbolPoly):
-    """(Theta_k, Theta_{k-1}) for k = 0..deg+1, zero outside the coefficient range."""
-    d = theta.degree
-    coeffs = list(theta.coeffs)
-    zero = np.zeros_like(coeffs[0])
-    return [
-        (coeffs[k] if k <= d else zero, coeffs[k - 1] if k >= 1 else zero)
-        for k in range(d + 2)
-    ]
-
-
-def _conjugate_linear_lstsq(n: int, lin, anti, rhs, rcond):
-    """Least-squares n x n X with lin_k vec(X) + anti_k vec(X*) = rhs_k for all k.
-
-    vec is column-major.  vec(X*) is vec(conj X) with its entries permuted
-    by the transpose, so permuting the columns of the anti blocks the same
-    way gives M1 v + M2 conj(v) = r, solved as a real system in (Re v, Im v).
-    Returns (X, rank of the real system).
+def _coefficient_maps(theta: SymbolPoly):
+    """The two sides of the equation as maps to their z^k coefficients,
+    k = 0..deg+1: B -> Theta_k B + Theta_{k-1} B*, the coefficients of
+    Theta (B + B*z), and A -> A Theta_k + A* Theta_{k-1}, those of
+    (A + A*z) Theta.  Theta_k is zero outside the coefficient range.  A
+    stack of matrices gives a stack of coefficient stacks.
     """
-    M1 = np.vstack(lin)
-    M2 = np.vstack(anti)[:, np.arange(n * n).reshape(n, n).T.ravel()]
-    r = np.concatenate(rhs)
-    top = np.hstack([(M1 + M2).real, -(M1 - M2).imag])
-    bot = np.hstack([(M1 + M2).imag, (M1 - M2).real])
+    C = np.array(theta.coeffs)
+    zero = np.zeros_like(C[:1])
+    Tk, Tk1 = np.concatenate([C, zero]), np.concatenate([zero, C])
+
+    def theta_symbol(B):
+        return Tk @ B[..., None, :, :] + Tk1 @ adj(B)[..., None, :, :]
+
+    def symbol_theta(A):
+        return A[..., None, :, :] @ Tk + adj(A)[..., None, :, :] @ Tk1
+
+    return theta_symbol, symbol_theta
+
+
+def _real_lstsq(f, n: int, rhs, rcond):
+    """Least-squares n x n X with f(X) = rhs, for a real-linear f.
+
+    X is not a complex unknown, because f may involve X*.  f is applied to
+    the 2n^2 real directions E_ij and i E_ij as one stack; their images,
+    split into real and imaginary parts, are the columns of a real system
+    in (Re X, Im X).  Returns (X, rank of the real system).
+    """
+    E = np.eye(n * n).reshape(n * n, n, n)
+    cols = f(np.concatenate([E, 1j * E])).reshape(2 * n * n, -1)
+    r = np.ravel(rhs)
     sol, _, rank, _ = np.linalg.lstsq(
-        np.vstack([top, bot]), np.concatenate([r.real, r.imag]), rcond=rcond
+        np.hstack([cols.real, cols.imag]).T, np.concatenate([r.real, r.imag]), rcond=rcond
     )
-    return (sol[: n * n] + 1j * sol[n * n :]).reshape((n, n), order="F"), int(rank)
-
-
-def _coefficient_residual(A, theta: SymbolPoly, B) -> float:
-    return max(
-        opnorm(A @ Tk + adj(A) @ Tk1 - Tk @ B - Tk1 @ adj(B))
-        for Tk, Tk1 in _coefficient_pairs(theta)
-    )
+    return (sol[: n * n] + 1j * sol[n * n :]).reshape(n, n), int(rank)
 
 
 def blh_solve(prob: BlhProblem, tol: Tolerance = DEFAULT_TOL):
@@ -108,32 +108,23 @@ def blh_solve(prob: BlhProblem, tol: Tolerance = DEFAULT_TOL):
     """
     A, theta = prob.A, prob.theta
     e = theta.dom_dim
-    eye_e = np.eye(e)
-    lin, anti, rhs = [], [], []
-    for Tk, Tk1 in _coefficient_pairs(theta):
-        lin.append(np.kron(eye_e, Tk))
-        anti.append(np.kron(eye_e, Tk1))
-        rhs.append((A @ Tk + adj(A) @ Tk1).reshape(-1, order="F"))
-    B, rank = _conjugate_linear_lstsq(e, lin, anti, rhs, tol.rank_tol)
+    theta_symbol, symbol_theta = _coefficient_maps(theta)
+    rhs = symbol_theta(A)
+    B, rank = _real_lstsq(theta_symbol, e, rhs, tol.rank_tol)
     kernel_dim = 2 * e * e - rank
 
-    residual = _coefficient_residual(A, theta, B)
+    residual = float(np.max(opnorm(theta_symbol(B) - rhs)))
     if residual > tol.residual_tol * max(1.0, opnorm(A)):
-        return NoSolution(B, float(residual))
+        return NoSolution(B, residual)
     wB = numerical_radius(B, tol).value
-    return BlhSolution(B, float(residual), kernel_dim, float(wB))
+    return BlhSolution(B, residual, kernel_dim, float(wB))
 
 
 def mirror_solve(B, theta: SymbolPoly) -> np.ndarray:
     """The same equation solved for A: least-squares A with
     A Theta_k + A* Theta_{k-1} = Theta_k B + Theta_{k-1} B* for all k."""
-    eye = np.eye(theta.cod_dim)
-    lin, anti, rhs = [], [], []
-    for Tk, Tk1 in _coefficient_pairs(theta):
-        lin.append(np.kron(Tk.T, eye))
-        anti.append(np.kron(Tk1.T, eye))
-        rhs.append((Tk @ B + Tk1 @ adj(B)).reshape(-1, order="F"))
-    A, _ = _conjugate_linear_lstsq(theta.cod_dim, lin, anti, rhs, rcond=None)
+    theta_symbol, symbol_theta = _coefficient_maps(theta)
+    A, _ = _real_lstsq(symbol_theta, theta.cod_dim, theta_symbol(B), rcond=None)
     return A
 
 

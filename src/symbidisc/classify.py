@@ -103,10 +103,6 @@ def _algebra_verdict(pair: OperatorPair, tol: Tolerance, names, kind: str):
     return rep.kind == kind, rep
 
 
-def is_gamma_unitary(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL):
-    return _algebra_verdict(pair, tol, _UNITARY_CHECKS, GAMMA_UNITARY)
-
-
 def is_gamma_isometry(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL):
     return _algebra_verdict(pair, tol, _ISOMETRY_CHECKS, GAMMA_ISOMETRY)
 

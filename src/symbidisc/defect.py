@@ -37,7 +37,7 @@ from .linalg import DEFAULT_TOL, Tolerance, _fix_phases, adj, as_matrix, opnorm,
 from .linalg import psd_sqrt, range_basis
 
 CNU_MARGIN = 1e-8
-TAIL_TARGET = 1e-10
+MODEL_TAIL = 1e-8  # the model space needs spectral_radius^(N+1) <= MODEL_TAIL
 DELTA_GRID = 256  # boundary angles at which the defect of Theta is sampled
 
 
@@ -83,8 +83,12 @@ class DefectData:
         return _side(np.where(cut, 0.0, w), V, np.max(np.abs(w) * cut, initial=0.0))
 
     @cached_property
+    def spectrum(self) -> np.ndarray:
+        return np.linalg.eigvals(self.P)
+
+    @property
     def spectral_radius(self) -> float:
-        return spectral_radius(self.P)
+        return float(np.max(np.abs(self.spectrum), initial=0.0))
 
     def adjoint(self) -> "DefectData":
         """The record of P*: the two sides swap, and neither is rebuilt."""
@@ -102,9 +106,11 @@ class CharFn:
 
 @dataclass(frozen=True)
 class ModelSpace:
-    """Orthonormal basis of the truncated model space of a c.n.u. matrix."""
+    """Orthonormal basis of the truncated model space of a c.n.u. matrix,
+    the range of the truncated minimal-dilation embedding."""
 
     basis: np.ndarray
+    embedding: np.ndarray
     N: int
     delta_norm: float
     trunc_error: float
@@ -145,34 +151,32 @@ def defect_data(P, tol: Tolerance = DEFAULT_TOL) -> DefectData:
 def theta_taylor(dd: DefectData, K: int) -> CharFn:
     """First K+1 Taylor coefficients of the characteristic function of dd.P.
 
-    C_0 = -Q* P Q restricted to the defect bases; C_k for k >= 1 comes from
-    the Neumann expansion of the resolvent.
+    C_0 = -Q* P Q restricted to the defect bases.  The Neumann expansion of
+    the resolvent gives C_k = Q_dPstar* D_P* P*^(k-1) D_P Q_dP for k >= 1:
+    the degree-(k-1) block of the embedding `pi_nf_matrix` times D_P Q_dP.
     """
-    cnu_check(dd)
-    P, Qp, Qs = dd.P, dd.Q_dP, dd.Q_dPstar
-    coeffs = [-adj(Qs) @ P @ Qp]
-    left = adj(Qs) @ dd.D_Pstar
-    right = dd.D_P @ Qp
-    power = np.eye(P.shape[0])
-    for _ in range(1, K + 1):
-        coeffs.append(left @ power @ right)
-        power = adj(P) @ power
-    return CharFn(SymbolPoly(coeffs), dd)
+    # for K = 0 the embedding has no blocks, but it still runs the c.n.u. check
+    Pi = pi_nf_matrix(dd, K - 1)
+    C = (Pi @ dd.D_P @ dd.Q_dP).reshape(K, dd.rank_dPstar, dd.rank_dP)
+    return CharFn(SymbolPoly([-adj(dd.Q_dPstar) @ dd.P @ dd.Q_dP, *C]), dd)
 
 
 def theta_eval(charfn: CharFn, z) -> np.ndarray:
     """Evaluate Theta(z) directly through the resolvent (not the series).
 
-    An array of points gives the stack of values, one per point.
+    An array of points gives the stack of values, one per point.  I - z P*
+    is singular where z conj(lambda) = 1 for an eigenvalue lambda of P,
+    read off the spectrum cached on the defect data.
     """
     dd = charfn.defect
     P = dd.P
     z = np.asarray(z)
-    zs = z[..., None, None]
-    M = np.eye(P.shape[0]) - zs * adj(P)
-    singular = np.linalg.cond(M) > 1e14
+    gap = np.min(np.abs(1 - z[..., None] * np.conj(dd.spectrum)), axis=-1, initial=np.inf)
+    singular = gap <= CNU_MARGIN
     if np.any(singular):
         raise ResolventSingular(f"I - z P* is singular at z = {z[singular][0]}")
+    zs = z[..., None, None]
+    M = np.eye(P.shape[0]) - zs * adj(P)
     core = -P + zs * dd.D_Pstar @ np.linalg.solve(M, dd.D_P)
     return adj(dd.Q_dPstar) @ core @ dd.Q_dP
 
@@ -184,15 +188,6 @@ def delta_eval(charfn: CharFn, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     th = theta_eval(charfn, np.exp(1j * np.asarray(t)))
     return psd_sqrt(np.eye(th.shape[-1]) - adj(th) @ th, tol)
-
-
-def default_truncation(P, target: float = TAIL_TARGET) -> int:
-    """Smallest N >= 32 with spectral_radius(P)^(N+1) below the tail target."""
-    rho = spectral_radius(as_matrix(P))
-    if rho <= 0:
-        return 32
-    need = int(np.ceil(np.log(target) / np.log(rho))) - 1 if rho < 1 else np.inf
-    return max(32, int(need)) if np.isfinite(need) else 32
 
 
 def pi_nf_matrix(dd: DefectData, N: int) -> np.ndarray:
@@ -228,18 +223,18 @@ def build_model_space(dd: DefectData, N: int, tol: Tolerance = DEFAULT_TOL) -> M
     The boundary defect is sampled at DELTA_GRID angles in one stacked
     evaluation and its largest norm recorded; it must vanish for matrix
     inputs (class C_00), which is what licenses dropping the boundary
-    summand of the ambient space.
+    summand of the ambient space.  N must reach the smallest truncation
+    with spectral_radius^(N+1) <= MODEL_TAIL.
     """
-    rho = dd.spectral_radius
     cnu_check(dd)
-    if rho > 0 and rho ** (N + 1) > 1e-8:
-        raise TruncationTooSmall(
-            f"spectral radius {rho:.4f} needs N > {default_truncation(dd.P)} (got {N})"
-        )
+    rho = dd.spectral_radius
+    need = int(np.ceil(np.log(MODEL_TAIL) / np.log(rho))) - 1 if rho > 0 else 0
+    if N < need:
+        raise TruncationTooSmall(f"spectral radius {rho:.4f} needs N >= {need} (got {N})")
     delta_norm = 0.0
     if dd.rank_dP:
         ts = 2 * np.pi * np.arange(DELTA_GRID) / DELTA_GRID
         delta = delta_eval(theta_taylor(dd, 0), ts, tol)
         delta_norm = float(np.max(opnorm(delta)))
-    basis = range_basis(pi_nf_matrix(dd, N), tol)
-    return ModelSpace(basis, N, delta_norm, truncation_tail(dd.P, N))
+    Pi = pi_nf_matrix(dd, N)
+    return ModelSpace(range_basis(Pi, tol), Pi, N, delta_norm, truncation_tail(dd.P, N))

@@ -21,7 +21,6 @@ from .classify import (
     GAMMA_CONTRACTION,
     GAMMA_ISOMETRY,
     GAMMA_UNITARY,
-    find_unitary_intertwiner,
     fundamental_op,
     is_gamma_contraction,
 )
@@ -128,7 +127,11 @@ def nf_ay_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> NfA
     The symbol is the adjoint of the fundamental operator of (S*, P*),
     solved on the swapped defect data of P from the classification report;
     the model operators are compressions of the pure model pair, certified
-    against the input by an explicit unitary.
+    against the input by an explicit unitary.  The model space is the
+    range of the embedding Pi, with Pi* M = S Pi* and Pi* M_z = P Pi*, and
+    Pi is isometric for pure P up to the truncation tail; the unitary is
+    the polar factor of Pi* Q on the model basis Q.  A model space of the
+    wrong dimension gets no unitary and infinite residuals.
     """
     S, P = pair.S, pair.P
     dd = _require_gamma(pair, tol).defect
@@ -139,10 +142,10 @@ def nf_ay_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> NfA
     S_model = compress(build_mult_op(symbol_a_plus_astar_z(symbol_A), N), model.basis)
     P_model = compress(shift_op(rs, N), model.basis)
 
-    U, _ = find_unitary_intertwiner([S_model, P_model], [S, P], tol)
-    if U is None:
-        res_S = res_P = np.inf
-    else:
+    U, res_S, res_P = None, np.inf, np.inf
+    if model.dim == S.shape[0]:
+        W, _, Vh = np.linalg.svd(adj(model.embedding) @ model.basis)
+        U = W @ Vh
         res_S = opnorm(U @ S_model - S @ U)
         res_P = opnorm(U @ P_model - P @ U)
     return NfAyModel(model, symbol_A, S_model, P_model, float(res_S), float(res_P), U)

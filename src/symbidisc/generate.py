@@ -67,8 +67,8 @@ def random_strict_contraction(
 def coinvariant_closure(S, P, seeds, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the smallest S*,P*-invariant span of the seeds."""
     S, P = as_matrix(S), as_matrix(P)
-    B = range_basis(np.atleast_2d(np.asarray(seeds, dtype=complex).T
-                                  if np.ndim(seeds) == 1 else as_matrix(seeds)), tol)
+    seeds = np.asarray(seeds, dtype=complex)
+    B = range_basis(seeds[:, None] if seeds.ndim == 1 else seeds, tol)  # 1-D: one column
     for _ in range(S.shape[0] + 1):
         grown = range_basis(np.hstack([B, adj(S) @ B, adj(P) @ B]), tol)
         if grown.shape[1] == B.shape[1]:

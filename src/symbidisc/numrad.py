@@ -12,7 +12,7 @@ Re(e^{i theta} A) are the unimodular roots z = e^{i theta} of
 det(z^2 A - 2 r z I + A*) = 0.  f - r keeps one sign between neighbouring
 roots, so if f <= r at every midpoint then w(A) <= r is certified;
 otherwise the largest midpoint value is a better lower bound and the step
-repeats.  The certificate vector is the top eigenvector at the best angle.
+repeats.
 """
 
 from __future__ import annotations
@@ -33,25 +33,19 @@ WR_SLACK = 1e-8
 class NumRadResult:
     """Bounds value <= w(A) <= upper.
 
-    value is the top eigenvalue of Re(e^{i argmax_angle} A), attained by
-    the unit vector certificate_vector: |v* A v| >= value.
+    value is the top eigenvalue of Re(e^{i argmax_angle} A), so a unit
+    vector v attains |v* A v| >= value.
     """
 
     value: float
     argmax_angle: float
-    certificate_vector: np.ndarray
     upper: float
 
 
-def _real_parts(A: np.ndarray, thetas) -> np.ndarray:
-    """Re(e^{i theta} A) for every angle, stacked along the first axis."""
-    z = np.exp(1j * np.atleast_1d(thetas))[:, None, None]
-    return 0.5 * (z * A + np.conj(z) * adj(A))
-
-
 def _top_eigs(A: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """f at every angle, from one stacked eigvalsh."""
-    return np.linalg.eigvalsh(_real_parts(A, thetas))[:, -1]
+    """f at every angle, from one eigvalsh of the stacked Re(e^{i theta} A)."""
+    z = np.exp(1j * thetas)[:, None, None]
+    return np.linalg.eigvalsh(0.5 * (z * A + np.conj(z) * adj(A)))[:, -1]
 
 
 def _level_set_angles(A: np.ndarray, r: float, pole: float) -> np.ndarray:
@@ -90,11 +84,11 @@ def numerical_radius(A, tol: Tolerance = DEFAULT_TOL) -> NumRadResult:
     if A.shape[0] != A.shape[1]:
         raise ValueError("numerical radius needs a square matrix")
     if n == 0:
-        return NumRadResult(0.0, 0.0, np.zeros(0, dtype=complex), 0.0)
+        return NumRadResult(0.0, 0.0, 0.0)
     if n == 1:
         a = A[0, 0]
         w = float(abs(a))
-        return NumRadResult(w, float(-np.angle(a) % (2 * np.pi)), np.ones(1, dtype=complex), w)
+        return NumRadResult(w, float(-np.angle(a) % (2 * np.pi)), w)
 
     thetas = 2 * np.pi * np.arange(START_ANGLES) / START_ANGLES
     f = _top_eigs(A, thetas)
@@ -113,6 +107,4 @@ def numerical_radius(A, tol: Tolerance = DEFAULT_TOL) -> NumRadResult:
         theta, lower = mids[k], float(fm[k])
     else:
         upper = max(lower, opnorm(A))  # w(A) <= ||A|| always holds
-
-    _, V = np.linalg.eigh(_real_parts(A, theta)[0])
-    return NumRadResult(lower, float(theta), V[:, -1], float(upper))
+    return NumRadResult(lower, float(theta), float(upper))

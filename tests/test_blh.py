@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from symbidisc.blh import BlhSolution, NoSolution, blh_solve, invariance_check, make_problem
+from symbidisc.blh import (
+    BlhSolution,
+    NoSolution,
+    blh_solve,
+    invariance_check,
+    make_problem,
+    mirror_solve,
+)
 from symbidisc.errors import TruncationTooSmall
 from symbidisc.generate import random_inner_poly, random_symbol, random_unitary
 from symbidisc.hardy import SymbolPoly
-from symbidisc.linalg import adj, opnorm
+from symbidisc.linalg import DEFAULT_TOL, adj, opnorm
 
 
 def z_times_identity(e):
@@ -100,3 +107,85 @@ def test_wb_bounded_for_shift_type_theta():
         sol = blh_solve(make_problem(A, theta))
         assert isinstance(sol, BlhSolution)
         assert sol.wB <= 1 + 1e-6
+
+
+def _kronecker_reference(A, theta, rcond):
+    """The Kronecker-product builder the real-linear solver replaced.
+
+    Column-major vec(Theta_k B) = (I kron Theta_k) vec(B), and vec(B*) is
+    vec(conj B) with its entries permuted by the transpose, so the
+    equations become M1 v + M2 conj(v) = r, solved as a real system in
+    (Re v, Im v).  Returns (B, kernel_dim).
+    """
+    e, d = theta.dom_dim, theta.degree
+    zero = np.zeros_like(theta.coeffs[0])
+    pairs = [
+        (theta.coeffs[k] if k <= d else zero, theta.coeffs[k - 1] if k >= 1 else zero)
+        for k in range(d + 2)
+    ]
+    M1 = np.vstack([np.kron(np.eye(e), Tk) for Tk, _ in pairs])
+    M2 = np.vstack([np.kron(np.eye(e), Tk1) for _, Tk1 in pairs])
+    M2 = M2[:, np.arange(e * e).reshape(e, e).T.ravel()]
+    r = np.concatenate([(A @ Tk + adj(A) @ Tk1).reshape(-1, order="F") for Tk, Tk1 in pairs])
+    top = np.hstack([(M1 + M2).real, -(M1 - M2).imag])
+    bot = np.hstack([(M1 + M2).imag, (M1 - M2).real])
+    sol, _, rank, _ = np.linalg.lstsq(
+        np.vstack([top, bot]), np.concatenate([r.real, r.imag]), rcond=rcond
+    )
+    B = (sol[: e * e] + 1j * sol[e * e :]).reshape((e, e), order="F")
+    return B, 2 * e * e - int(rank)
+
+
+def _reference_instances():
+    rng = np.random.default_rng(11)
+    for i in range(28):
+        e = int(rng.integers(1, 4))
+        if i % 2:
+            theta = random_inner_poly(rng, e, int(rng.integers(1, 4)))
+        else:  # not inner: a random polynomial of norm about 1
+            theta = SymbolPoly(
+                [rng.standard_normal((e, e)) + 1j * rng.standard_normal((e, e))
+                 for _ in range(int(rng.integers(1, 4)))]
+            )
+        yield random_symbol(rng, e), theta
+    yield random_symbol(rng, 2), SymbolPoly([2 * np.eye(2)])
+    yield np.diag([0.5, 0.3]), SymbolPoly([np.diag([1.0, 0.0])])  # B_22 is free: kernel 2
+    diag_z_1 = SymbolPoly([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])  # the counterexample
+    yield np.array([[0.0, 2.0], [0.0, 0.0]]), diag_z_1
+
+
+def test_real_linear_solver_matches_kronecker_reference():
+    kernels = []
+    for A, theta in _reference_instances():
+        sol = blh_solve(make_problem(A, theta))
+        B = sol.B if isinstance(sol, BlhSolution) else sol.best_B
+        ref_B, ref_kernel = _kronecker_reference(A, theta, DEFAULT_TOL.rank_tol)
+        assert opnorm(B - ref_B) < 1e-12
+        if isinstance(sol, BlhSolution):
+            kernels.append(sol.kernel_dim)
+            assert sol.kernel_dim == ref_kernel
+    assert 2 in kernels
+
+
+def test_mirror_solve_round_trips_through_blh_solve():
+    # A = mirror(B0) is least squares; where blh_solve then finds a B,
+    # mirror(B) gives A back, and B = B0 when the equation in A is
+    # consistent, as it is for Theta = z^m W
+    rng = np.random.default_rng(12)
+    solved = 0
+    for i in range(16):
+        e = int(rng.integers(1, 4))
+        if i % 2:
+            theta = random_inner_poly(rng, e, int(rng.integers(1, 4)))
+        else:
+            m = int(rng.integers(0, 3))
+            theta = SymbolPoly([np.zeros((e, e))] * m + [random_unitary(rng, e)])
+        B0 = random_symbol(rng, e)
+        A = mirror_solve(B0, theta)
+        sol = blh_solve(make_problem(A, theta))
+        if i % 2 == 0:
+            assert opnorm(sol.B - B0) < 1e-12
+        if isinstance(sol, BlhSolution):
+            solved += 1
+            assert opnorm(mirror_solve(sol.B, theta) - A) < 1e-12
+    assert solved >= 10

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from symbidisc.classify import is_gamma_contraction
 from symbidisc.defect import (
     build_model_space,
     cnu_check,
-    default_truncation,
     defect_data,
     delta_eval,
     pi_nf_matrix,
@@ -43,6 +44,12 @@ def test_contraction_check():
 def test_cnu_check_rejects_unimodular_spectrum():
     with pytest.raises(NotCnu):
         cnu_check(defect_data(np.diag([1.0, 0.3])))
+
+
+@pytest.mark.parametrize("K", [0, 3])
+def test_theta_taylor_rejects_unimodular_spectrum(K):
+    with pytest.raises(NotCnu):
+        theta_taylor(defect_data(np.diag([1.0, 0.3])), K)
 
 
 def test_adjoint_record_equals_defect_data_of_adjoint():
@@ -112,9 +119,20 @@ def test_stacked_theta_eval_rejects_one_singular_resolvent():
 def test_truncation_controls():
     P = np.diag([0.5, 0.1])
     assert spectral_radius(P) == pytest.approx(0.5)
-    N = default_truncation(P)
-    assert N >= 32
+    N = 32
     assert truncation_tail(P, N) <= 0.5 ** (N + 1) + 1e-15
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.97, 0.123])
+def test_truncation_message_names_the_n_the_gate_needs(rho):
+    dd = defect_data(np.diag([rho, 0.1]))
+    with pytest.raises(TruncationTooSmall) as err:
+        build_model_space(dd, 2)
+    need = int(re.search(r"needs N >= (\d+)", str(err.value)).group(1))
+    assert rho ** (need + 1) <= 1e-8 < rho**need
+    build_model_space(dd, need)
+    with pytest.raises(TruncationTooSmall):
+        build_model_space(dd, need - 1)
 
 
 def test_model_space_dimension_equals_source():

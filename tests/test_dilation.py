@@ -12,7 +12,7 @@ from symbidisc.dilation import (
     schaffer_build,
 )
 from symbidisc.errors import ClassificationFailed, NotADilation, NotCommuting, NotUnitary
-from symbidisc.generate import random_commuting_unitaries, random_gamma_contraction
+from symbidisc.generate import random_commuting_unitaries, random_gamma_contraction, random_unitary
 from symbidisc.hardy import shift_op
 from symbidisc.linalg import adj, opnorm
 from symbidisc.pair import make_pair
@@ -127,3 +127,26 @@ def test_factorization_rejects_non_dilation():
     n = pair.dim
     with pytest.raises(NotADilation):
         factorization_check(pair, (np.zeros((n, n)), np.eye(n)), N)
+
+
+def test_nf_ay_model_of_wrong_dimension_gets_no_intertwiner():
+    # P nilpotent of order 40: at N = 32 the embedding reaches only 33 dimensions
+    J = np.diag(np.ones(39), -1)
+    m = nf_ay_build(make_pair(np.zeros((40, 40)), J), N)
+    assert m.model_space.dim == 33
+    assert m.intertwiner is None
+    assert m.residual_S == m.residual_P == np.inf
+
+
+def test_nf_ay_round_trip_with_non_nilpotent_p():
+    # s_j = b_j + conj(b_j) p_j with |b_j| <= 1 is a Gamma-contraction; rho(P) = 0.5
+    p = np.array([0.5, -0.3j, 0.2])
+    b = np.array([0.4, 0.7j, -0.9])
+    U = random_unitary(np.random.default_rng(9), 3)
+    for V in (np.eye(3), U):
+        pair = make_pair(V @ np.diag(b + b.conj() * p) @ adj(V), V @ np.diag(p) @ adj(V))
+        m = nf_ay_build(pair, N)
+        assert m.model_space.dim == 3
+        assert max(m.residual_S, m.residual_P) <= m.tolerance_bound
+        W = m.intertwiner
+        assert opnorm(adj(W) @ W - np.eye(3)) < 1e-12

@@ -68,3 +68,14 @@ def test_random_inner_poly_is_inner_on_circle():
     for t in np.linspace(0, 2 * np.pi, 17, endpoint=False):
         Th = theta.eval(np.exp(1j * t))
         assert np.allclose(adj(Th) @ Th, np.eye(3))
+
+
+def test_coinvariant_closure_takes_a_one_dimensional_seed():
+    # P* sends e_k to e_(k-1) and S is diagonal: the closure of e_3 is span(e_1, e_2, e_3)
+    rng = np.random.default_rng(6)
+    S, P = np.diag(np.arange(1.0, 6.0)), np.diag(np.ones(4), -1)
+    generic = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    for seed, dim in ((generic, 5), (np.eye(5)[2], 3)):
+        Q = coinvariant_closure(S, P, seed)
+        assert Q.shape == (5, dim)
+        assert np.array_equal(Q, coinvariant_closure(S, P, seed[:, None]))

@@ -117,15 +117,6 @@ def test_scalar():
     assert res.value == pytest.approx(0.5, abs=1e-12)
 
 
-def test_certificate_vector_attains_value():
-    rng = np.random.default_rng(4)
-    A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    res = numerical_radius(A)
-    v = res.certificate_vector
-    attained = abs(np.vdot(v, A @ v))
-    assert attained == pytest.approx(res.value, abs=1e-9)
-
-
 def test_rayleigh_lower_bound_never_exceeds_value():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
