@@ -199,9 +199,9 @@ def recover_pure_symbol(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL
 # von Neumann sampling
 # ---------------------------------------------------------------------------
 
-# Candidates are evaluated on the torus 16 at a time to bound memory: a
-# block's grid-stage values take 1 MiB at grid 64, while all 102 candidates
-# of a default call at once raised peak RSS by about 9 MiB.
+# The torus grid stage takes candidates 16 at a time to bound memory: a
+# block's grid x grid values take 1 MiB at grid 64 (all 102 candidates of a
+# default call at once raised peak RSS by about 9 MiB); patches take all.
 _VN_BLOCK = 16
 
 
@@ -224,22 +224,25 @@ def _torus_sup(E: np.ndarray, grid: int) -> np.ndarray:
     """Sup over the torus of |sum_ij E[i, j] z1^i z2^j|, one per array in the stack E.
 
     Four stages of the same separable product |Z1 E Z2^T|: the grid x grid
-    torus grid, then three 17 x 17 patches around each current maximum, of
-    half-width 2 pi / grid shrinking by 8 each time.
+    torus grid from one table of z^k, _VN_BLOCK arrays at a time, then for
+    all arrays at once three 17 x 17 patches around each current maximum
+    (the center among them), of half-width 2 pi / grid shrinking by 8 each
+    time; a patch table is the center's row times exp(i x k) at offsets x.
     """
     rows = np.arange(len(E))
     powers = np.arange(E.shape[-1])
-    t1 = t2 = np.broadcast_to(2 * np.pi * np.arange(grid) / grid, (len(E), grid))
-    sup = np.zeros(len(E))
-    h = 2 * np.pi / grid
-    for _ in range(4):
-        Z1, Z2 = (np.exp(1j * t[..., None] * powers) for t in (t1, t2))
+    Z = np.exp(1j * (2 * np.pi * np.arange(grid) / grid)[:, None] * powers)
+    grid_vals = (np.abs(Z @ E[b : b + _VN_BLOCK] @ Z.T) for b in range(0, len(E), _VN_BLOCK))
+    k = np.concatenate([v.reshape(len(v), -1).argmax(axis=1) for v in grid_vals])
+    Z1, Z2 = Z[k // grid], Z[k % grid]
+    sup, h = np.zeros(len(E)), 2 * np.pi / grid
+    for _ in range(3):
+        offsets = np.exp(1j * np.linspace(-h, h, 17)[:, None] * powers)
+        Z1, Z2 = Z1[:, None, :] * offsets, Z2[:, None, :] * offsets
         vals = np.abs(Z1 @ E @ Z2.swapaxes(1, 2)).reshape(len(E), -1)
         k = np.argmax(vals, axis=1)
         sup = np.maximum(sup, vals[rows, k])
-        i, j = np.divmod(k, t2.shape[1])
-        loc = np.linspace(-h, h, 17)
-        t1, t2 = t1[rows, i, None] + loc, t2[rows, j, None] + loc
+        Z1, Z2 = Z1[rows, k // 17], Z2[rows, k % 17]
         h /= 8
     return sup
 
@@ -258,9 +261,9 @@ def von_neumann_margin(
     random trials (coefficients uniform in the unit square for a + b <=
     degree), so canonical violations are found deterministically.  All
     candidates are evaluated on the pair at once, from one table of the
-    words S^a P^b, and on the torus as polynomials in (z1, z2), _VN_BLOCK
-    at a time.  A negative margin certifies the pair is not a
-    Gamma-contraction (up to grid slack).
+    words S^a P^b, and on the torus as polynomials in (z1, z2).  A
+    negative margin certifies the pair is not a Gamma-contraction (up to
+    grid slack).
     """
     _commutator_gate(pair, tol)
     S, P = pair.S, pair.P
@@ -280,8 +283,7 @@ def von_neumann_margin(
     norms = opnorm(np.tensordot(cands.reshape(trials + 2, -1), words, axes=1))
 
     E = (cands.reshape(trials + 2, -1) @ _torus_map(degree)).reshape(cands.shape)
-    sups = [_torus_sup(E[i : i + _VN_BLOCK], grid) for i in range(0, trials + 2, _VN_BLOCK)]
-    margins = np.concatenate(sups) - norms
+    margins = _torus_sup(E, grid) - norms
     k = int(np.argmin(margins))
     return float(margins[k]), cands[k]
 

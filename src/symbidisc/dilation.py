@@ -192,6 +192,11 @@ def factorization_check(
     stages of the other dilation.  Returns (Phi, isometry_residual,
     shift_intertwining_residual); the latter realizes the block-structure
     claim of the factorization at finite truncation.
+
+    One SVD of the stage matrix G, cut by pinv's rank rule (rank_tol times
+    the largest singular value), gives Phi = T pinv(G) and the range bases
+    of G and of G without its last stage; both residuals are invariant to
+    the choice of those orthonormal bases.
     """
     V, embed = other_dilation
     V, embed = as_matrix(V), as_matrix(embed)
@@ -214,12 +219,14 @@ def factorization_check(
     G = np.hstack(G_stages)
     T = np.hstack(T_stages)
 
-    Phi = T @ np.linalg.pinv(G, rcond=tol.rank_tol)
+    U, s, Vh = np.linalg.svd(G, full_matrices=False)
+    r = int(np.sum(s > tol.rank_tol * s[0]))
+    U, s, Vh = U[:, :r], s[:r], Vh[:r]
+    PhiQ = T @ adj(Vh) / s
+    Phi = PhiQ @ adj(U)
+    iso_res = opnorm(adj(PhiQ) @ PhiQ - np.eye(r))
 
-    Qg = range_basis(G, tol)
-    PhiQ = Phi @ Qg
-    iso_res = opnorm(adj(PhiQ) @ PhiQ - np.eye(Qg.shape[1]))
-
-    Qg1 = range_basis(np.hstack(G_stages[:-1]), tol)
+    # G without its last stage is U (s Vh)[:, :-n], so its basis needs a rank x d n SVD only
+    Qg1 = U @ range_basis((s[:, None] * Vh)[:, : G.shape[1] - n], tol)
     block_res = opnorm(V @ Phi @ Qg1 - Phi @ Mz @ Qg1)
     return Phi, float(iso_res), float(block_res)

@@ -306,7 +306,7 @@ def criterion_schaffer(cfg: RunConfig) -> CriterionResult:
 
 
 def _blh_instance(rng: np.random.Generator):
-    """One (A, theta) instance; mixes solvable and generic draws."""
+    """One (A, theta) instance: shift-type theta, least-squares A from mirror_solve, or random A."""
     e = int(rng.integers(1, 4))
     branch = int(rng.integers(0, 3))
     if branch == 0:
@@ -318,7 +318,7 @@ def _blh_instance(rng: np.random.Generator):
         return random_symbol(rng, e), theta
     theta = random_inner_poly(rng, e, int(rng.integers(1, 4)))
     if branch == 1:
-        # transported: mirror-solve A from a target B with w(B) <= 1
+        # least-squares A from a random B0 with w(B0) <= 1: solved by B0, by another B or by none
         B0 = random_symbol(rng, e)
         A = mirror_solve(B0, theta)
         return A, theta

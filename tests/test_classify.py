@@ -207,6 +207,51 @@ def test_von_neumann_margin_matches_point_by_point_reference():
         assert np.allclose(witness, ref_witness, rtol=0, atol=1e-12)
 
 
+def _torus_sup_per_block(E, grid):
+    """The torus sup with all four stages per block of 16 arrays, each table
+    from its own angles (reference)."""
+    sups = []
+    for start in range(0, len(E), 16):
+        Eb = E[start : start + 16]
+        rows, powers = np.arange(len(Eb)), np.arange(Eb.shape[-1])
+        t1 = t2 = np.broadcast_to(2 * np.pi * np.arange(grid) / grid, (len(Eb), grid))
+        sup, h = np.zeros(len(Eb)), 2 * np.pi / grid
+        for _ in range(4):
+            Z1, Z2 = (np.exp(1j * t[..., None] * powers) for t in (t1, t2))
+            vals = np.abs(Z1 @ Eb @ Z2.swapaxes(1, 2)).reshape(len(Eb), -1)
+            k = np.argmax(vals, axis=1)
+            sup = np.maximum(sup, vals[rows, k])
+            i, j = np.divmod(k, t2.shape[1])
+            loc = np.linspace(-h, h, 17)
+            t1, t2 = t1[rows, i, None] + loc, t2[rows, j, None] + loc
+            h /= 8
+        sups.append(sup)
+    return np.concatenate(sups)
+
+
+def test_torus_sup_matches_per_block_reference(monkeypatch):
+    # defaults: grid 64 and 102 candidates, which is not a multiple of 16
+    torus_sup = classify._torus_sup
+    rng = np.random.default_rng(21)
+    pairs = [random_gamma_contraction(rng) for _ in range(10)] + [make_pair([[2.2]], [[1.0]])]
+    for pair in pairs:
+        stacks = []
+
+        def recorded(E, grid):
+            stacks.append((E, grid))
+            return torus_sup(E, grid)
+
+        monkeypatch.setattr(classify, "_torus_sup", recorded)
+        margin, witness = von_neumann_margin(pair)
+        monkeypatch.setattr(classify, "_torus_sup", _torus_sup_per_block)
+        ref_margin, ref_witness = von_neumann_margin(pair)
+        [(E, grid)] = stacks
+        assert (len(E), grid) == (102, 64)
+        assert np.allclose(torus_sup(E, grid), _torus_sup_per_block(E, grid), rtol=0, atol=1e-12)
+        assert margin == pytest.approx(ref_margin, abs=1e-12)
+        assert np.array_equal(witness, ref_witness)
+
+
 def test_von_neumann_margin_is_invariant_under_unitary_conjugation():
     rng = np.random.default_rng(8)
     outside = make_pair(np.diag([2.2, 0.5, -0.3j]), np.diag([1.0, 0.1, 0.2]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from symbidisc import dilation
 from symbidisc.classify import fundamental_op, is_gamma_isometry
 from symbidisc.defect import defect_data, pi_nf_matrix
 from symbidisc.dilation import (
@@ -14,7 +15,7 @@ from symbidisc.dilation import (
 from symbidisc.errors import ClassificationFailed, NotADilation, NotCommuting, NotUnitary
 from symbidisc.generate import random_commuting_unitaries, random_gamma_contraction, random_unitary
 from symbidisc.hardy import shift_op
-from symbidisc.linalg import adj, opnorm
+from symbidisc.linalg import DEFAULT_TOL, adj, opnorm, range_basis
 from symbidisc.pair import make_pair
 
 N = 32
@@ -93,13 +94,24 @@ def test_gamma_unitary_synth_guards():
         gamma_unitary_synth(V, W)
 
 
+def _nf_dilation(pair):
+    """The minimal dilation (M_z, Pi) of the pair, at truncation N."""
+    dd = defect_data(pair.P)
+    return shift_op(dd.rank_dPstar, N), pi_nf_matrix(dd, N)
+
+
+def _padded_nf_dilation(pair):
+    """The minimal dilation plus an unused extra shift summand."""
+    Mz, Pi = _nf_dilation(pair)
+    extra = shift_op(1, N)
+    embed = np.vstack([Pi, np.zeros((extra.shape[0], Pi.shape[1]))])
+    return scipy.linalg.block_diag(Mz, extra), embed
+
+
 def test_factorization_against_nf_itself():
     rng = np.random.default_rng(5)
     pair = random_gamma_contraction(rng)
-    dd = defect_data(pair.P)
-    Pi = pi_nf_matrix(dd, N)
-    Mz = shift_op(dd.rank_dPstar, N)
-    Phi, iso_res, block_res = factorization_check(pair, (Mz, Pi), N)
+    Phi, iso_res, block_res = factorization_check(pair, _nf_dilation(pair), N)
     assert iso_res < 1e-10
     assert block_res < 1e-10
 
@@ -108,17 +120,99 @@ def test_factorization_against_padded_nf():
     # NF dilation plus an unused extra shift summand: still factors
     rng = np.random.default_rng(6)
     pair = random_gamma_contraction(rng)
-    dd = defect_data(pair.P)
-    Pi = pi_nf_matrix(dd, N)
-    Mz = shift_op(dd.rank_dPstar, N)
-    extra = shift_op(1, N)
-    V = scipy.linalg.block_diag(Mz, extra)
-    embed = np.vstack([Pi, np.zeros((extra.shape[0], Pi.shape[1]))])
+    V, embed = _padded_nf_dilation(pair)
     Phi, iso_res, block_res = factorization_check(pair, (V, embed), N)
     assert iso_res < 1e-8
     assert block_res < 1e-8
     # isometric into the larger space but not onto it
     assert Phi.shape[0] == V.shape[0]
+
+
+def _stage_matrices(pair, other_dilation, depth=8):
+    """G, T and G without its last stage, as factorization_check stacks them."""
+    V, embed = other_dilation
+    Mz, Pi = _nf_dilation(pair)
+    G_stages, T_stages = [Pi], [embed]
+    for _ in range(min(depth, N - 1)):
+        G_stages.append(Mz @ G_stages[-1])
+        T_stages.append(V @ T_stages[-1])
+    return np.hstack(G_stages), np.hstack(T_stages), np.hstack(G_stages[:-1])
+
+
+def _factorization_reference(pair, other_dilation):
+    """The factorization through pinv(G) and one range basis each of G and G1 (reference)."""
+    V = other_dilation[0]
+    Mz, _ = _nf_dilation(pair)
+    G, T, G1 = _stage_matrices(pair, other_dilation)
+    Phi = T @ np.linalg.pinv(G, rcond=DEFAULT_TOL.rank_tol)
+    Qg = range_basis(G)
+    PhiQ = Phi @ Qg
+    iso_res = opnorm(adj(PhiQ) @ PhiQ - np.eye(Qg.shape[1]))
+    Qg1 = range_basis(G1)
+    block_res = opnorm(V @ Phi @ Qg1 - Phi @ Mz @ Qg1)
+    return Phi, iso_res, block_res
+
+
+def _factorization_cases():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        pair = random_gamma_contraction(rng)
+        sp = schaffer_build(pair, N)
+        yield pair, (sp.V, sp.embed)
+    for build in (_nf_dilation, _padded_nf_dilation):
+        pair = random_gamma_contraction(rng)
+        yield pair, build(pair)
+
+
+def test_factorization_matches_pinv_reference():
+    for pair, other in _factorization_cases():
+        Phi, iso_res, block_res = factorization_check(pair, other, N)
+        ref_Phi, ref_iso, ref_block = _factorization_reference(pair, other)
+        assert iso_res == pytest.approx(ref_iso, abs=1e-13)
+        assert block_res == pytest.approx(ref_block, abs=1e-13)
+        assert opnorm(Phi - ref_Phi) < 1e-12
+
+
+def test_factorization_basis_of_g1_spans_the_range_of_g1(monkeypatch):
+    pair = random_gamma_contraction(np.random.default_rng(13))
+    sp = schaffer_build(pair, N)
+    G, _, G1 = _stage_matrices(pair, (sp.V, sp.embed))
+    r, r1 = range_basis(G).shape[1], range_basis(G1).shape[1]
+    assert r1 < r
+    bases = []
+
+    def recorded(M, tol):
+        bases.append(range_basis(M, tol))
+        return bases[-1]
+
+    monkeypatch.setattr(dilation, "range_basis", recorded)
+    factorization_check(pair, (sp.V, sp.embed), N)
+    # the one range basis taken is of the coefficients of G1 in the left factor of G's SVD
+    (Qr,) = bases
+    new = np.linalg.svd(G, full_matrices=False)[0][:, :r] @ Qr
+    ref = range_basis(G1)
+    assert opnorm(new @ adj(new) - ref @ adj(ref)) < 1e-12
+
+
+def test_factorization_takes_no_pinv_and_two_svds_with_vectors(monkeypatch):
+    pair = random_gamma_contraction(np.random.default_rng(14))
+    sp = schaffer_build(pair, N)
+    calls = {"pinv": 0, "svd": 0}
+    svd, pinv = np.linalg.svd, np.linalg.pinv
+
+    def counted_svd(a, *args, compute_uv=True, **kwargs):
+        calls["svd"] += compute_uv
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    def counted_pinv(*args, **kwargs):
+        calls["pinv"] += 1
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
+    factorization_check(pair, (sp.V, sp.embed), N)
+    # one SVD of the stage matrix G and one of the coefficients of G without its last stage
+    assert calls == {"pinv": 0, "svd": 2}
 
 
 def test_factorization_rejects_non_dilation():
