@@ -385,7 +385,9 @@ def find_unitary_intertwiner(
     Sylvester system is solved on the sum m_k^2 block-diagonal unknowns of
     the eigenvalue clusters, n for a simple spectrum.  Its null space is
     spanned by the eigenvectors with eigenvalues at most (null_tol*scale)^2,
-    and a unitary is extracted by polar decomposition of a random element.
+    and a unitary is extracted by polar decomposition of a random element,
+    the best of 8, or of one on a one-dimensional null space: its elements
+    c D_0 all have the polar factor (c/|c|) polar(D_0) and one certificate.
     Returns (U, residual) or (None, inf).  Raises ProblemTooLarge when the
     Gram operator would exceed GRAM_BUDGET_BYTES.
     """
@@ -402,14 +404,12 @@ def find_unitary_intertwiner(
     V1, V2, I, J, basis = space
     best_U, best_res = None, np.inf
     D = np.zeros((n, n), dtype=complex)
-    for _ in range(8):
+    for _ in range(1 if basis.shape[1] == 1 else 8):
         z = rng.standard_normal((2, basis.shape[1]))
         D[I, J] = basis @ (z[0] + 1j * z[1])
         W, _, Zh = np.linalg.svd(D)
         U = V2 @ W @ Zh @ adj(V1)
-        res = max(
-            opnorm(U @ T1 - T2 @ U) / norm1 for T1, T2, norm1 in zip(ops1, ops2, norms1)
-        )
+        res = max(opnorm(U @ T1 - T2 @ U) / m for T1, T2, m in zip(ops1, ops2, norms1))
         if res < best_res:
             best_U, best_res = U, res
     return best_U, float(best_res)

@@ -143,8 +143,7 @@ def _cmd_fundamental(args, cfg: RunConfig) -> int:
 
 
 def _cmd_numrad(args, cfg: RunConfig) -> int:
-    res = numerical_radius(load_matrix(args.A), cfg.tol)
-    _emit({"argmax_angle": res.argmax_angle, "upper": res.upper, "value": res.value})
+    _emit(dataclasses.asdict(numerical_radius(load_matrix(args.A), cfg.tol)))
     return 0
 
 
@@ -181,7 +180,7 @@ def _cmd_dilate(args, cfg: RunConfig) -> int:
         _emit(
             {
                 "N": N,
-                "delta_norm": m.model_space.delta_norm,
+                "cnu_margin": m.model_space.cnu_margin,
                 "files": [
                     f"{prefix}_S_model.json",
                     f"{prefix}_P_model.json",

@@ -112,7 +112,7 @@ class ModelSpace:
     basis: np.ndarray
     embedding: np.ndarray
     N: int
-    delta_norm: float
+    cnu_margin: float  # 1 - spectral radius, the margin that licenses dropping Delta
     trunc_error: float
 
     @property
@@ -220,21 +220,16 @@ def truncation_tail(P, N: int) -> float:
 def build_model_space(dd: DefectData, N: int, tol: Tolerance = DEFAULT_TOL) -> ModelSpace:
     """Orthonormal basis of the truncated model space of dd.P.
 
-    The boundary defect is sampled at DELTA_GRID angles in one stacked
-    evaluation and its largest norm recorded; it must vanish for matrix
-    inputs (class C_00), which is what licenses dropping the boundary
-    summand of the ambient space.  N must reach the smallest truncation
-    with spectral_radius^(N+1) <= MODEL_TAIL.
+    A matrix that passes `cnu_check` has spectral radius < 1, so it is of
+    class C_00: Theta is inner and the boundary defect vanishes (Sz.-Nagy
+    and Foias, ch. VI), which licenses dropping the boundary summand of
+    the ambient space without sampling it.  N must reach the smallest
+    truncation with spectral_radius^(N+1) <= MODEL_TAIL.
     """
     cnu_check(dd)
     rho = dd.spectral_radius
     need = int(np.ceil(np.log(MODEL_TAIL) / np.log(rho))) - 1 if rho > 0 else 0
     if N < need:
         raise TruncationTooSmall(f"spectral radius {rho:.4f} needs N >= {need} (got {N})")
-    delta_norm = 0.0
-    if dd.rank_dP:
-        ts = 2 * np.pi * np.arange(DELTA_GRID) / DELTA_GRID
-        delta = delta_eval(theta_taylor(dd, 0), ts, tol)
-        delta_norm = float(np.max(opnorm(delta)))
     Pi = pi_nf_matrix(dd, N)
-    return ModelSpace(range_basis(Pi, tol), Pi, N, delta_norm, truncation_tail(dd.P, N))
+    return ModelSpace(range_basis(Pi, tol), Pi, N, 1 - rho, truncation_tail(dd.P, N))

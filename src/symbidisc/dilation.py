@@ -13,6 +13,7 @@ scalar X = P_Q (I tensor A)|_Q realizes S = X + P X*.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -72,7 +73,10 @@ class NfAyModel:
 class CompressedScalar:
     X: np.ndarray
     source_A: np.ndarray
-    decompressed_wr: float
+
+    @cached_property
+    def decompressed_wr(self) -> float:  # w(source_A), computed on first read
+        return numerical_radius(self.source_A).value
 
 
 def _require_gamma(pair: OperatorPair, tol: Tolerance):
@@ -152,7 +156,9 @@ def nf_ay_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> NfA
 
 
 def compressed_scalar(model: NfAyModel) -> CompressedScalar:
-    """Compression of the constant symbol operator; satisfies S = X + P X*."""
+    """Compression of the constant symbol operator; satisfies S = X + P X*.
+
+    w(symbol_A) waits for the first read of `decompressed_wr`."""
     N = model.model_space.N
     big = np.kron(np.eye(N + 1), model.symbol_A)
     X = compress(big, model.model_space.basis)
@@ -161,8 +167,7 @@ def compressed_scalar(model: NfAyModel) -> CompressedScalar:
         raise ResidualTooLarge(
             f"S = X + P X* fails by {defect:.3e} (bound {model.tolerance_bound:.3e})"
         )
-    wr = numerical_radius(model.symbol_A).value
-    return CompressedScalar(X, model.symbol_A, float(wr))
+    return CompressedScalar(X, model.symbol_A)
 
 
 def gamma_unitary_synth(U1, U2, tol: Tolerance = DEFAULT_TOL) -> OperatorPair:

@@ -40,6 +40,7 @@ class NumRadResult:
     value: float
     argmax_angle: float
     upper: float
+    steps: int = 0  # level-set iterations; the closed forms for n <= 1 take none
 
 
 def _top_eigs(A: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -95,7 +96,7 @@ def numerical_radius(A, tol: Tolerance = DEFAULT_TOL) -> NumRadResult:
     # the Cayley pole at the smallest f keeps the Cholesky factor far from singular
     pole = thetas[np.argmin(f)]
     theta, lower = thetas[np.argmax(f)], float(np.max(f))
-    for _ in range(MAX_LEVEL_SETS):
+    for steps in range(1, MAX_LEVEL_SETS + 1):
         r = lower + tol.convergence_tol * max(1.0, lower)
         cuts = np.sort(np.append(_level_set_angles(A, r, pole), pole))
         mids = 0.5 * (cuts + np.append(cuts[1:], cuts[0] + 2 * np.pi)) % (2 * np.pi)
@@ -106,5 +107,5 @@ def numerical_radius(A, tol: Tolerance = DEFAULT_TOL) -> NumRadResult:
             break
         theta, lower = mids[k], float(fm[k])
     else:
-        upper = max(lower, opnorm(A))  # w(A) <= ||A|| always holds
-    return NumRadResult(lower, float(theta), float(upper))
+        steps, upper = MAX_LEVEL_SETS, max(lower, opnorm(A))  # w(A) <= ||A|| always holds
+    return NumRadResult(lower, float(theta), float(upper), steps)

@@ -526,6 +526,103 @@ def test_joint_unitary_equiv_rejects_strangers(seed):
     assert not joint_unitary_equiv([pair.S, pair.P], [other.S, other.P])
 
 
+def _pair_of_any_kind(rng, variant):
+    """A Gamma-contraction, a Gamma-unitary, or a contraction with S scaled by
+    1 to 3, which is a Gamma-contraction or not."""
+    if variant == "unitary":
+        return gamma_unitary_synth(*random_commuting_unitaries(rng, int(rng.integers(1, 6))))
+    pair = random_gamma_contraction(rng)
+    if variant == "scaled":
+        return make_pair((1 + 2 * rng.random()) * pair.S, pair.P)
+    return pair
+
+
+_VARIANTS = st.sampled_from(["contraction", "unitary", "scaled"])
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(_SEEDS, _VARIANTS)
+def test_kind_is_invariant_under_unitary_conjugation(seed, variant):
+    rng = np.random.default_rng(seed)
+    pair = _pair_of_any_kind(rng, variant)
+    S2, P2 = _haar(rng, [pair.S, pair.P])
+    assert is_gamma_contraction(make_pair(S2, P2)).kind == is_gamma_contraction(pair).kind
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(_SEEDS, _VARIANTS)
+def test_adjoint_pair_has_the_same_kind(seed, variant):
+    pair = _pair_of_any_kind(np.random.default_rng(seed), variant)
+    star = make_pair(adj(pair.S), adj(pair.P))
+    assert is_gamma_contraction(star).kind == is_gamma_contraction(pair).kind
+
+
+def _best_of_eight(ops1, ops2, seed=0):
+    """find_unitary_intertwiner with the best of 8 polar draws on every null space."""
+    n = ops1[0].shape[0]
+    norms1 = [max(1.0, opnorm(T)) for T in ops1]
+    scale = max(norms1 + [opnorm(T) for T in ops2])
+    rng = np.random.default_rng(seed)
+    space = classify._intertwiner_space(ops1, ops2, scale, DEFAULT_TOL, 1e-6, rng)
+    if space is None:
+        return None, np.inf, 0
+    V1, V2, I, J, basis = space
+    best_U, best_res = None, np.inf
+    D = np.zeros((n, n), dtype=complex)
+    for _ in range(8):
+        z = rng.standard_normal((2, basis.shape[1]))
+        D[I, J] = basis @ (z[0] + 1j * z[1])
+        W, _, Zh = np.linalg.svd(D)
+        U = V2 @ W @ Zh @ adj(V1)
+        res = max(opnorm(U @ T1 - T2 @ U) / nrm for T1, T2, nrm in zip(ops1, ops2, norms1))
+        if res < best_res:
+            best_U, best_res = U, res
+    return best_U, best_res, basis.shape[1]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(_SEEDS)
+def test_one_polar_draw_matches_the_best_of_eight(seed):
+    rng = np.random.default_rng(seed)
+    pair = random_gamma_contraction(rng)
+    other = random_gamma_contraction(rng)
+    while other.dim != pair.dim:
+        other = random_gamma_contraction(rng)
+    ops1 = [pair.S, pair.P]
+    accept = classify._accept_threshold(DEFAULT_TOL)
+    for ops2, equivalent in ((_haar(rng, ops1), True), ([other.S, other.P], False)):
+        ref_U, ref_res, dim = _best_of_eight(ops1, ops2)
+        U, res = find_unitary_intertwiner(ops1, ops2)
+        # a generated pair is irreducible, so its conjugate's intertwiners are c D_0
+        assert dim == (1 if equivalent else 0)
+        assert (U is None) == (ref_U is None)
+        assert (res <= accept) == (ref_res <= accept)
+        assert res == pytest.approx(ref_res, abs=1e-12)
+
+
+def test_polar_draws_follow_the_null_space_dimension(monkeypatch):
+    # an irreducible pair has a one-dimensional space and takes one draw;
+    # T + T, whose commutant widens every null space, keeps all 8
+    rng = np.random.default_rng(14)
+    pair = random_gamma_contraction(rng)
+    irreducible = [pair.S, pair.P]
+    wide = [block_diag(T, T) for T in _model_ops(rng, 1, 2)]
+    svd, calls = np.linalg.svd, {"polar": 0}
+
+    def counted_svd(a, *args, compute_uv=True, **kwargs):
+        calls["polar"] += compute_uv  # opnorm takes singular values only
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    for ops, dim, draws in ((irreducible, 1, 1), (wide, 4, 8)):
+        conj = _haar(rng, ops)
+        _, ref_res, ref_dim = _best_of_eight(ops, conj)
+        calls["polar"] = 0
+        _, res = find_unitary_intertwiner(ops, conj)
+        assert (ref_dim, calls["polar"]) == (dim, draws)
+        assert res == pytest.approx(ref_res, abs=1e-12) and res < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the fundamental operator from the eigenbasis of D_P
 # ---------------------------------------------------------------------------

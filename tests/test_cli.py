@@ -79,6 +79,7 @@ def test_numrad_command(capsys, tmp_path):
     assert obj["value"] == pytest.approx(1.0, abs=1e-9)
     assert obj["value"] <= obj["upper"]
     assert 1.0 <= obj["upper"] <= 1 + 1e-11
+    assert obj["steps"] >= 1
 
 
 def test_blh_solve_command_echoes_a_for_shift_theta(capsys, tmp_path):
@@ -139,6 +140,8 @@ def test_dilate_nf_ay(capsys, tmp_path):
     assert code == 0
     obj = json.loads(out)
     assert obj["residual_S"] <= 1e-6
+    assert obj["cnu_margin"] == 0.5
+    assert "delta_norm" not in obj
     S_model = matrix_from_json(json.loads((tmp_path / "m_S_model.json").read_text()))
     assert S_model[0, 0] == pytest.approx(1.2, abs=1e-6)
 

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symbidisc import defect
 from symbidisc.classify import is_gamma_contraction
 from symbidisc.defect import (
+    DELTA_GRID,
     build_model_space,
     cnu_check,
     defect_data,
@@ -139,10 +141,31 @@ def test_model_space_dimension_equals_source():
     rng = np.random.default_rng(7)
     for n in (1, 2, 3):
         P = random_strict_contraction(rng, n, 0.8, rho_max=0.5)
-        ms = build_model_space(defect_data(P), 32)
+        dd = defect_data(P)
+        ms = build_model_space(dd, 32)
         assert ms.dim == n
-        assert ms.delta_norm <= 1e-7
+        assert ms.cnu_margin == 1 - dd.spectral_radius
         assert ms.trunc_error <= 1e-6
+        # the boundary defect that the model space leaves out vanishes (C_00)
+        ts = 2 * np.pi * np.arange(DELTA_GRID) / DELTA_GRID
+        assert np.max(opnorm(delta_eval(theta_taylor(dd, 0), ts))) <= 1e-7
+
+
+def test_model_space_samples_no_boundary_defect(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("delta_eval", "theta_eval"):
+        monkeypatch.setattr(defect, name, counted(name, getattr(defect, name)))
+    P = random_strict_contraction(np.random.default_rng(7), 3, 0.8, rho_max=0.5)
+    assert build_model_space(defect_data(P), 32).dim == 3
+    assert calls == []
 
 
 def test_model_space_rejects_insufficient_truncation():

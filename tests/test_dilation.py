@@ -16,6 +16,7 @@ from symbidisc.errors import ClassificationFailed, NotADilation, NotCommuting, N
 from symbidisc.generate import random_commuting_unitaries, random_gamma_contraction, random_unitary
 from symbidisc.hardy import shift_op
 from symbidisc.linalg import DEFAULT_TOL, adj, opnorm, range_basis
+from symbidisc.numrad import numerical_radius
 from symbidisc.pair import make_pair
 
 N = 32
@@ -56,6 +57,21 @@ def test_nf_ay_scalar_values():
     cs = compressed_scalar(m)
     assert cs.X[0, 0] == pytest.approx(0.8, abs=1e-8)
     assert cs.decompressed_wr == pytest.approx(0.8, abs=1e-8)
+
+
+def test_compressed_scalar_leaves_the_numerical_radius_to_its_first_read(monkeypatch):
+    calls = []
+
+    def counted(A, *args):
+        calls.append(A)
+        return numerical_radius(A, *args)
+
+    m = nf_ay_build(random_gamma_contraction(np.random.default_rng(3)), N)
+    monkeypatch.setattr(dilation, "numerical_radius", counted)
+    cs = compressed_scalar(m)
+    assert calls == []
+    assert cs.decompressed_wr == cs.decompressed_wr == numerical_radius(m.symbol_A).value
+    assert len(calls) == 1
 
 
 def test_nf_ay_round_trip_residuals():

@@ -78,6 +78,7 @@ def test_two_sided_bounds(name):
     rounding = 8 * EPS * max(1.0, opnorm(A))
     assert res.value <= res.upper
     assert res.upper - res.value <= DEFAULT_TOL.convergence_tol * max(1.0, w) + rounding
+    assert 1 <= res.steps <= numrad.MAX_LEVEL_SETS
     assert res.upper >= _dense_max(A)
     if known is not None:
         assert res.value - rounding <= known <= res.upper
@@ -90,6 +91,7 @@ def test_level_set_cap_falls_back_to_the_norm(monkeypatch):
     res = numerical_radius(A)
     assert res.value == pytest.approx(1.0, abs=1e-12)
     assert res.upper == pytest.approx(2.0, abs=1e-12)
+    assert res.steps == 0
 
 
 def test_jordan_block_oracle():
@@ -115,6 +117,8 @@ def test_hermitian_matrix():
 def test_scalar():
     res = numerical_radius([[-0.3 + 0.4j]])
     assert res.value == pytest.approx(0.5, abs=1e-12)
+    assert res.steps == 0  # the closed forms take no level-set step
+    assert numerical_radius(np.zeros((0, 0))).steps == 0
 
 
 def test_rayleigh_lower_bound_never_exceeds_value():
