@@ -220,6 +220,11 @@ def _torus_map(degree: int) -> np.ndarray:
     return T
 
 
+def _grid_table(grid: int, size: int, step: int = 1) -> np.ndarray:
+    """Rows z^k (k < size) at every step-th torus grid angle 2 pi j / grid."""
+    return np.exp(1j * (2 * np.pi * np.arange(0, grid, step) / grid)[:, None] * np.arange(size))
+
+
 def _torus_sup(E: np.ndarray, grid: int) -> np.ndarray:
     """Sup over the torus of |sum_ij E[i, j] z1^i z2^j|, one per array in the stack E.
 
@@ -231,7 +236,7 @@ def _torus_sup(E: np.ndarray, grid: int) -> np.ndarray:
     """
     rows = np.arange(len(E))
     powers = np.arange(E.shape[-1])
-    Z = np.exp(1j * (2 * np.pi * np.arange(grid) / grid)[:, None] * powers)
+    Z = _grid_table(grid, E.shape[-1])
     grid_vals = (np.abs(Z @ E[b : b + _VN_BLOCK] @ Z.T) for b in range(0, len(E), _VN_BLOCK))
     k = np.concatenate([v.reshape(len(v), -1).argmax(axis=1) for v in grid_vals])
     Z1, Z2 = Z[k // grid], Z[k % grid]
@@ -264,6 +269,15 @@ def von_neumann_margin(
     words S^a P^b, and on the torus as polynomials in (z1, z2).  A
     negative margin certifies the pair is not a Gamma-contraction (up to
     grid slack).
+
+    Only candidates that can attain the minimum get _torus_sup and an exact
+    norm, and the result is that of refining all.  A margin is at least its
+    floor, the max of |p| on every (grid // 8)-th grid angle minus the
+    Schatten 4-norm of p(S, P); the candidate of lowest floor caps the
+    minimum by its grid max times sec^2(degree pi / grid) (Szego's
+    inequality once per axis) minus its norm.  Floors above that ceiling,
+    with relative slack 1e-12, are dropped; without a ceiling
+    (cos(degree pi / grid) <= 0) none is.
     """
     _commutator_gate(pair, tol)
     S, P = pair.S, pair.P
@@ -280,10 +294,23 @@ def von_neumann_margin(
         spow.append(spow[-1] @ S)
         ppow.append(ppow[-1] @ P)
     words = np.stack([Sa @ Pb for Sa in spow for Pb in ppow])
-    norms = opnorm(np.tensordot(cands.reshape(trials + 2, -1), words, axes=1))
-
+    ops = np.tensordot(cands.reshape(trials + 2, -1), words, axes=1)
     E = (cands.reshape(trials + 2, -1) @ _torus_map(degree)).reshape(cands.shape)
-    margins = _torus_sup(E, grid) - norms
+
+    Zc = _grid_table(grid, degree + 1, max(1, grid // 8))
+    coarse = np.abs(E.reshape(len(E), -1) @ np.kron(Zc, Zc).T).max(axis=1)
+    # ||M||_2 <= ||M*M||_F^(1/2), the Schatten 4-norm, summed on the real view: no complex copy
+    gram = adj(ops) @ ops
+    s4 = np.einsum("kij,kij->k", gram.view(float), gram.view(float)) ** 0.25
+    floors = coarse - s4
+    c, cos = int(np.argmin(floors)), math.cos(degree * math.pi / grid)
+    ceiling = np.inf
+    if cos > 0:
+        Z = _grid_table(grid, degree + 1)
+        ceiling = np.abs(Z @ E[c] @ Z.T).max() / cos**2 - opnorm(ops[c])
+    live = floors <= ceiling + 1e-12 * (abs(ceiling) + coarse + s4)
+    margins = np.full(len(E), np.inf)
+    margins[live] = _torus_sup(E[live], grid) - opnorm(ops[live])
     k = int(np.argmin(margins))
     return float(margins[k]), cands[k]
 

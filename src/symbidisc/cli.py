@@ -115,6 +115,7 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
     rep = is_gamma_contraction(_load_pair(args, cfg), cfg.tol, cfg.wr_slack)
     out = {
         "checks": [[name, ok, res] for name, ok, res in rep.checks],
+        "flushed_max": rep.flushed_max,
         "fundamental_residual": rep.fundamental_residual,
         "kind": rep.kind,
         "wA": rep.wA,

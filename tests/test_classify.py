@@ -229,27 +229,106 @@ def _torus_sup_per_block(E, grid):
     return np.concatenate(sups)
 
 
+def _exhaustive_margin(pair, degree=3, trials=100, grid=64, seed=0):
+    """The margin with every candidate refined by _torus_sup and given its exact
+    norm, as before pruning (reference).  Returns (margin, witness, E)."""
+    a, b = np.nonzero(np.add.outer(np.arange(degree + 1), np.arange(degree + 1)) <= degree)
+    draws = np.random.default_rng(seed).uniform(-1, 1, size=(trials, a.size, 2))
+    cands = np.zeros((trials + 2, degree + 1, degree + 1), dtype=complex)
+    cands[0, 1, 0] = cands[1, 0, 1] = 1.0
+    cands[2:, a, b] = draws[..., 0] + 1j * draws[..., 1]
+    spow, ppow = [np.eye(pair.dim, dtype=complex)], [np.eye(pair.dim, dtype=complex)]
+    for _ in range(degree):
+        spow.append(spow[-1] @ pair.S)
+        ppow.append(ppow[-1] @ pair.P)
+    words = np.stack([Sa @ Pb for Sa in spow for Pb in ppow])
+    norms = opnorm(np.tensordot(cands.reshape(trials + 2, -1), words, axes=1))
+    E = (cands.reshape(trials + 2, -1) @ classify._torus_map(degree)).reshape(cands.shape)
+    margins = classify._torus_sup(E, grid) - norms
+    k = int(np.argmin(margins))
+    return float(margins[k]), cands[k], E
+
+
+def _recorded_stacks(monkeypatch):
+    """Sizes of the stacks that von_neumann_margin hands to _torus_sup."""
+    sizes, torus_sup = [], classify._torus_sup
+
+    def recorded(E, grid):
+        sizes.append(len(E))
+        return torus_sup(E, grid)
+
+    monkeypatch.setattr(classify, "_torus_sup", recorded)
+    return sizes
+
+
 def test_torus_sup_matches_per_block_reference(monkeypatch):
     # defaults: grid 64 and 102 candidates, which is not a multiple of 16
-    torus_sup = classify._torus_sup
     rng = np.random.default_rng(21)
     pairs = [random_gamma_contraction(rng) for _ in range(10)] + [make_pair([[2.2]], [[1.0]])]
     for pair in pairs:
-        stacks = []
-
-        def recorded(E, grid):
-            stacks.append((E, grid))
-            return torus_sup(E, grid)
-
-        monkeypatch.setattr(classify, "_torus_sup", recorded)
+        ref_margin, ref_witness, E = _exhaustive_margin(pair)
+        assert len(E) == 102
+        assert np.allclose(
+            classify._torus_sup(E, 64), _torus_sup_per_block(E, 64), rtol=0, atol=1e-12
+        )
+        sizes = _recorded_stacks(monkeypatch)
         margin, witness = von_neumann_margin(pair)
-        monkeypatch.setattr(classify, "_torus_sup", _torus_sup_per_block)
-        ref_margin, ref_witness = von_neumann_margin(pair)
-        [(E, grid)] = stacks
-        assert (len(E), grid) == (102, 64)
-        assert np.allclose(torus_sup(E, grid), _torus_sup_per_block(E, grid), rtol=0, atol=1e-12)
+        monkeypatch.undo()
+        # pruning refines a few candidates, and the answer is that of refining all
+        assert len(sizes) == 1 and sizes[0] < 102
         assert margin == pytest.approx(ref_margin, abs=1e-12)
         assert np.array_equal(witness, ref_witness)
+
+
+@pytest.mark.parametrize("degree, grid", [(3, 6), (5, 8)])
+def test_von_neumann_margin_without_a_ceiling_refines_every_candidate(monkeypatch, degree, grid):
+    # cos(degree pi / grid) is 0 at (3, 6), 6e-17 in floating point so that the
+    # ceiling is of order 1e32, and negative at (5, 8): no candidate can be dropped
+    rng = np.random.default_rng(9)
+    for pair in (random_gamma_contraction(rng), make_pair([[2.2]], [[1.0]])):
+        sizes = _recorded_stacks(monkeypatch)
+        margin, witness = von_neumann_margin(pair, degree=degree, trials=6, grid=grid, seed=5)
+        monkeypatch.undo()
+        assert sizes == [8]
+        ref_margin, ref_witness = _margin_point_by_point(pair, degree, 6, grid, 5)
+        assert margin == pytest.approx(ref_margin, abs=1e-12)
+        assert np.allclose(witness, ref_witness, rtol=0, atol=1e-12)
+
+
+def _torus_grid_unitary(k):
+    """The diagonal Gamma-unitary whose joint eigenvalues are the images of a
+    k x k grid on the torus."""
+    t = 2 * np.pi * np.arange(k) / k
+    z1, z2 = (z.ravel() for z in np.meshgrid(np.exp(1j * t), np.exp(1j * (t + 0.1))))
+    return make_pair(np.diag(z1 + z2), np.diag(z1 * z2))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_von_neumann_margin_with_near_tied_candidates(monkeypatch, seed):
+    # at the boundary point (2, 1) the monomials s and p tie at margin 0 up to
+    # rounding; the torus-grid Gamma-unitary puts dozens of margins within 0.2
+    # of the minimum, so that most candidates stay live
+    for pair, least_live in ((make_pair([[2.0]], [[1.0]]), 2), (_torus_grid_unitary(4), 50)):
+        sizes = _recorded_stacks(monkeypatch)
+        margin, witness = von_neumann_margin(pair, seed=seed)
+        monkeypatch.undo()
+        assert sizes[0] >= least_live
+        ref_margin, ref_witness, _ = _exhaustive_margin(pair, seed=seed)
+        assert margin == pytest.approx(ref_margin, abs=1e-12)
+        assert np.array_equal(witness, ref_witness)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([8, 16, 64]))
+def test_torus_sup_is_within_sec_squared_of_the_grid_max(seed, grid):
+    # Szego's inequality once per axis: a polynomial of degree <= 3 in each of
+    # z1 and z2 has sup over the torus <= grid max * sec^2(3 pi / grid)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((8, 4, 4)) + 1j * rng.standard_normal((8, 4, 4))
+    E = X + X.swapaxes(1, 2)
+    Z = classify._grid_table(grid, 4)
+    grid_max = np.abs(Z @ E @ Z.T).max(axis=(1, 2))
+    assert np.all(classify._torus_sup(E, 512) <= grid_max / np.cos(3 * np.pi / grid) ** 2)
 
 
 def test_von_neumann_margin_is_invariant_under_unitary_conjugation():

@@ -59,6 +59,16 @@ def test_classify_command(capsys, tmp_path):
     assert obj["wA"] <= obj["wA_upper"]
     assert 1.0 <= obj["wA_upper"] <= 1 + 1e-8
     assert obj["wA"] == pytest.approx(1.0, abs=1e-8)
+    assert obj["flushed_max"] == 0.0
+
+
+def test_classify_reports_flushed_max(capsys, tmp_path):
+    # the near-isometric direction of P is cut from the defect space
+    s_path = write_matrix(tmp_path / "S.json", np.diag([1.9 + 1e-9j, 0.3]))
+    p_path = write_matrix(tmp_path / "P.json", np.diag([1 - 1e-12, 0.5]))
+    code, out, _ = run(capsys, ["classify", "--S", s_path, "--P", p_path])
+    assert code == 0
+    assert 0 < json.loads(out)["flushed_max"] < 1e-10
 
 
 def test_fundamental_command(capsys, tmp_path):
