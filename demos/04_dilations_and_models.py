@@ -40,6 +40,6 @@ defect = opnorm(m.S_model - (cs.X + m.P_model @ adj(cs.X)))
 print(f"  compressed scalar: || S - (X + P X*) || = {defect:.1e}, "
       f"decompressed w = {cs.decompressed_wr:.4f}")
 
-_, iso_res, block_res = factorization_check(pair, (sp.V, sp.embed), N)
+_, iso_res, wd_res = factorization_check(pair, (sp.V, sp.embed), N)
 print(f"\nFactorization of the Schaffer dilation through the minimal one:")
-print(f"  isometry residual {iso_res:.1e}, shift-intertwining residual {block_res:.1e}")
+print(f"  isometry residual {iso_res:.1e}, well-definedness residual {wd_res:.1e}")

@@ -55,8 +55,8 @@ class DefectData:
     """A contraction P with its defect operators and their range bases.
 
     Built once per P by `defect_data` and handed on to every routine that
-    needs the defect spaces.  D_P Q_dP = Q_dP diag(root_dP); flushed_max
-    is the largest |eigenvalue| of I - P*P that the rank cut set to zero.
+    needs the defect spaces.  D Q = Q diag(root) on the D_P and D_P* sides;
+    flushed_max is the largest |eigenvalue| of I - P*P that the rank cut zeroed.
     The D_P* side is built from its own eigh the first time it is read.
     """
 
@@ -70,6 +70,7 @@ class DefectData:
     rank_dP = property(lambda self: self.Q_dP.shape[1])
     D_Pstar = property(lambda self: self._star[0])
     Q_dPstar = property(lambda self: self._star[1])
+    root_dPstar = property(lambda self: self._star[2])
     rank_dPstar = rank_dP  # the D_P* side is cut to the same rank
 
     @cached_property

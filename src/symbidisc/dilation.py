@@ -32,9 +32,10 @@ from .errors import (
     NotCommuting,
     NotUnitary,
     ResidualTooLarge,
+    TruncationTooSmall,
 )
 from .hardy import build_mult_op, compress, shift_op, symbol_a_plus_astar_z
-from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm, range_basis
+from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm
 from .numrad import numerical_radius
 from .pair import OperatorPair, make_pair
 
@@ -190,48 +191,48 @@ def factorization_check(
     tol: Tolerance = DEFAULT_TOL,
     depth: int = 8,
 ):
-    """Factor another isometric dilation through the minimal one.
+    """Factor another isometric dilation (V, E) through the minimal one.
 
-    The factor map is pinned down on the reachable span by sending the
-    shifted embedding stages of the minimal dilation to the corresponding
-    stages of the other dilation.  Returns (Phi, isometry_residual,
-    shift_intertwining_residual); the latter realizes the block-structure
-    claim of the factorization at finite truncation.
+    The factor map Phi sends the stages M_z^j Pi of the minimal dilation to
+    the stages V^j E, j <= d = min(depth, N - 1).  As Pi h = D_P* h +
+    M_z Pi P* h, their span is the Wold sum of the wandering degrees 0..d-1
+    and z^d ran Pi_{<=N-d} (Sz.-Nagy and Foias, ch. I).  On that orthonormal
+    basis B, degree-j coordinates go to V^j w, w = (E - V E P*) Q / root on
+    the D_P* basis Q, and z^d U goes to V^d E Vh*/s from one thin SVD
+    U s Vh of Pi_{<=N-d}, cut by pinv's rule (rank_tol times the largest s).
 
-    One SVD of the stage matrix G, cut by pinv's rank rule (rank_tol times
-    the largest singular value), gives Phi = T pinv(G) and the range bases
-    of G and of G without its last stage; both residuals are invariant to
-    the choice of those orthonormal bases.
+    Returns (Phi, isometry residual, well-definedness residual): Phi is
+    (Phi B) B*, and ||(Phi B)*(Phi B) - I|| does not depend on the basis.
+    The stage matrix has null space (h at stage j, -P* h at stage j + 1)
+    for h in ker D_P*, and ker Pi_{<=N-d} at stage d.  So for d >= 1 the
+    stages define Phi exactly when (E - V E P*)(I - Q Q*) and V^d E
+    (I - Vh* Vh) vanish; the last residual is the norm of the two side by
+    side.  V Phi = Phi M_z holds on the stages by construction.
     """
-    V, embed = other_dilation
-    V, embed = as_matrix(V), as_matrix(embed)
-    P = pair.P
-    n = P.shape[0]
+    V, embed = map(as_matrix, other_dilation)
+    P, n = pair.P, pair.dim
 
     d_res = opnorm(adj(V) @ embed - embed @ adj(P))
     if d_res > max(tol.residual_tol, 100 * tol.convergence_tol) * 100:
         raise NotADilation(f"adjoint intertwining fails by {d_res:.3e}")
 
+    if N < 1:
+        raise TruncationTooSmall(f"need N >= 1, got {N}")
     dd = defect_data(P, tol)
-    Pi = pi_nf_matrix(dd, N)
-    Mz = shift_op(dd.rank_dPstar, N)
-
     depth = min(depth, N - 1)
-    G_stages, T_stages = [Pi], [embed]
+    U, s, Vh = np.linalg.svd(pi_nf_matrix(dd, N - depth), full_matrices=False)
+    keep = s > tol.rank_tol * s[0]
+    U, s, Vh = U[:, keep], s[keep], Vh[keep]
+
+    wander = embed - V @ embed @ adj(P)  # |(E - V E P*) h| = |D_P* h| if V is isometric
+    WQ = wander @ dd.Q_dPstar
+
+    Y, stages = np.hstack([embed, WQ / dd.root_dPstar]), []  # [V^j E | V^j w]
     for _ in range(depth):
-        G_stages.append(Mz @ G_stages[-1])
-        T_stages.append(V @ T_stages[-1])
-    G = np.hstack(G_stages)
-    T = np.hstack(T_stages)
-
-    U, s, Vh = np.linalg.svd(G, full_matrices=False)
-    r = int(np.sum(s > tol.rank_tol * s[0]))
-    U, s, Vh = U[:, :r], s[:r], Vh[:r]
-    PhiQ = T @ adj(Vh) / s
-    Phi = PhiQ @ adj(U)
-    iso_res = opnorm(adj(PhiQ) @ PhiQ - np.eye(r))
-
-    # G without its last stage is U (s Vh)[:, :-n], so its basis needs a rank x d n SVD only
-    Qg1 = U @ range_basis((s[:, None] * Vh)[:, : G.shape[1] - n], tol)
-    block_res = opnorm(V @ Phi @ Qg1 - Phi @ Mz @ Qg1)
-    return Phi, float(iso_res), float(block_res)
+        stages.append(Y[:, n:])
+        Y = V @ Y
+    tail = Y[:, :n] @ adj(Vh) / s  # the image of z^d U
+    PhiB = np.hstack([*stages, tail])
+    iso_res = opnorm(adj(PhiB) @ PhiB - np.eye(PhiB.shape[1]))
+    wd_res = opnorm(np.hstack([wander - WQ @ adj(dd.Q_dPstar), Y[:, :n] - (tail * s) @ Vh]))
+    return np.hstack([*stages, tail @ adj(U)]), float(iso_res), float(wd_res)

@@ -400,17 +400,15 @@ def criterion_complete_invariant(cfg: RunConfig) -> CriterionResult:
 def criterion_factorization(cfg: RunConfig) -> CriterionResult:
     """Schaffer dilation factors through the minimal one isometrically."""
     rng = _rng(cfg, 12)
-    worst_iso = worst_block = 0.0
+    worst_iso = worst_wd = 0.0
     for _ in range(20):
         pair = random_gamma_contraction(rng, tol=cfg.tol)
         sp = schaffer_build(pair, cfg.N, cfg.tol)
-        _, iso_res, block_res = factorization_check(
-            pair, (sp.V, sp.embed), cfg.N, cfg.tol
-        )
+        _, iso_res, wd_res = factorization_check(pair, (sp.V, sp.embed), cfg.N, cfg.tol)
         worst_iso = max(worst_iso, iso_res)
-        worst_block = max(worst_block, block_res)
-    ok = worst_iso <= 1e-8 and worst_block <= 1e-8
-    detail = f"max isometry residual {worst_iso:.3e}, max block residual {worst_block:.3e}"
+        worst_wd = max(worst_wd, wd_res)
+    ok = worst_iso <= 1e-8 and worst_wd <= 1e-8
+    detail = f"max isometry residual {worst_iso:.3e}, max well-definedness residual {worst_wd:.3e}"
     return CriterionResult(12, "dilation factorization", ok, detail)
 
 

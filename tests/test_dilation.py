@@ -12,7 +12,13 @@ from symbidisc.dilation import (
     nf_ay_build,
     schaffer_build,
 )
-from symbidisc.errors import ClassificationFailed, NotADilation, NotCommuting, NotUnitary
+from symbidisc.errors import (
+    ClassificationFailed,
+    NotADilation,
+    NotCommuting,
+    NotUnitary,
+    TruncationTooSmall,
+)
 from symbidisc.generate import random_commuting_unitaries, random_gamma_contraction, random_unitary
 from symbidisc.hardy import shift_op
 from symbidisc.linalg import DEFAULT_TOL, adj, opnorm, range_basis
@@ -110,7 +116,7 @@ def test_gamma_unitary_synth_guards():
         gamma_unitary_synth(V, W)
 
 
-def _nf_dilation(pair):
+def _nf_dilation(pair, N=N):
     """The minimal dilation (M_z, Pi) of the pair, at truncation N."""
     dd = defect_data(pair.P)
     return shift_op(dd.rank_dPstar, N), pi_nf_matrix(dd, N)
@@ -144,22 +150,23 @@ def test_factorization_against_padded_nf():
     assert Phi.shape[0] == V.shape[0]
 
 
-def _stage_matrices(pair, other_dilation, depth=8):
-    """G, T and G without its last stage, as factorization_check stacks them."""
+def _stage_matrices(pair, other_dilation, depth=8, N=N):
+    """G, T and G without its last stage, the stages the factor map pins down."""
     V, embed = other_dilation
-    Mz, Pi = _nf_dilation(pair)
+    Mz, Pi = _nf_dilation(pair, N)
     G_stages, T_stages = [Pi], [embed]
     for _ in range(min(depth, N - 1)):
         G_stages.append(Mz @ G_stages[-1])
         T_stages.append(V @ T_stages[-1])
-    return np.hstack(G_stages), np.hstack(T_stages), np.hstack(G_stages[:-1])
+    G1 = np.hstack(G_stages[:-1]) if len(G_stages) > 1 else Pi[:, :0]
+    return np.hstack(G_stages), np.hstack(T_stages), G1
 
 
-def _factorization_reference(pair, other_dilation):
+def _factorization_reference(pair, other_dilation, N=N):
     """The factorization through pinv(G) and one range basis each of G and G1 (reference)."""
     V = other_dilation[0]
-    Mz, _ = _nf_dilation(pair)
-    G, T, G1 = _stage_matrices(pair, other_dilation)
+    Mz, _ = _nf_dilation(pair, N)
+    G, T, G1 = _stage_matrices(pair, other_dilation, N=N)
     Phi = T @ np.linalg.pinv(G, rcond=DEFAULT_TOL.rank_tol)
     Qg = range_basis(G)
     PhiQ = Phi @ Qg
@@ -189,46 +196,133 @@ def test_factorization_matches_pinv_reference():
         assert opnorm(Phi - ref_Phi) < 1e-12
 
 
-def test_factorization_basis_of_g1_spans_the_range_of_g1(monkeypatch):
+def _recording_svd(monkeypatch):
+    """Record the input and factors of every np.linalg.svd call that returns vectors."""
+    calls, svd = [], np.linalg.svd
+
+    def recorded(a, *args, compute_uv=True, **kwargs):
+        out = svd(a, *args, compute_uv=compute_uv, **kwargs)
+        if compute_uv:
+            calls.append((a, out))
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return calls
+
+
+def test_factorization_basis_spans_the_range_of_g(monkeypatch):
     pair = random_gamma_contraction(np.random.default_rng(13))
+    dd = defect_data(pair.P)
+    rs, n, d = dd.rank_dPstar, pair.dim, 8
+    assert rs < n  # ker D_P* is not 0, so G has a null space
     sp = schaffer_build(pair, N)
-    G, _, G1 = _stage_matrices(pair, (sp.V, sp.embed))
-    r, r1 = range_basis(G).shape[1], range_basis(G1).shape[1]
-    assert r1 < r
-    bases = []
-
-    def recorded(M, tol):
-        bases.append(range_basis(M, tol))
-        return bases[-1]
-
-    monkeypatch.setattr(dilation, "range_basis", recorded)
-    factorization_check(pair, (sp.V, sp.embed), N)
-    # the one range basis taken is of the coefficients of G1 in the left factor of G's SVD
-    (Qr,) = bases
-    new = np.linalg.svd(G, full_matrices=False)[0][:, :r] @ Qr
-    ref = range_basis(G1)
-    assert opnorm(new @ adj(new) - ref @ adj(ref)) < 1e-12
+    G, _, _ = _stage_matrices(pair, (sp.V, sp.embed))
+    calls = _recording_svd(monkeypatch)
+    Phi, _, _ = factorization_check(pair, (sp.V, sp.embed), N)
+    # B: every coordinate of degrees 0..d-1, and z^d times the kept left factor of Pi_{<=N-d}
+    ((_, (U, s, _)),) = calls
+    U = U[:, s > DEFAULT_TOL.rank_tol * s[0]]
+    B = scipy.linalg.block_diag(np.eye(d * rs), U)
+    ref = range_basis(G)
+    assert B.shape[1] == ref.shape[1] == d * rs + np.linalg.matrix_rank(pi_nf_matrix(dd, N - d))
+    assert opnorm(B @ adj(B) - ref @ adj(ref)) < 1e-12
+    assert opnorm(Phi - Phi @ B @ adj(B)) < 1e-12  # Phi vanishes off ran G
 
 
-def test_factorization_takes_no_pinv_and_two_svds_with_vectors(monkeypatch):
+def test_factorization_takes_no_pinv_and_one_svd_with_vectors(monkeypatch):
     pair = random_gamma_contraction(np.random.default_rng(14))
     sp = schaffer_build(pair, N)
-    calls = {"pinv": 0, "svd": 0}
-    svd, pinv = np.linalg.svd, np.linalg.pinv
-
-    def counted_svd(a, *args, compute_uv=True, **kwargs):
-        calls["svd"] += compute_uv
-        return svd(a, *args, compute_uv=compute_uv, **kwargs)
-
-    def counted_pinv(*args, **kwargs):
-        calls["pinv"] += 1
-        return pinv(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
+    pinvs, pinv = [], np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: pinvs.append(a) or pinv(*a, **k))
+    calls = _recording_svd(monkeypatch)
     factorization_check(pair, (sp.V, sp.embed), N)
-    # one SVD of the stage matrix G and one of the coefficients of G without its last stage
-    assert calls == {"pinv": 0, "svd": 2}
+    # the one SVD with vectors is of Pi_{<=N-d}, which has n columns, not of the 9 n stage matrix
+    assert pinvs == []
+    assert [a.shape[1] for a, _ in calls] == [pair.dim]
+
+
+def test_factorization_fails_on_a_non_isometric_hardy_block():
+    # V* E = E P* still holds exactly, but V is no isometry on the stages
+    pair = random_gamma_contraction(np.random.default_rng(16))
+    sp = schaffer_build(pair, N)
+    V = sp.V.copy()
+    V[pair.dim :, pair.dim :] *= 0.999
+    other = (V, sp.embed)
+    _, iso_res, wd_res = factorization_check(pair, other, N)
+    _, ref_iso, ref_block = _factorization_reference(pair, other)
+    assert iso_res > 1e-2
+    assert iso_res == pytest.approx(ref_iso, rel=1e-10)
+    assert wd_res == pytest.approx(ref_block, abs=1e-13)
+
+
+def test_factorization_is_not_well_defined_when_the_hardy_rows_are_perturbed():
+    # changing V[n:, :n] keeps V* E = E P* exact, but V E P* no longer vanishes with D_P*
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        pair = random_gamma_contraction(rng)
+        n = pair.dim
+        assert defect_data(pair.P).rank_dPstar < n
+        sp = schaffer_build(pair, N)
+        V, shape = sp.V.copy(), (sp.V.shape[0] - n, n)
+        V[n:, :n] += 1e-5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        _, _, wd_res = factorization_check(pair, (V, sp.embed), N)
+        _, _, ref_block = _factorization_reference(pair, (V, sp.embed))
+        assert wd_res > 1e-8
+        assert ref_block > 1e-8
+
+
+def _agreement(pair, other, N=N):
+    """Agreement with the reference within 1e-10, relative to ||Phi||, iso_res and
+    the unit scale of E - V E P* (the reference's pinv rounds to 4e-11 near |p| = 1)."""
+    Phi, iso_res, wd_res = factorization_check(pair, other, N)
+    ref_Phi, ref_iso, ref_block = _factorization_reference(pair, other, N)
+    assert iso_res == pytest.approx(ref_iso, rel=1e-10, abs=1e-13)
+    assert wd_res == pytest.approx(ref_block, abs=1e-10)
+    assert opnorm(Phi - ref_Phi) <= 1e-10 * opnorm(ref_Phi)
+
+
+def test_factorization_near_a_unimodular_eigenvalue_matches_the_reference():
+    # s_j = b_j + conj(b_j) p_j with |b_j| <= 1 is a Gamma-contraction; rho(P) = 1 - 1e-6
+    p = np.array([1 - 1e-6, 0.5j, -0.3])
+    b = np.array([0.4, -0.6j, 0.9])
+    U = random_unitary(np.random.default_rng(18), 3)
+    pair = make_pair(U @ np.diag(b + b.conj() * p) @ adj(U), U @ np.diag(p) @ adj(U))
+    sp = schaffer_build(pair, N)
+    _agreement(pair, (sp.V, sp.embed))
+
+
+def test_factorization_at_n_1_has_no_wandering_stages():
+    # D_P* is injective on these pairs, so Pi_{<=1} is too and the stages define Phi
+    p = np.array([0.5, -0.3j, 0.2])
+    b = np.array([0.4, 0.7j, -0.9])
+    U = random_unitary(np.random.default_rng(9), 3)
+    diagonal = make_pair(U @ np.diag(b + b.conj() * p) @ adj(U), U @ np.diag(p) @ adj(U))
+    for pair in (make_pair([[1.2]], [[0.5]]), diagonal):
+        sp = schaffer_build(pair, 1)
+        _agreement(pair, (sp.V, sp.embed), N=1)
+    with pytest.raises(TruncationTooSmall):  # no shift below N = 1, as in schaffer_build
+        factorization_check(diagonal, (sp.V, sp.embed), 0)
+
+
+def test_factorization_sees_the_null_space_of_the_last_stage():
+    # P = J_4 + 0 has rank D_P* = 2, and Pi_{<=N-8} drops a direction for N = 9, 10:
+    # the stages do not define Phi there, which the pinv reference's block_res also shows
+    J = scipy.linalg.block_diag(np.diag(np.ones(3), -1), 0.0)
+    U = random_unitary(np.random.default_rng(20), 5)
+    b = 0.3 + 0.4j
+    pair = make_pair(U @ (b * np.eye(5) + np.conj(b) * J) @ adj(U), U @ J @ adj(U))
+    for trunc, defined in ((9, False), (10, False), (11, True)):
+        sp = schaffer_build(pair, trunc)
+        Phi, iso_res, wd_res = factorization_check(pair, (sp.V, sp.embed), trunc)
+        ref_Phi, ref_iso, ref_block = _factorization_reference(pair, (sp.V, sp.embed), trunc)
+        assert iso_res == pytest.approx(ref_iso, abs=1e-13)
+        assert opnorm(Phi - ref_Phi) < 1e-12
+        assert (wd_res < 1e-8) == (ref_block < 1e-8) == defined
+    # at N = 1 there is no stage relation, and the reference reads 0
+    pair = random_gamma_contraction(np.random.default_rng(19))
+    assert np.linalg.matrix_rank(pi_nf_matrix(defect_data(pair.P), 1)) < pair.dim
+    sp = schaffer_build(pair, 1)
+    assert factorization_check(pair, (sp.V, sp.embed), 1)[2] > 0.5
 
 
 def test_factorization_rejects_non_dilation():
