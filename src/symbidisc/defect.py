@@ -198,15 +198,13 @@ def pi_nf_matrix(dd: DefectData, N: int) -> np.ndarray:
     of the standard basis of the source space.
     """
     cnu_check(dd)
-    P = dd.P
-    n = P.shape[0]
+    Pstar = adj(dd.P)
     rs = dd.rank_dPstar
-    top = adj(dd.Q_dPstar) @ dd.D_Pstar
-    Pi = np.zeros(((N + 1) * rs, n), dtype=complex)
-    power = np.eye(n)
+    B = adj(dd.Q_dPstar) @ dd.D_Pstar  # the degree-k block, carried as B <- B P*
+    Pi = np.empty(((N + 1) * rs, B.shape[1]), dtype=complex)
     for k in range(N + 1):
-        Pi[k * rs : (k + 1) * rs, :] = top @ power
-        power = power @ adj(P)
+        Pi[k * rs : (k + 1) * rs] = B
+        B = B @ Pstar
     return Pi
 
 

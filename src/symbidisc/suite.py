@@ -344,7 +344,7 @@ def criterion_blh(cfg: RunConfig) -> CriterionResult:
         if (
             isinstance(sol, BlhSolution)
             and prob.is_inner
-            and numerical_radius(A).value <= 1
+            and numerical_radius(A).upper <= 1
             and sol.wB > 1 + 1e-6
         ):
             wb_bad += 1

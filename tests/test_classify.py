@@ -636,6 +636,16 @@ def test_adjoint_pair_has_the_same_kind(seed, variant):
     assert is_gamma_contraction(star).kind == is_gamma_contraction(pair).kind
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_SEEDS, st.sampled_from(["contraction", "unitary"]))
+def test_scaled_pair_stays_in_gamma(seed, variant):
+    # (rS, r^2 P) is a Gamma-contraction for 0 <= r <= 1 whenever (S, P) is
+    pair = _pair_of_any_kind(np.random.default_rng(seed), variant)
+    for r in (0.0, 0.3, 0.9, 1 - 1e-6, 1.0):
+        kind = is_gamma_contraction(make_pair(r * pair.S, r * r * pair.P)).kind
+        assert kind not in (NOT_GAMMA, INCONCLUSIVE), r
+
+
 def _best_of_eight(ops1, ops2, seed=0):
     """find_unitary_intertwiner with the best of 8 polar draws on every null space."""
     n = ops1[0].shape[0]

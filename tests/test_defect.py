@@ -187,6 +187,31 @@ def test_pi_nf_identities():
     assert opnorm(adj(Mz) @ Pi - Pi @ adj(P)) < 1e-8
 
 
+def _pi_nf_two_products(dd, N):
+    """pi_nf_matrix as a stack of Q_dPstar* D_P* times the powers P*^k."""
+    top = adj(dd.Q_dPstar) @ dd.D_Pstar
+    blocks, power = [np.zeros((0, dd.P.shape[0]))], np.eye(dd.P.shape[0])
+    for _ in range(N + 1):
+        blocks.append(top @ power)
+        power = power @ adj(dd.P)
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("N", [-1, 0, 1, 32])
+def test_pi_nf_matrix_matches_the_two_product_loop(N):
+    rng = np.random.default_rng(13)
+    contractions = (
+        random_strict_contraction(rng, 3, 0.8, rho_max=0.5),
+        random_strict_contraction(rng, 15, 0.95, rho_max=0.9),
+        np.diag(np.ones(5), -1),  # a shift: D_P* has rank 1
+    )
+    for P in contractions:
+        dd = defect_data(P)
+        Pi, ref = pi_nf_matrix(dd, N), _pi_nf_two_products(dd, N)
+        assert Pi.shape == ref.shape == ((N + 1) * dd.rank_dPstar, P.shape[0])
+        assert np.allclose(Pi, ref, rtol=0, atol=1e-14)
+
+
 class _LinalgCounter:
     """Counts calls of np.linalg eigh, svd and pinv while patched in."""
 

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbidisc import numrad
+from symbidisc.classify import is_gamma_contraction
+from symbidisc.generate import random_gamma_contraction, random_unitary
 from symbidisc.linalg import DEFAULT_TOL, adj, opnorm
 from symbidisc.numrad import numerical_radius
 
@@ -129,3 +133,116 @@ def test_rayleigh_lower_bound_never_exceeds_value():
         v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         v /= np.linalg.norm(v)
         assert abs(np.vdot(v, A @ v)) <= w + 1e-9
+
+
+def _numerical_radius_reference(A, tol=DEFAULT_TOL):
+    """The level-set loop started from the grid maximum, with no ascent.
+
+    Returns (value, upper, steps) with the contract of numerical_radius.
+    """
+    thetas = 2 * np.pi * np.arange(numrad.START_ANGLES) / numrad.START_ANGLES
+    f = numrad._top_eigs(A, thetas)
+    pole, lower = thetas[np.argmin(f)], float(np.max(f))
+    for steps in range(1, numrad.MAX_LEVEL_SETS + 1):
+        r = lower + tol.convergence_tol * max(1.0, lower)
+        cuts = np.sort(np.append(numrad._level_set_angles(A, r, pole), pole))
+        mids = 0.5 * (cuts + np.append(cuts[1:], cuts[0] + 2 * np.pi)) % (2 * np.pi)
+        fm = numrad._top_eigs(A, mids)
+        if np.max(fm) <= r:
+            return lower, r, steps
+        lower = float(np.max(fm))
+    return lower, max(lower, opnorm(A)), numrad.MAX_LEVEL_SETS
+
+
+def _matrix_of_kind(rng, n, kind):
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "upper-triangular":
+        return np.triu(A)
+    if kind == "normal":
+        return _normal(rng, np.diagonal(A))
+    if kind == "rescaled":
+        return A * 10.0 ** rng.uniform(-6, 6)
+    return A
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3, 6, 20]),
+    st.sampled_from(["generic", "upper-triangular", "normal", "rescaled"]),
+)
+def test_ascent_agrees_with_the_grid_start_reference(seed, n, kind):
+    A = _matrix_of_kind(np.random.default_rng(seed), n, kind)
+    res = numerical_radius(A)
+    value, upper, steps = _numerical_radius_reference(A)
+    rounding = 8 * EPS * opnorm(A)
+    assert res.value <= upper + rounding and value <= res.upper + rounding
+    assert res.steps <= steps
+
+
+def test_generic_fundamental_operators_certify_in_one_step():
+    rng = np.random.default_rng(40)
+    ops = []
+    while len(ops) < 40:
+        A = is_gamma_contraction(random_gamma_contraction(rng)).fundamental_op
+        if A.shape[0] >= 2:
+            ops.append(A)
+    assert [numerical_radius(A).steps for A in ops] == [1] * 40
+
+
+def test_nearly_flat_f_certifies_in_one_step():
+    # W(2 J_6) is a disk, so f is constant; a small perturbation leaves f
+    # nearly flat with f'' near zero, where the Newton step is long and only
+    # the true curvature and the step cap keep the ascent on the peak
+    steps = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        steps.append(numerical_radius(2 * np.diag(np.ones(5), 1) + 0.03 * G).steps)
+    assert steps == [1] * 20
+
+
+def _check_against_dense(A, known=None, angles=20_000):
+    res = numerical_radius(A)
+    dense = _dense_max(A, angles)
+    rounding = 8 * EPS * max(1.0, opnorm(A))
+    assert res.upper - res.value <= DEFAULT_TOL.convergence_tol * max(1.0, res.value) + rounding
+    assert dense <= res.upper and res.value >= dense - 1e-7
+    if known is not None:
+        assert res.value - rounding <= known <= res.upper
+    return res
+
+
+def test_ascent_stops_at_a_crossing_of_the_top_eigenvalue():
+    # the peaks of the two unimodular eigenvalues sit at -+pi/24, so the grid
+    # maximum is their crossing at theta = 0, where the top pair is repeated
+    rng = np.random.default_rng(24)
+    A = _normal(rng, [np.exp(1j * np.pi / 24), np.exp(-1j * np.pi / 24), 0.3, -0.2j])
+    _check_against_dense(A, known=1.0)
+
+
+def test_ascent_from_a_midpoint_reaches_the_global_maximum():
+    # the grid maximum, at theta = 0, is the local peak of the eigenvalue 1;
+    # the global peak 1.001 at theta = 0.5 lies between grid angles, and the
+    # peak 1.0005 at 0.56 makes the level-set interval around it lopsided, so
+    # its midpoint is not the peak until the ascent polishes it
+    rng = np.random.default_rng(78)
+    eigs = np.r_[1.0, 1.001 * np.exp(-0.5j), 1.0005 * np.exp(-0.56j), 0.5 * rng.random(75)]
+    U = random_unitary(rng, 78)
+    res = _check_against_dense((U * eigs) @ adj(U), known=1.001, angles=1000)
+    assert res.steps <= 2
+
+
+def test_a_step_that_lowers_f_is_not_kept():
+    # a weighted cyclic shift is unitarily equivalent to e^{2 pi i / 16} times
+    # itself, so f has period pi / 8 and every grid angle sits at the same
+    # phase; the rotation puts them just below an inflection, where the capped
+    # Newton step crosses the peak into the next valley.  Keeping that step
+    # would leave the lower bound below f(pole).
+    A = np.diag(np.ones(15), -1).astype(complex)
+    A[0, 15] = 0.1
+    A *= np.exp(1j * (np.pi / 2 - 0.05) / 16)
+    f0 = float(numrad._top_eigs(A, np.zeros(1))[0])
+    _, f = numrad._ascend(A, 0.0, DEFAULT_TOL)
+    assert f >= f0 - 4 * EPS
+    _check_against_dense(A)
