@@ -22,19 +22,18 @@ from symbidisc import (
 )
 
 c = 0.5
-cf = theta_taylor(defect_data([[c]]), 6)
+taylor = theta_taylor(defect_data([[c]]), 6)
 print(f"Scalar P = {c}: Taylor coefficients of Theta (Moebius map)")
-print(" ", [round(float(cf.taylor.coeffs[k][0, 0].real), 6) for k in range(7)])
+print(" ", [round(float(taylor.coeffs[k][0, 0].real), 6) for k in range(7)])
 print("  expected: -c, (1-c^2) c^(k-1) =",
       [-c] + [round((1 - c * c) * c ** (k - 1), 6) for k in range(1, 7)])
 
 rng = np.random.default_rng(2)
 P = random_strict_contraction(rng, 3, 0.8, rho_max=0.5)
 dd = defect_data(P)
-cf = theta_taylor(dd, 0)
 ts = np.linspace(0, 6.28, 64)
-norms = opnorm(theta_eval(cf, np.exp(1j * ts)))  # one norm per point of the stack
-deltas = opnorm(delta_eval(cf, ts))
+norms = opnorm(theta_eval(dd, np.exp(1j * ts)))  # one norm per point of the stack
+deltas = opnorm(delta_eval(dd, ts))
 print(f"\nRandom 3x3 contraction: max ||Theta|| on circle = {norms.max():.12f}")
 print(f"  max boundary defect ||Delta|| = {deltas.max():.2e}  (inner => 0)")
 

@@ -24,7 +24,6 @@ from .classify import (
     von_neumann_margin,
 )
 from .defect import (
-    CharFn,
     DefectData,
     ModelSpace,
     build_model_space,

@@ -94,17 +94,14 @@ def _passes(checks: dict, names) -> bool:
     return all(checks[name][0] for name in names)
 
 
-def _algebra_verdict(pair: OperatorPair, tol: Tolerance, names, kind: str):
+def is_gamma_isometry(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL):
     norm_S, _ = _commutator_gate(pair, tol)
     checks = _algebra_checks(pair, tol, norm_S)
-    rep = ClassificationReport(kind=kind if _passes(checks, names) else NOT_GAMMA)
-    for name in names:
+    ok = _passes(checks, _ISOMETRY_CHECKS)
+    rep = ClassificationReport(kind=GAMMA_ISOMETRY if ok else NOT_GAMMA)
+    for name in _ISOMETRY_CHECKS:
         rep.add(name, *checks[name])
-    return rep.kind == kind, rep
-
-
-def is_gamma_isometry(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL):
-    return _algebra_verdict(pair, tol, _ISOMETRY_CHECKS, GAMMA_ISOMETRY)
+    return ok, rep
 
 
 def fundamental_op(S, dd: DefectData, tol: Tolerance = DEFAULT_TOL):
@@ -115,7 +112,7 @@ def fundamental_op(S, dd: DefectData, tol: Tolerance = DEFAULT_TOL):
     the rank decision, so tol is not read.  Returns (A, residual).  Called
     on S* with dd.adjoint() it yields the adjoint of the model symbol.
     """
-    C, Q, inv = S - adj(S) @ dd.P, dd.Q_dP, 1 / dd.root_dP
+    C, Q, inv = S - adj(S) @ dd.P, dd.Q_dP, 1 / dd.root
     B = adj(Q) @ C @ Q
     return inv[:, None] * B * inv, float(np.linalg.norm(Q @ B @ adj(Q) - C))
 
@@ -323,9 +320,12 @@ def von_neumann_margin(
 # norm share a cluster: a split at gap g turns an input perturbation e into a
 # certificate of about e / g, so only wide gaps split.  A reduced Gram
 # operator over GRAM_BUDGET_BYTES (4096 unknowns, one cluster of size 64)
-# raises ProblemTooLarge.
+# raises ProblemTooLarge.  The Gram null space is cut at (NULL_TOL*scale)^2,
+# and INTERTWINER_SEED draws the Hermitian element and the trial unitaries.
 _MERGE_GAP = 1e-3
 GRAM_BUDGET_BYTES = 2**28
+NULL_TOL = 1e-6
+INTERTWINER_SEED = 0
 
 
 def _operator_lists(ops1, ops2):
@@ -350,7 +350,7 @@ def _accept_threshold(tol: Tolerance) -> float:
     return max(tol.residual_tol * 100, 1e-7)
 
 
-def _intertwiner_space(ops1, ops2, scale: float, tol: Tolerance, null_tol: float, rng):
+def _intertwiner_space(ops1, ops2, scale: float, tol: Tolerance, rng):
     """Null space of the intertwining equations on the spectral blocks.
 
     Returns (V1, V2, I, J, basis): the intertwiners are V2 D V1* with D_IJ
@@ -393,7 +393,7 @@ def _intertwiner_space(ops1, ops2, scale: float, tol: Tolerance, null_tol: float
         C = Ak.conj()[jj] * Bk[ii]
         G -= 2 * (C + adj(C))
     evals, evecs = np.linalg.eigh(G)
-    n_null = int(np.sum(evals <= (null_tol * scale) ** 2))
+    n_null = int(np.sum(evals <= (NULL_TOL * scale) ** 2))
     return (V[0], V[1], I, J, evecs[:, :n_null]) if n_null else None
 
 
@@ -401,8 +401,6 @@ def find_unitary_intertwiner(
     ops1,
     ops2,
     tol: Tolerance = DEFAULT_TOL,
-    seed: int = 0,
-    null_tol: float = 1e-6,
 ):
     """Search for a unitary U with U T = T' U for every listed operator.
 
@@ -411,7 +409,7 @@ def find_unitary_intertwiner(
     only rejects; in their eigenbases the Gram operator of the joint
     Sylvester system is solved on the sum m_k^2 block-diagonal unknowns of
     the eigenvalue clusters, n for a simple spectrum.  Its null space is
-    spanned by the eigenvectors with eigenvalues at most (null_tol*scale)^2,
+    spanned by the eigenvectors with eigenvalues at most (NULL_TOL*scale)^2,
     and a unitary is extracted by polar decomposition of a random element,
     the best of 8, or of one on a one-dimensional null space: its elements
     c D_0 all have the polar factor (c/|c|) polar(D_0) and one certificate.
@@ -424,8 +422,8 @@ def find_unitary_intertwiner(
         return None, np.inf
     norms1 = [max(1.0, opnorm(T)) for T in ops1]
     scale = max(norms1 + [opnorm(T) for T in ops2])
-    rng = np.random.default_rng(seed)
-    space = _intertwiner_space(ops1, ops2, scale, tol, null_tol, rng)
+    rng = np.random.default_rng(INTERTWINER_SEED)
+    space = _intertwiner_space(ops1, ops2, scale, tol, rng)
     if space is None:
         return None, np.inf
     V1, V2, I, J, basis = space

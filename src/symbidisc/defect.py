@@ -14,6 +14,8 @@ by orthonormalizing the columns of the minimal-dilation embedding
     h  ->  sum_k z^k (D_P* P*^k h),
 
 whose range spans that complement up to the geometric truncation tail.
+Both defect operators come from one SVD P = U diag(s) V*: D_P = V diag(r) V*
+and D_P* = U diag(r) U* with r = (1 - s^2)^(1/2), which is P D_P = D_P* P.
 The routines that need the defect spaces take the DefectData record of P,
 built once by `defect_data`, instead of P itself.
 """
@@ -26,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     IndefiniteInput,
     NotAContraction,
     NotCnu,
@@ -33,55 +36,35 @@ from .errors import (
     TruncationTooSmall,
 )
 from .hardy import SymbolPoly
-from .linalg import DEFAULT_TOL, Tolerance, _fix_phases, adj, as_matrix, opnorm, psd_eigh
-from .linalg import psd_sqrt, range_basis
+from .linalg import DEFAULT_TOL, Tolerance, _fix_phases, adj, as_matrix, opnorm, psd_sqrt
+from .linalg import range_basis, rank_flush
 
 CNU_MARGIN = 1e-8
 MODEL_TAIL = 1e-8  # the model space needs spectral_radius^(N+1) <= MODEL_TAIL
 DELTA_GRID = 256  # boundary angles at which the defect of Theta is sampled
 
 
-def _side(w: np.ndarray, V: np.ndarray, flushed) -> tuple:
-    """(D, Q, root, flushed) from eigenpairs of D^2 with the cut ones zeroed:
-    Q holds the kept eigenvectors, descending, so that D Q = Q diag(root)."""
-    kept = np.flatnonzero(w)[::-1]
-    Q, root = _fix_phases(V[:, kept]), np.sqrt(w[kept])
-    D = (Q * root) @ adj(Q)
-    return 0.5 * (D + adj(D)), Q, root, float(flushed)
-
-
 @dataclass(frozen=True)
 class DefectData:
-    """A contraction P with its defect operators and their range bases.
+    """A contraction P with the range bases of its defect operators.
 
     Built once per P by `defect_data` and handed on to every routine that
-    needs the defect spaces.  D Q = Q diag(root) on the D_P and D_P* sides;
-    flushed_max is the largest |eigenvalue| of I - P*P that the rank cut zeroed.
-    The D_P* side is built from its own eigh the first time it is read.
+    needs the defect spaces.  D_P Q_dP = Q_dP diag(root) and D_P* Q_dPstar
+    = Q_dPstar diag(root): both sides share the kept singular values of P,
+    so they have one rank, and D_P and D_P* are built from them on each
+    read.  flushed_max is the largest |1 - s^2| over the singular values s
+    of P that the rank cut zeroed.
     """
 
     P: np.ndarray
-    D_P: np.ndarray
     Q_dP: np.ndarray
-    root_dP: np.ndarray
+    Q_dPstar: np.ndarray
+    root: np.ndarray
     flushed_max: float
-    star: tuple | None = None  # a D_P* side already built, handed over by adjoint()
 
-    rank_dP = property(lambda self: self.Q_dP.shape[1])
-    D_Pstar = property(lambda self: self._star[0])
-    Q_dPstar = property(lambda self: self._star[1])
-    root_dPstar = property(lambda self: self._star[2])
-    rank_dPstar = rank_dP  # the D_P* side is cut to the same rank
-
-    @cached_property
-    def _star(self) -> tuple:
-        """One eigh of I - PP* (the spectrum of I - P*P) cut to rank_dP: it never raises."""
-        if self.star is not None:
-            return self.star
-        M = np.eye(len(self.P)) - self.P @ adj(self.P)
-        w, V = np.linalg.eigh(0.5 * (M + adj(M)))
-        cut = np.arange(len(w)) < len(w) - self.rank_dP
-        return _side(np.where(cut, 0.0, w), V, np.max(np.abs(w) * cut, initial=0.0))
+    rank_dP = rank_dPstar = property(lambda self: len(self.root))
+    D_P = property(lambda self: (self.Q_dP * self.root) @ adj(self.Q_dP))
+    D_Pstar = property(lambda self: (self.Q_dPstar * self.root) @ adj(self.Q_dPstar))
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -92,17 +75,8 @@ class DefectData:
         return float(np.max(np.abs(self.spectrum), initial=0.0))
 
     def adjoint(self) -> "DefectData":
-        """The record of P*: the two sides swap, and neither is rebuilt."""
-        own = (self.D_P, self.Q_dP, self.root_dP, self.flushed_max)
-        return DefectData(adj(self.P), *self._star, star=own)
-
-
-@dataclass(frozen=True)
-class CharFn:
-    """Taylor data of the characteristic function in defect bases."""
-
-    taylor: SymbolPoly
-    defect: DefectData
+        """The record of P*: the two bases swap."""
+        return DefectData(adj(self.P), self.Q_dPstar, self.Q_dP, self.root, self.flushed_max)
 
 
 @dataclass(frozen=True)
@@ -135,41 +109,48 @@ def cnu_check(dd: DefectData) -> None:
 
 
 def defect_data(P, tol: Tolerance = DEFAULT_TOL) -> DefectData:
-    """Defect data of P: the D_P side from one eigh of I - P*P.
+    """Defect data of P from one SVD P = U diag(s) V*.
 
-    P is a contraction exactly when `psd_eigh` accepts I - P*P, which for
-    square P has the spectrum of I - PP*; otherwise NotAContraction.
-    Classification uses the same test for its ||P|| <= 1 check.
+    I - P*P = V diag(1 - s^2) V* and I - PP* = U diag(1 - s^2) U*, so the
+    columns of V and U that `rank_flush` keeps are the range bases of D_P
+    and D_P*.  P is a contraction exactly when `rank_flush` accepts
+    1 - s^2; otherwise NotAContraction.  Classification uses the same test
+    for its ||P|| <= 1 check.
     """
     P = as_matrix(P)
+    if P.shape[0] != P.shape[1]:
+        raise DimensionMismatch(f"P must be square, got shape {P.shape}")
+    U, s, Vh = np.linalg.svd(P)
     try:
-        w, V, flushed = psd_eigh(np.eye(P.shape[0]) - adj(P) @ P, tol)
+        w, flushed = rank_flush((1 - s) * (1 + s), tol)
     except IndefiniteInput:
-        raise NotAContraction(f"||P|| = {opnorm(P):.6f} exceeds 1") from None
-    return DefectData(P, *_side(w, V, flushed))
+        raise NotAContraction(f"||P|| = {s[0]:.6f} exceeds 1") from None
+    kept = np.flatnonzero(w)[::-1]  # descending root
+    Q_dP, Q_dPstar = _fix_phases(adj(Vh[kept])), _fix_phases(U[:, kept])
+    return DefectData(P, Q_dP, Q_dPstar, np.sqrt(w[kept]), float(flushed))
 
 
-def theta_taylor(dd: DefectData, K: int) -> CharFn:
+def theta_taylor(dd: DefectData, K: int) -> SymbolPoly:
     """First K+1 Taylor coefficients of the characteristic function of dd.P.
 
     C_0 = -Q* P Q restricted to the defect bases.  The Neumann expansion of
     the resolvent gives C_k = Q_dPstar* D_P* P*^(k-1) D_P Q_dP for k >= 1:
-    the degree-(k-1) block of the embedding `pi_nf_matrix` times D_P Q_dP.
+    the degree-(k-1) block of the embedding `pi_nf_matrix` times
+    D_P Q_dP = Q_dP diag(root).
     """
     # for K = 0 the embedding has no blocks, but it still runs the c.n.u. check
     Pi = pi_nf_matrix(dd, K - 1)
-    C = (Pi @ dd.D_P @ dd.Q_dP).reshape(K, dd.rank_dPstar, dd.rank_dP)
-    return CharFn(SymbolPoly([-adj(dd.Q_dPstar) @ dd.P @ dd.Q_dP, *C]), dd)
+    C = (Pi @ (dd.Q_dP * dd.root)).reshape(K, dd.rank_dPstar, dd.rank_dP)
+    return SymbolPoly([-adj(dd.Q_dPstar) @ dd.P @ dd.Q_dP, *C])
 
 
-def theta_eval(charfn: CharFn, z) -> np.ndarray:
-    """Evaluate Theta(z) directly through the resolvent (not the series).
+def theta_eval(dd: DefectData, z) -> np.ndarray:
+    """Evaluate Theta(z) of dd.P through the resolvent (not the series).
 
     An array of points gives the stack of values, one per point.  I - z P*
     is singular where z conj(lambda) = 1 for an eigenvalue lambda of P,
     read off the spectrum cached on the defect data.
     """
-    dd = charfn.defect
     P = dd.P
     z = np.asarray(z)
     gap = np.min(np.abs(1 - z[..., None] * np.conj(dd.spectrum)), axis=-1, initial=np.inf)
@@ -182,12 +163,12 @@ def theta_eval(charfn: CharFn, z) -> np.ndarray:
     return adj(dd.Q_dPstar) @ core @ dd.Q_dP
 
 
-def delta_eval(charfn: CharFn, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def delta_eval(dd: DefectData, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Boundary defect [I - Theta(e^it)* Theta(e^it)]^(1/2) on the D_P basis.
 
     An array of angles gives the stack of defects, one per angle.
     """
-    th = theta_eval(charfn, np.exp(1j * np.asarray(t)))
+    th = theta_eval(dd, np.exp(1j * np.asarray(t)))
     return psd_sqrt(np.eye(th.shape[-1]) - adj(th) @ th, tol)
 
 
@@ -200,7 +181,7 @@ def pi_nf_matrix(dd: DefectData, N: int) -> np.ndarray:
     cnu_check(dd)
     Pstar = adj(dd.P)
     rs = dd.rank_dPstar
-    B = adj(dd.Q_dPstar) @ dd.D_Pstar  # the degree-k block, carried as B <- B P*
+    B = dd.root[:, None] * adj(dd.Q_dPstar)  # Q_dPstar* D_P*, carried as B <- B P*
     Pi = np.empty(((N + 1) * rs, B.shape[1]), dtype=complex)
     for k in range(N + 1):
         Pi[k * rs : (k + 1) * rs] = B

@@ -40,6 +40,7 @@ from .numrad import numerical_radius
 from .pair import OperatorPair, make_pair
 
 _PASSING = (GAMMA_CONTRACTION, GAMMA_ISOMETRY, GAMMA_UNITARY)
+FACTOR_DEPTH = 8  # stages of the minimal dilation that factorization_check pins down
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def schaffer_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> 
     hardy_dim = (N + 1) * r
     dim = n + hardy_dim
 
-    row = adj(dd.Q_dP) @ dd.D_P  # h -> D_P h in defect-basis coordinates
+    row = dd.root[:, None] * adj(dd.Q_dP)  # h -> D_P h in defect-basis coordinates
 
     V = np.zeros((dim, dim), dtype=complex)
     V[:n, :n] = P
@@ -189,12 +190,11 @@ def factorization_check(
     other_dilation,
     N: int,
     tol: Tolerance = DEFAULT_TOL,
-    depth: int = 8,
 ):
     """Factor another isometric dilation (V, E) through the minimal one.
 
     The factor map Phi sends the stages M_z^j Pi of the minimal dilation to
-    the stages V^j E, j <= d = min(depth, N - 1).  As Pi h = D_P* h +
+    the stages V^j E, j <= d = min(FACTOR_DEPTH, N - 1).  As Pi h = D_P* h +
     M_z Pi P* h, their span is the Wold sum of the wandering degrees 0..d-1
     and z^d ran Pi_{<=N-d} (Sz.-Nagy and Foias, ch. I).  On that orthonormal
     basis B, degree-j coordinates go to V^j w, w = (E - V E P*) Q / root on
@@ -219,7 +219,7 @@ def factorization_check(
     if N < 1:
         raise TruncationTooSmall(f"need N >= 1, got {N}")
     dd = defect_data(P, tol)
-    depth = min(depth, N - 1)
+    depth = min(FACTOR_DEPTH, N - 1)
     U, s, Vh = np.linalg.svd(pi_nf_matrix(dd, N - depth), full_matrices=False)
     keep = s > tol.rank_tol * s[0]
     U, s, Vh = U[:, keep], s[keep], Vh[keep]
@@ -227,7 +227,7 @@ def factorization_check(
     wander = embed - V @ embed @ adj(P)  # |(E - V E P*) h| = |D_P* h| if V is isometric
     WQ = wander @ dd.Q_dPstar
 
-    Y, stages = np.hstack([embed, WQ / dd.root_dPstar]), []  # [V^j E | V^j w]
+    Y, stages = np.hstack([embed, WQ / dd.root]), []  # [V^j E | V^j w]
     for _ in range(depth):
         stages.append(Y[:, n:])
         Y = V @ Y

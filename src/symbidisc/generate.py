@@ -19,6 +19,10 @@ from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm, range_basis
 from .numrad import numerical_radius
 from .pair import OperatorPair, make_pair
 
+MAX_TRIES = 200  # draws random_strict_contraction makes to meet a spectral radius cap
+BLOCK_MAX = 3  # random_gamma_contraction: largest symbol size
+DEGREE_MAX = 3  # and largest truncation degree of the model it compresses
+
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary via QR with positive diagonal phases."""
@@ -53,10 +57,9 @@ def random_strict_contraction(
     n: int,
     norm_max: float = 0.9,
     rho_max: Optional[float] = None,
-    max_tries: int = 200,
 ) -> np.ndarray:
     """Random contraction with ||P|| <= norm_max, optionally capping rho(P)."""
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         P = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         P *= norm_max * (0.4 + 0.6 * rng.random()) / opnorm(P)
         if rho_max is None or spectral_radius(P) <= rho_max:
@@ -78,14 +81,11 @@ def coinvariant_closure(S, P, seeds, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
 
 
 def random_gamma_contraction(
-    rng: np.random.Generator,
-    block_max: int = 3,
-    degree_max: int = 3,
-    tol: Tolerance = DEFAULT_TOL,
+    rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL
 ) -> OperatorPair:
     """Random pair satisfying the defining identities to machine precision."""
-    b = int(rng.integers(1, block_max + 1))
-    d = int(rng.integers(1, degree_max + 1))
+    b = int(rng.integers(1, BLOCK_MAX + 1))
+    d = int(rng.integers(1, DEGREE_MAX + 1))
     A = random_symbol(rng, b)
     model = gamma_isometry_model(A, d + 1)
     dim = model.dim

@@ -1,6 +1,6 @@
 """Dense complex linear-algebra substrate.
 
-Flushed PSD eigendecompositions and square roots, orthonormal range bases
+The rank flush of PSD spectra, PSD square roots, orthonormal range bases
 and minimal-norm sandwiched least-squares solves.  Everything downstream
 (defect operators, model spaces, dilations) goes through these primitives
 so the rank/phase conventions are fixed in one place.
@@ -60,36 +60,34 @@ def adj(M: np.ndarray) -> np.ndarray:
     return M.conj().swapaxes(-1, -2)
 
 
-def psd_eigh(M, tol: Tolerance = DEFAULT_TOL):
-    """(w, V, flushed): eigenpairs of a Hermitian PSD M with the rank flush.
+def rank_flush(w, tol: Tolerance = DEFAULT_TOL):
+    """(w, flushed): the eigenvalues w of a Hermitian PSD matrix, rank-flushed.
 
     Eigenvalues within cut = rank_tol*max(1, max|w|) of zero become exact
     zeros, flushed is the largest |eigenvalue| so zeroed, and one below -cut
-    raises IndefiniteInput.  ||M - M*|| is screened in the Frobenius norm
-    before any SVD.  A stack (m, n, n) is treated matrix by matrix.
+    raises IndefiniteInput.  A stack (m, n) is treated row by row.
     """
-    M = as_matrix(M)
-    w, V = np.linalg.eigh(0.5 * (M + adj(M)))
-    cut = tol.rank_tol * np.maximum(1.0, np.max(np.abs(w), axis=-1, initial=0.0))
-    skew = M - adj(M)
-    if np.any(np.linalg.norm(skew, axis=(-2, -1)) > cut * 10) and np.any(opnorm(skew) > cut * 10):
-        raise NotHermitian("matrix is not hermitian within tolerance")
-    cut = cut[..., None]  # one threshold per matrix, against each of its eigenvalues
+    cut = tol.rank_tol * np.maximum(1.0, np.max(np.abs(w), axis=-1, initial=0.0))[..., None]
     if np.any(w < -cut):
         raise IndefiniteInput(f"eigenvalue {w.min():.3e} below -rank_tol*||M||")
     small = w < cut
-    return np.where(small, 0.0, w), V, np.max(np.abs(w) * small, axis=-1, initial=0.0)
+    return np.where(small, 0.0, w), np.max(np.abs(w) * small, axis=-1, initial=0.0)
 
 
 def psd_sqrt(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Hermitian PSD square root of M, or of each matrix in a stack.
 
-    The flush of `psd_eigh` keeps defect operators of unitaries identically
-    zero instead of noise-sized."""
+    ||M - M*|| is screened in the Frobenius norm before any SVD; the flush
+    of `rank_flush` keeps defect operators of unitaries identically zero."""
     M = as_matrix(M)
     if M.size == 0:
         return M.copy()
-    w, V, _ = psd_eigh(M, tol)
+    w, V = np.linalg.eigh(0.5 * (M + adj(M)))
+    bound = tol.rank_tol * np.maximum(1.0, np.max(np.abs(w), axis=-1, initial=0.0)) * 10
+    skew = M - adj(M)
+    if np.any(np.linalg.norm(skew, axis=(-2, -1)) > bound) and np.any(opnorm(skew) > bound):
+        raise NotHermitian("matrix is not hermitian within tolerance")
+    w, _ = rank_flush(w, tol)
     R = (V * np.sqrt(w)[..., None, :]) @ adj(V)
     return 0.5 * (R + adj(R))
 

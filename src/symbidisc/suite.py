@@ -205,18 +205,18 @@ def criterion_char_fn(cfg: RunConfig) -> CriterionResult:
     rng = _rng(cfg, 6)
     worst_coeff = 0.0
     for c in (0.3, 0.5, 0.9):
-        cf = theta_taylor(defect_data([[c]], cfg.tol), 20)
+        taylor = theta_taylor(defect_data([[c]], cfg.tol), 20)
         expect = [-c] + [(1 - c * c) * c ** (k - 1) for k in range(1, 21)]
-        got = [cf.taylor.coeffs[k][0, 0] for k in range(21)]
+        got = [taylor.coeffs[k][0, 0] for k in range(21)]
         worst_coeff = max(worst_coeff, max(abs(g - e) for g, e in zip(got, expect)))
     worst_norm = worst_delta = 0.0
     ts = 2 * np.pi * np.arange(DELTA_GRID) / DELTA_GRID
     for _ in range(20):
         dim = int(rng.integers(2, 5))
         P = random_strict_contraction(rng, dim, 0.9)
-        cf = theta_taylor(defect_data(P, cfg.tol), 0)
-        worst_norm = max(worst_norm, np.max(opnorm(theta_eval(cf, np.exp(1j * ts)))))
-        worst_delta = max(worst_delta, np.max(opnorm(delta_eval(cf, ts, cfg.tol))))
+        dd = defect_data(P, cfg.tol)
+        worst_norm = max(worst_norm, np.max(opnorm(theta_eval(dd, np.exp(1j * ts)))))
+        worst_delta = max(worst_delta, np.max(opnorm(delta_eval(dd, ts, cfg.tol))))
     ok = worst_coeff <= 1e-12 and worst_norm <= 1 + 1e-9 and worst_delta <= 1e-7
     detail = (
         f"Moebius error {worst_coeff:.3e}; max boundary norm {worst_norm:.12f}; "

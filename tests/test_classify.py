@@ -542,7 +542,7 @@ def test_block_null_space_matches_full_gram(case):
     n = ops1[0].shape[0]
     norms1 = [max(1.0, opnorm(T)) for T in ops1]
     scale = max(norms1 + [opnorm(T) for T in ops2])
-    threshold = (1e-6 * scale) ** 2
+    threshold = (classify.NULL_TOL * scale) ** 2
     evals, evecs = np.linalg.eigh(_full_gram(ops1, ops2))
     ref_dim = int(np.sum(evals <= threshold))
     rng = np.random.default_rng(0)
@@ -552,7 +552,7 @@ def test_block_null_space_matches_full_gram(case):
         opnorm(W @ Zh @ T1 - T2 @ W @ Zh) / nrm for T1, T2, nrm in zip(ops1, ops2, norms1)
     )
 
-    space = classify._intertwiner_space(ops1, ops2, scale, DEFAULT_TOL, 1e-6, rng)
+    space = classify._intertwiner_space(ops1, ops2, scale, DEFAULT_TOL, rng)
     assert space is not None
     assert space[-1].shape[1] == ref_dim
     _, res = find_unitary_intertwiner(ops1, ops2)
@@ -652,7 +652,7 @@ def _best_of_eight(ops1, ops2, seed=0):
     norms1 = [max(1.0, opnorm(T)) for T in ops1]
     scale = max(norms1 + [opnorm(T) for T in ops2])
     rng = np.random.default_rng(seed)
-    space = classify._intertwiner_space(ops1, ops2, scale, DEFAULT_TOL, 1e-6, rng)
+    space = classify._intertwiner_space(ops1, ops2, scale, DEFAULT_TOL, rng)
     if space is None:
         return None, np.inf, 0
     V1, V2, I, J, basis = space
@@ -746,7 +746,7 @@ def test_full_rank_p_just_above_the_cut_has_rounding_level_residual():
     U, V = random_unitary(rng, n), random_unitary(rng, n)
     P = U @ np.diag([np.sqrt(1 - 2e-10), 0.7, 0.5, 0.3]) @ adj(V)
     dd = defect_data(P)
-    assert dd.rank_dP == n and dd.root_dP[-1] ** 2 == pytest.approx(2e-10, rel=1e-4)
+    assert dd.rank_dP == n and dd.root[-1] ** 2 == pytest.approx(2e-10, rel=1e-4)
     _, residual = fundamental_op(0.5 * P, dd)
     assert residual <= 1e-13
 
@@ -788,7 +788,7 @@ def test_fundamental_op_matches_svd_reference():
         F_ref, res_ref = _svd_fundamental_op(S, P)
         assert F.shape == F_ref.shape
         assert abs(residual - res_ref) <= 1e-12
-        r = defect_data(P).root_dP
+        r = defect_data(P).root
         if np.all(-np.diff(r) > 1e-3):
             simple += 1
             assert np.allclose(F, F_ref, rtol=0, atol=1e-12)

@@ -19,9 +19,15 @@ from symbidisc.defect import (
     theta_taylor,
     truncation_tail,
 )
-from symbidisc.errors import NotAContraction, NotCnu, ResolventSingular, TruncationTooSmall
+from symbidisc.errors import (
+    DimensionMismatch,
+    NotAContraction,
+    NotCnu,
+    ResolventSingular,
+    TruncationTooSmall,
+)
 from symbidisc.generate import random_gamma_contraction, random_strict_contraction, random_unitary
-from symbidisc.linalg import adj, opnorm
+from symbidisc.linalg import DEFAULT_TOL, adj, opnorm
 
 
 def test_defect_of_unitary_vanishes():
@@ -41,6 +47,8 @@ def test_defect_of_strict_contraction_full_rank():
 def test_contraction_check():
     with pytest.raises(NotAContraction):
         defect_data(np.diag([1.5, 0.0]))
+    with pytest.raises(DimensionMismatch):  # 1 - s^2 would miss ker P
+        defect_data(np.ones((2, 3)))
 
 
 def test_cnu_check_rejects_unimodular_spectrum():
@@ -55,67 +63,75 @@ def test_theta_taylor_rejects_unimodular_spectrum(K):
 
 
 def test_adjoint_record_equals_defect_data_of_adjoint():
+    # the SVD of P* picks its own singular vectors, so the defect operators,
+    # the range projections and the shared root agree up to rounding
     rng = np.random.default_rng(9)
     for _ in range(5):
         P = random_gamma_contraction(rng).P
         swapped = defect_data(P).adjoint()
         direct = defect_data(adj(P))
-        for name in ("P", "D_P", "D_Pstar", "Q_dP", "Q_dPstar"):
-            assert np.array_equal(getattr(swapped, name), getattr(direct, name)), name
+        assert np.array_equal(swapped.P, direct.P)
+        assert swapped.rank_dP == direct.rank_dP
+        assert np.allclose(swapped.root, direct.root, rtol=0, atol=1e-14)
+        for name in ("D_P", "D_Pstar"):
+            assert opnorm(getattr(swapped, name) - getattr(direct, name)) <= 1e-14, name
+        for name in ("Q_dP", "Q_dPstar"):
+            Q, R = getattr(swapped, name), getattr(direct, name)
+            assert opnorm(Q @ adj(Q) - R @ adj(R)) <= 1e-14, name
 
 
 def test_scalar_moebius_coefficients():
     # Theta for P = c is the Moebius map: C_0 = -c, C_k = (1 - c^2) c^(k-1)
     for c in (0.3, 0.5, 0.9):
-        cf = theta_taylor(defect_data([[c]]), 10)
-        assert cf.taylor.coeffs[0][0, 0] == pytest.approx(-c, abs=1e-13)
+        taylor = theta_taylor(defect_data([[c]]), 10)
+        assert taylor.coeffs[0][0, 0] == pytest.approx(-c, abs=1e-13)
         for k in range(1, 11):
             expect = (1 - c * c) * c ** (k - 1)
-            assert cf.taylor.coeffs[k][0, 0] == pytest.approx(expect, abs=1e-13)
+            assert taylor.coeffs[k][0, 0] == pytest.approx(expect, abs=1e-13)
 
 
 def test_theta_eval_matches_taylor_series():
     rng = np.random.default_rng(3)
     P = random_strict_contraction(rng, 3, 0.6)
     K = 60
-    cf = theta_taylor(defect_data(P), K)
+    dd = defect_data(P)
+    taylor = theta_taylor(dd, K)
     z = 0.4 + 0.3j
-    series = sum(cf.taylor.coeffs[k] * z**k for k in range(K + 1))
-    assert np.allclose(series, theta_eval(cf, z), atol=1e-10)
+    series = sum(taylor.coeffs[k] * z**k for k in range(K + 1))
+    assert np.allclose(series, theta_eval(dd, z), atol=1e-10)
 
 
 def test_theta_contractive_on_disk():
     rng = np.random.default_rng(4)
     P = random_strict_contraction(rng, 3, 0.9)
-    cf = theta_taylor(defect_data(P), 0)
+    dd = defect_data(P)
     for t in np.linspace(0, 2 * np.pi, 32, endpoint=False):
-        assert opnorm(theta_eval(cf, np.exp(1j * t))) <= 1 + 1e-10
+        assert opnorm(theta_eval(dd, np.exp(1j * t))) <= 1 + 1e-10
 
 
 def test_boundary_defect_vanishes_for_matrices():
     rng = np.random.default_rng(5)
     P = random_strict_contraction(rng, 2, 0.8)
-    cf = theta_taylor(defect_data(P), 0)
-    assert opnorm(delta_eval(cf, 1.234)) < 1e-7
+    assert opnorm(delta_eval(defect_data(P), 1.234)) < 1e-7
 
 
 def test_boundary_samplers_stack_matches_point_by_point():
     rng = np.random.default_rng(6)
-    cf = theta_taylor(defect_data(random_strict_contraction(rng, 3, 0.9)), 0)
+    dd = defect_data(random_strict_contraction(rng, 3, 0.9))
     ts = 2 * np.pi * rng.random(17)
-    thetas = theta_eval(cf, np.exp(1j * ts))
-    deltas = delta_eval(cf, ts)
-    assert thetas.shape == (17, cf.defect.rank_dPstar, cf.defect.rank_dP)
+    thetas = theta_eval(dd, np.exp(1j * ts))
+    deltas = delta_eval(dd, ts)
+    assert thetas.shape == (17, dd.rank_dPstar, dd.rank_dP)
     for t, th, de in zip(ts, thetas, deltas):
-        assert np.allclose(th, theta_eval(cf, np.exp(1j * t)), rtol=0, atol=1e-14)
-        assert np.allclose(de, delta_eval(cf, t), rtol=0, atol=1e-14)
+        assert np.allclose(th, theta_eval(dd, np.exp(1j * t)), rtol=0, atol=1e-14)
+        assert np.allclose(de, delta_eval(dd, t), rtol=0, atol=1e-14)
 
 
 def test_stacked_theta_eval_rejects_one_singular_resolvent():
     # I - z P* is singular at z = 1 / conj(0.5) = 2
-    cf = theta_taylor(defect_data(np.diag([0.5, 0.2])), 0)
+    dd = defect_data(np.diag([0.5, 0.2]))
     with pytest.raises(ResolventSingular):
-        theta_eval(cf, np.array([0.3, 2.0, 0.1j]))
+        theta_eval(dd, np.array([0.3, 2.0, 0.1j]))
 
 
 def test_truncation_controls():
@@ -148,7 +164,7 @@ def test_model_space_dimension_equals_source():
         assert ms.trunc_error <= 1e-6
         # the boundary defect that the model space leaves out vanishes (C_00)
         ts = 2 * np.pi * np.arange(DELTA_GRID) / DELTA_GRID
-        assert np.max(opnorm(delta_eval(theta_taylor(dd, 0), ts))) <= 1e-7
+        assert np.max(opnorm(delta_eval(dd, ts))) <= 1e-7
 
 
 def test_model_space_samples_no_boundary_defect(monkeypatch):
@@ -213,7 +229,7 @@ def test_pi_nf_matrix_matches_the_two_product_loop(N):
 
 
 class _LinalgCounter:
-    """Counts calls of np.linalg eigh, svd and pinv while patched in."""
+    """Counts calls of np.linalg eigh, pinv and svd with vectors while patched in."""
 
     def __init__(self, monkeypatch):
         self.calls = {"eigh": 0, "svd": 0, "pinv": 0}
@@ -222,31 +238,30 @@ class _LinalgCounter:
 
     def _counted(self, name, fn):
         def counted(*args, **kwargs):
-            self.calls[name] += 1
+            self.calls[name] += kwargs.get("compute_uv", True)
             return fn(*args, **kwargs)
 
         return counted
 
 
-def test_defect_data_takes_one_eigh_and_builds_the_star_side_on_first_read(monkeypatch):
+def test_defect_data_takes_one_svd_and_reading_either_side_adds_none(monkeypatch):
     P = random_gamma_contraction(np.random.default_rng(10)).P
     count = _LinalgCounter(monkeypatch)
     dd = defect_data(P)
-    assert count.calls == {"eigh": 1, "svd": 0, "pinv": 0}
-    _ = dd.rank_dP, dd.D_P, dd.Q_dP, dd.flushed_max
-    assert count.calls["eigh"] == 1
+    assert count.calls == {"eigh": 0, "svd": 1, "pinv": 0}
+    _ = dd.rank_dP, dd.D_P, dd.Q_dP, dd.root, dd.flushed_max
     _ = dd.D_Pstar, dd.Q_dPstar, dd.rank_dPstar
-    assert count.calls == {"eigh": 2, "svd": 0, "pinv": 0}
-    _ = dd.adjoint().adjoint().D_Pstar  # both sides are handed over, not rebuilt
-    assert count.calls["eigh"] == 2
+    _ = dd.adjoint().adjoint().D_Pstar, dd.adjoint().Q_dP  # the bases swap, nothing is rebuilt
+    assert count.calls == {"eigh": 0, "svd": 1, "pinv": 0}
 
 
-def test_classification_never_builds_the_star_side(monkeypatch):
+def test_classification_takes_one_svd_with_vectors(monkeypatch):
+    # the defect record's SVD of P; every norm is an SVD without vectors
     pair = random_gamma_contraction(np.random.default_rng(11))
     count = _LinalgCounter(monkeypatch)
     rep = is_gamma_contraction(pair)
-    assert "_star" not in vars(rep.defect)
-    assert count.calls["pinv"] == 0
+    assert rep.defect is not None
+    assert count.calls["svd"] == 1 and count.calls["pinv"] == 0
 
 
 @pytest.mark.parametrize("read_star_first", [False, True])
@@ -257,15 +272,21 @@ def test_adjoint_hands_over_the_built_sides(read_star_first):
         dd = defect_data(P)
         if read_star_first:
             _ = dd.D_Pstar
-        swapped, direct = dd.adjoint(), defect_data(adj(P))
-        for name in ("P", "D_P", "D_Pstar", "Q_dP", "Q_dPstar", "flushed_max"):
-            assert np.array_equal(getattr(swapped, name), getattr(direct, name)), name
+        swapped = dd.adjoint()
+        assert np.array_equal(swapped.P, adj(P))
+        assert swapped.Q_dP is dd.Q_dPstar and swapped.Q_dPstar is dd.Q_dP
+        assert swapped.root is dd.root and swapped.flushed_max == dd.flushed_max
+        assert np.array_equal(swapped.D_P, dd.D_Pstar)
+        assert np.array_equal(swapped.D_Pstar, dd.D_P)
+        back = swapped.adjoint()
+        for name in ("P", "D_P", "D_Pstar", "Q_dP", "Q_dPstar", "root", "flushed_max"):
+            assert np.array_equal(getattr(back, name), getattr(dd, name)), name
         assert swapped.rank_dP == swapped.rank_dPstar == dd.rank_dP
 
 
 def test_star_side_never_raises_once_p_is_accepted():
-    # I - PP* and I - P*P have the same spectrum; the star side is cut to
-    # rank_dP, so rounding on its eigenvalues cannot make it indefinite
+    # I - PP* and I - P*P share the singular values of P, so both sides
+    # come from one flush of 1 - s^2 and have one rank
     for p in (1 - 1e-12, 1 - 1e-11, 1 + 1e-11):
         dd = defect_data(np.diag([p, 0.5]) @ random_unitary(np.random.default_rng(13), 2))
         assert dd.rank_dPstar == dd.rank_dP == 1
@@ -282,8 +303,49 @@ def test_defect_side_identities(seed, n, gap):
     s[0] = 1 - gap
     P = random_unitary(rng, n) @ np.diag(s) @ random_unitary(rng, n)
     dd = defect_data(P)
-    Q, root = dd.Q_dP, dd.root_dP
+    Q, root = dd.Q_dP, dd.root
     assert opnorm(dd.D_P @ dd.D_P - (np.eye(n) - adj(P) @ P)) <= dd.flushed_max + 1e-14
     assert np.allclose(adj(Q) @ Q, np.eye(dd.rank_dP), rtol=0, atol=1e-14)
     atol = 1e-14 / root.min(initial=1.0)
     assert np.allclose(dd.D_P @ (Q / root) @ adj(Q), Q @ adj(Q), rtol=0, atol=atol)
+
+
+def _defect_reference(P, tol=DEFAULT_TOL):
+    """(D_P, D_P*, rank of each, flushed_max) from one eigh each of I - P*P and
+    I - PP*, each flushed at rank_tol * max(1, max|w|) (reference)."""
+    sides = []
+    for M in (np.eye(len(P)) - adj(P) @ P, np.eye(len(P)) - P @ adj(P)):
+        w, V = np.linalg.eigh(0.5 * (M + adj(M)))
+        small = w < tol.rank_tol * max(1.0, np.max(np.abs(w), initial=0.0))
+        D = (V * np.sqrt(np.where(small, 0.0, w))) @ adj(V)
+        sides.append((0.5 * (D + adj(D)), int(np.sum(~small)), np.max(np.abs(w) * small, initial=0.0)))
+    (D_P, rank, flushed), (D_Pstar, rank_star, _) = sides
+    return D_P, D_Pstar, (rank, rank_star), flushed
+
+
+def _reference_cases():
+    rng = np.random.default_rng(24)
+    shift = np.diag(np.ones(3), -1)
+    return {
+        "random": random_strict_contraction(rng, 6, 0.95),
+        "nilpotent": random_gamma_contraction(rng).P,
+        "shift": shift,
+        "jordan": 0.5 * np.eye(4) + 0.5 * shift,
+        "near_isometric": np.diag([1 - 1e-12, 0.5]) @ random_unitary(rng, 2),
+        "unitary": random_unitary(rng, 5),
+        "empty": np.zeros((0, 0)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_reference_cases()))
+def test_defect_record_matches_the_two_eigh_reference(case):
+    P = _reference_cases()[case]
+    dd = defect_data(P)
+    D_P, D_Pstar, ranks, flushed = _defect_reference(P)
+    eye, eps = np.eye(len(P)), 1e-14 * max(1, len(P))
+    assert ranks == (dd.rank_dP, dd.rank_dPstar)
+    assert dd.flushed_max == pytest.approx(flushed, rel=1e-3, abs=eps)
+    assert opnorm(P @ dd.D_P - dd.D_Pstar @ P) <= eps
+    assert opnorm(dd.D_P @ dd.D_P - (eye - adj(P) @ P)) <= dd.flushed_max + eps
+    assert opnorm(dd.D_Pstar @ dd.D_Pstar - (eye - P @ adj(P))) <= dd.flushed_max + eps
+    assert opnorm(dd.D_P - D_P) <= 1e-13 and opnorm(dd.D_Pstar - D_Pstar) <= 1e-13

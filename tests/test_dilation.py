@@ -92,8 +92,15 @@ def test_nf_ay_symbol_is_adjoint_of_fundamental_op_of_adjoint_pair():
     rng = np.random.default_rng(8)
     for _ in range(3):
         pair = random_gamma_contraction(rng)
-        F, _ = fundamental_op(adj(pair.S), defect_data(adj(pair.P)))
-        assert np.array_equal(nf_ay_build(pair, N).symbol_A, adj(F))
+        dd = defect_data(pair.P)
+        A = nf_ay_build(pair, N).symbol_A
+        assert np.array_equal(A, adj(fundamental_op(adj(pair.S), dd.adjoint())[0]))
+        # the record of P* from its own SVD has other bases of the defect spaces:
+        # the symbol agrees as an operator on ran D_P*
+        direct = defect_data(adj(pair.P))
+        F, _ = fundamental_op(adj(pair.S), direct)
+        Q, R = dd.Q_dPstar, direct.Q_dP
+        assert opnorm(Q @ A @ adj(Q) - R @ adj(F) @ adj(R)) <= 1e-13
 
 
 def test_compressed_scalar_identity():
@@ -220,7 +227,8 @@ def test_factorization_basis_spans_the_range_of_g(monkeypatch):
     calls = _recording_svd(monkeypatch)
     Phi, _, _ = factorization_check(pair, (sp.V, sp.embed), N)
     # B: every coordinate of degrees 0..d-1, and z^d times the kept left factor of Pi_{<=N-d}
-    ((_, (U, s, _)),) = calls
+    (P, _), (_, (U, s, _)) = calls  # the defect record's SVD of P comes first
+    assert np.array_equal(P, pair.P)
     U = U[:, s > DEFAULT_TOL.rank_tol * s[0]]
     B = scipy.linalg.block_diag(np.eye(d * rs), U)
     ref = range_basis(G)
@@ -236,9 +244,11 @@ def test_factorization_takes_no_pinv_and_one_svd_with_vectors(monkeypatch):
     monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: pinvs.append(a) or pinv(*a, **k))
     calls = _recording_svd(monkeypatch)
     factorization_check(pair, (sp.V, sp.embed), N)
-    # the one SVD with vectors is of Pi_{<=N-d}, which has n columns, not of the 9 n stage matrix
+    # after the defect record's SVD of P, the one SVD with vectors is of Pi_{<=N-d},
+    # which has n columns, not of the 9 n stage matrix
     assert pinvs == []
-    assert [a.shape[1] for a, _ in calls] == [pair.dim]
+    assert np.array_equal(calls[0][0], pair.P)
+    assert [a.shape[1] for a, _ in calls[1:]] == [pair.dim]
 
 
 def test_factorization_fails_on_a_non_isometric_hardy_block():
