@@ -6,9 +6,9 @@ general case decided through the fundamental-operator equation
 
     S - S*P = D_P A D_P,   w(A) <= 1,
 
-solved on the eigenbasis of the defect space of P.  A von
-Neumann sampling check and a joint unitary-equivalence test round out the
-toolbox.
+solved on the defect basis of P.  One SVD of P gives ||P||, the isometry
+residuals and the defect record.  A von Neumann sampling check and a joint
+unitary-equivalence test round out the toolbox.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .defect import DefectData, defect_data
+from .defect import DefectData, _defect_record
 from .errors import (
     DimensionMismatch,
     NotAContraction,
@@ -27,7 +27,6 @@ from .errors import (
     NotPureModelForm,
     ProblemTooLarge,
 )
-from .hardy import block_of
 from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm
 from .numrad import WR_SLACK, numerical_radius
 from .pair import OperatorPair, restrict
@@ -60,27 +59,27 @@ _UNITARY_CHECKS = ("P isometric", "P co-isometric", "S = S*P", "||S|| <= 2")
 _ISOMETRY_CHECKS = ("P isometric", "S = S*P", "||S|| <= 2")
 
 
-def _commutator_gate(pair: OperatorPair, tol: Tolerance):
-    """NotCommuting unless SP = PS within tolerance; returns (||S||, ||P||)."""
-    norm_S, norm_P = opnorm(pair.S), opnorm(pair.P)
+def _commutator_gate(pair: OperatorPair, tol: Tolerance, norm_S: float, norm_P: float):
+    """NotCommuting unless ||SP - PS|| <= residual_tol * max(1, ||S|| ||P||)."""
     if pair.commutator_norm > tol.residual_tol * max(1.0, norm_S * norm_P):
         raise NotCommuting(
             f"commutator norm {pair.commutator_norm:.3e} exceeds tolerance"
         )
-    return norm_S, norm_P
 
 
-def _algebra_checks(pair: OperatorPair, tol: Tolerance, norm_S: float) -> dict:
+def _algebra_checks(pair: OperatorPair, tol: Tolerance, norm_S: float, s: np.ndarray) -> dict:
     """Check name -> (ok, residual) for the unitary and isometric cases.
 
-    Residuals are restricted to the pair's window; each is computed once.
-    norm_S is ||S||, from the commutator gate.
+    norm_S is ||S||, s the singular values of P.  Residuals are restricted
+    to the pair's window; without one both isometry residuals are max|1 - s^2|.
     """
     S, P, w = pair.S, pair.P, pair.window
-    eye = np.eye(P.shape[0])
     t = tol.residual_tol
-    r_iso = opnorm(restrict(adj(P) @ P - eye, w))
-    r_coiso = opnorm(restrict(P @ adj(P) - eye, w))
+    if w is None:
+        r_iso = r_coiso = float(np.max(np.abs((1 - s) * (1 + s)), initial=0.0))
+    else:
+        r_iso = opnorm(restrict(adj(P) @ P - np.eye(len(P)), w))
+        r_coiso = opnorm(restrict(P @ adj(P) - np.eye(len(P)), w))
     r_sym = opnorm(restrict(S - adj(S) @ P, w))
     return {
         "P isometric": (r_iso <= t, r_iso),
@@ -95,8 +94,9 @@ def _passes(checks: dict, names) -> bool:
 
 
 def is_gamma_isometry(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL):
-    norm_S, _ = _commutator_gate(pair, tol)
-    checks = _algebra_checks(pair, tol, norm_S)
+    s, norm_S = np.linalg.svd(pair.P, compute_uv=False), opnorm(pair.S)
+    _commutator_gate(pair, tol, norm_S, float(np.max(s, initial=0.0)))
+    checks = _algebra_checks(pair, tol, norm_S, s)
     ok = _passes(checks, _ISOMETRY_CHECKS)
     rep = ClassificationReport(kind=GAMMA_ISOMETRY if ok else NOT_GAMMA)
     for name in _ISOMETRY_CHECKS:
@@ -125,17 +125,20 @@ def is_gamma_contraction(
     """Full classification of a commuting pair.
 
     Produces the strongest applicable kind; every sub-check is recorded in
-    the report with its residual.  ||P|| <= 1 passes exactly when
-    `defect_data` accepts P, and the report carries that DefectData.
+    the report with its residual.  One SVD of P gives ||P|| = s_0, the
+    isometry residuals of a pair without a window and the DefectData the
+    report carries; ||P|| <= 1 passes exactly when that record accepts P.
     w(A) <= 1 passes when the certified upper bound on w(A) is at most
     1 + wr_slack; the answer is NotGamma when the lower bound exceeds it,
     and Inconclusive when the two bounds straddle it.
     """
-    norm_S, norm_P = _commutator_gate(pair, tol)
     S, P = pair.S, pair.P
-    algebra = _algebra_checks(pair, tol, norm_S)
+    U, s, Vh = np.linalg.svd(P)
+    norm_S, norm_P = opnorm(S), float(np.max(s, initial=0.0))
+    _commutator_gate(pair, tol, norm_S, norm_P)
+    algebra = _algebra_checks(pair, tol, norm_S, s)
     try:
-        dd = defect_data(P, tol)
+        dd = _defect_record(P, U, s, Vh, tol)
     except NotAContraction:
         dd = None
     t = tol.residual_tol
@@ -169,7 +172,7 @@ def recover_pure_symbol(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL
     """Read the symbol back off a truncated pure model pair.
 
     S* - S P* concentrates the symbol's adjoint in the degree-0 diagonal
-    block; all other interior blocks must vanish.
+    block; all other interior blocks (degrees below N) must vanish.
     """
     S, P = pair.S, pair.P
     dim = S.shape[0]
@@ -179,12 +182,9 @@ def recover_pure_symbol(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL
     E = adj(S) - S @ adj(P)
     A = adj(E[:b, :b])
     scale = max(1.0, opnorm(A))
-    worst = 0.0
-    for i in range(N):
-        for j in range(N):
-            if i == 0 and j == 0:
-                continue
-            worst = max(worst, opnorm(block_of(E, b, b, i, j)))
+    blocks = E[: N * b, : N * b].reshape(N, b, N, b).swapaxes(1, 2).copy()
+    blocks[:1, :1] = 0
+    worst = float(np.max(opnorm(blocks), initial=0.0))
     if worst > 1e-10 * scale:
         raise NotPureModelForm(
             f"off-block residual {worst:.3e} too large for a pure model pair"
@@ -276,8 +276,8 @@ def von_neumann_margin(
     with relative slack 1e-12, are dropped; without a ceiling
     (cos(degree pi / grid) <= 0) none is.
     """
-    _commutator_gate(pair, tol)
     S, P = pair.S, pair.P
+    _commutator_gate(pair, tol, opnorm(S), opnorm(P))
     # (a, b) with a + b <= degree in row-major order, the order the coefficients are drawn in
     a, b = np.nonzero(np.add.outer(np.arange(degree + 1), np.arange(degree + 1)) <= degree)
     draws = np.random.default_rng(seed).uniform(-1, 1, size=(trials, a.size, 2))
@@ -444,11 +444,11 @@ def _trace_words_agree(ops1, ops2, tol: Tolerance) -> bool:
     """Traces of the words of length 1 and 2 in the operators and adjoints agree.
 
     tr(L_i L_j) is one einsum over all letter pairs.  The slack for words of
-    length k is residual_tol * 10 * max(1, ||.||^k, |t1|, |t2|).
+    length k is residual_tol * 10 * max(1, ||T||^k, |t1|, |t2|) (||T*|| = ||T||).
     """
+    nrm = max(1.0, np.max(opnorm(np.stack(ops1))), np.max(opnorm(np.stack(ops2))))
     alpha1 = np.stack(ops1 + [adj(T) for T in ops1])
     alpha2 = np.stack(ops2 + [adj(T) for T in ops2])
-    nrm = max(1.0, np.max(opnorm(alpha1)), np.max(opnorm(alpha2)))
     by_length = (
         (1, np.einsum("iaa->i", alpha1), np.einsum("iaa->i", alpha2)),
         (2, np.einsum("iab,jba->ij", alpha1, alpha1), np.einsum("iab,jba->ij", alpha2, alpha2)),

@@ -114,13 +114,17 @@ def defect_data(P, tol: Tolerance = DEFAULT_TOL) -> DefectData:
     I - P*P = V diag(1 - s^2) V* and I - PP* = U diag(1 - s^2) U*, so the
     columns of V and U that `rank_flush` keeps are the range bases of D_P
     and D_P*.  P is a contraction exactly when `rank_flush` accepts
-    1 - s^2; otherwise NotAContraction.  Classification uses the same test
-    for its ||P|| <= 1 check.
+    1 - s^2; otherwise NotAContraction.  Classification's ||P|| <= 1 check
+    is this test: it builds its record from its own SVD with `_defect_record`.
     """
     P = as_matrix(P)
     if P.shape[0] != P.shape[1]:
         raise DimensionMismatch(f"P must be square, got shape {P.shape}")
-    U, s, Vh = np.linalg.svd(P)
+    return _defect_record(P, *np.linalg.svd(P), tol)
+
+
+def _defect_record(P, U, s, Vh, tol: Tolerance) -> DefectData:
+    """The DefectData of square P from its SVD factors P = U diag(s) Vh."""
     try:
         w, flushed = rank_flush((1 - s) * (1 + s), tol)
     except IndefiniteInput:

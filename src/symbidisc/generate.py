@@ -40,16 +40,16 @@ def random_commuting_unitaries(rng: np.random.Generator, n: int):
     return U @ np.diag(d1) @ adj(U), U @ np.diag(d2) @ adj(U)
 
 
-def random_symbol(rng: np.random.Generator, n: int, wr_max: float = 1.0) -> np.ndarray:
-    """Random matrix rescaled so its numerical radius lands in (0, wr_max].
+def random_symbol(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random matrix rescaled so its numerical radius is at most a target in [0.4, 1).
 
     The rescaling divides by the certified upper bound on w(A), so the
-    bound wr_max is proven, not estimated.
+    bound is proven, not estimated.  The draws are bit-identical to those
+    of the former `wr_max` parameter at its only value, 1.0.
     """
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     w = numerical_radius(A).upper
-    target = wr_max * (0.4 + 0.6 * rng.random())
-    return A * (target / w)
+    return A * ((0.4 + 0.6 * rng.random()) / w)
 
 
 def random_strict_contraction(

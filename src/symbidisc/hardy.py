@@ -108,7 +108,3 @@ def compress(op, basis) -> np.ndarray:
             f"operator dimension {M.shape[1]} does not match basis rows {Q.shape[0]}"
         )
     return adj(Q) @ M @ Q
-
-
-def block_of(M: np.ndarray, block_rows: int, block_cols: int, i: int, j: int) -> np.ndarray:
-    return M[i * block_rows : (i + 1) * block_rows, j * block_cols : (j + 1) * block_cols]

@@ -7,12 +7,14 @@ from scipy.linalg import block_diag
 from symbidisc import classify
 from symbidisc.classify import (
     GAMMA_CONTRACTION,
+    GAMMA_ISOMETRY,
     GAMMA_UNITARY,
     INCONCLUSIVE,
     NOT_GAMMA,
     find_unitary_intertwiner,
     fundamental_op,
     is_gamma_contraction,
+    is_gamma_isometry,
     joint_unitary_equiv,
     recover_pure_symbol,
     von_neumann_margin,
@@ -141,6 +143,71 @@ def test_recover_pure_symbol_rejects_non_model():
     S = np.kron(np.eye(4), random_symbol(rng, 2))
     with pytest.raises(NotPureModelForm):
         recover_pure_symbol(make_pair(S, np.zeros_like(S)), 3)
+
+
+def _rejects_by_block_loop(pair, N):
+    """Reference: recover_pure_symbol's test, one interior block at a time."""
+    E = adj(pair.S) - pair.S @ adj(pair.P)
+    b = pair.dim // (N + 1)
+    norms = {(i, j): opnorm(E[i * b : (i + 1) * b, j * b : (j + 1) * b]) for i in range(N) for j in range(N)}
+    scale = max(1.0, norms.pop((0, 0)))
+    return max(norms.values()) > 1e-10 * scale
+
+
+def test_recover_pure_symbol_checks_every_interior_block():
+    # A perturbation of S at block (i, j) shows in S* - SP* at block (j, i)
+    # and, since P* lowers the degree by one, at block (i, j + 1).  So it
+    # reaches an interior block exactly when i < N and j < N; at block
+    # (0, N) it stays in the degree-N row and the absent column N + 1.
+    b, N = 2, 4
+    A = random_symbol(np.random.default_rng(4), b)
+    pair = gamma_isometry_model(A, N)
+    assert not _rejects_by_block_loop(pair, N)
+    for i in range(N + 1):
+        for j in range(N + 1):
+            S = pair.S.copy()
+            S[i * b : (i + 1) * b, j * b : (j + 1) * b] += 1e-6
+            perturbed = make_pair(S, pair.P)
+            assert _rejects_by_block_loop(perturbed, N) == (i < N and j < N), (i, j)
+            if i < N and j < N:
+                with pytest.raises(NotPureModelForm):
+                    recover_pure_symbol(perturbed, N)
+            else:
+                assert opnorm(recover_pure_symbol(perturbed, N) - A) < 1e-13, (i, j)
+
+
+def test_windowed_model_pair_classifies_gamma_isometry():
+    # the truncated shift maps its top degree out, so ||P*P - I|| = 1 on the
+    # whole space; only the residual restricted to the window vanishes
+    pair = gamma_isometry_model(random_symbol(np.random.default_rng(6), 3), 6)
+    assert opnorm(adj(pair.P) @ pair.P - np.eye(pair.dim)) == pytest.approx(1.0)
+    assert is_gamma_contraction(pair).kind == GAMMA_ISOMETRY
+
+
+def _isometry_test_matrices(case, rng):
+    if case == "random":
+        return [random_gamma_contraction(rng).P for _ in range(10)]
+    if case == "unitary":
+        synth = [gamma_unitary_synth(*random_commuting_unitaries(rng, n)).P for n in range(1, 9)]
+        return [random_unitary(rng, n) for n in range(1, 9)] + synth
+    if case == "near_isometric":
+        return [np.diag([1 - 1e-12, 0.5]).astype(complex)]
+    if case == "jordan":
+        return [np.diag(np.ones(n - 1), 1) * c for n in (2, 5) for c in (1.0, 0.5)]
+    return [np.zeros((0, 0), dtype=complex)]
+
+
+@pytest.mark.parametrize("case", ["random", "unitary", "near_isometric", "jordan", "empty"])
+def test_unwindowed_isometry_residual_reads_the_singular_values(case):
+    # ||P*P - I|| = max|(1 - s)(1 + s)| over the singular values s of P.  The
+    # reference forms P*P, whose entries round by about n eps ||P||^2.
+    eps = np.finfo(float).eps
+    for P in _isometry_test_matrices(case, np.random.default_rng(21)):
+        n = P.shape[0]
+        _, rep = is_gamma_isometry(make_pair(np.zeros_like(P), P))
+        residual = dict((name, r) for name, _, r in rep.checks)["P isometric"]
+        reference = opnorm(adj(P) @ P - np.eye(n))
+        assert abs(residual - reference) <= 4 * max(1, n) * eps * max(1.0, opnorm(P) ** 2)
 
 
 def test_von_neumann_margin_violation():
@@ -644,6 +711,33 @@ def test_scaled_pair_stays_in_gamma(seed, variant):
     for r in (0.0, 0.3, 0.9, 1 - 1e-6, 1.0):
         kind = is_gamma_contraction(make_pair(r * pair.S, r * r * pair.P)).kind
         assert kind not in (NOT_GAMMA, INCONCLUSIVE), r
+
+
+_KIND_ORDER = [NOT_GAMMA, GAMMA_CONTRACTION, GAMMA_ISOMETRY, GAMMA_UNITARY]
+_NOT_GAMMA_PARTS = [
+    ([[2.2]], [[1.0]]),  # ||S|| > 2
+    (np.diag([1.2, 0.0]), np.zeros((2, 2))),  # w(A) = 1.2
+    ([[0.0]], [[1.5]]),  # ||P|| > 1
+    ([[0.5]], [[-1.0]]),  # S - S*P = 1 on a zero defect space
+]
+
+
+def _direct_sum_part(rng, source):
+    if source == "contraction":
+        return random_gamma_contraction(rng)
+    if source == "unitary":
+        return gamma_unitary_synth(*random_commuting_unitaries(rng, int(rng.integers(1, 5))))
+    return make_pair(*_NOT_GAMMA_PARTS[int(rng.integers(len(_NOT_GAMMA_PARTS)))])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_SEEDS, st.lists(st.sampled_from(["contraction", "unitary", "not_gamma"]), min_size=1, max_size=3))
+def test_direct_sum_has_the_weakest_kind_of_its_parts(seed, sources):
+    rng = np.random.default_rng(seed)
+    parts = [_direct_sum_part(rng, source) for source in sources]
+    kinds = [is_gamma_contraction(part).kind for part in parts]
+    total = make_pair(block_diag(*(p.S for p in parts)), block_diag(*(p.P for p in parts)))
+    assert is_gamma_contraction(total).kind == min(kinds, key=_KIND_ORDER.index)
 
 
 def _best_of_eight(ops1, ops2, seed=0):

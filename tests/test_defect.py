@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbidisc import defect
-from symbidisc.classify import is_gamma_contraction
+from symbidisc.classify import GAMMA_CONTRACTION, GAMMA_UNITARY, is_gamma_contraction
 from symbidisc.defect import (
     DELTA_GRID,
     build_model_space,
@@ -19,6 +19,7 @@ from symbidisc.defect import (
     theta_taylor,
     truncation_tail,
 )
+from symbidisc.dilation import gamma_unitary_synth
 from symbidisc.errors import (
     DimensionMismatch,
     NotAContraction,
@@ -26,7 +27,12 @@ from symbidisc.errors import (
     ResolventSingular,
     TruncationTooSmall,
 )
-from symbidisc.generate import random_gamma_contraction, random_strict_contraction, random_unitary
+from symbidisc.generate import (
+    random_commuting_unitaries,
+    random_gamma_contraction,
+    random_strict_contraction,
+    random_unitary,
+)
 from symbidisc.linalg import DEFAULT_TOL, adj, opnorm
 
 
@@ -229,16 +235,20 @@ def test_pi_nf_matrix_matches_the_two_product_loop(N):
 
 
 class _LinalgCounter:
-    """Counts calls of np.linalg eigh, pinv and svd with vectors while patched in."""
+    """Counts calls of np.linalg eigh, pinv and svd with vectors while patched in,
+    and in `norms` the calls of svd without vectors."""
 
     def __init__(self, monkeypatch):
         self.calls = {"eigh": 0, "svd": 0, "pinv": 0}
+        self.norms = 0
         for name in self.calls:
             monkeypatch.setattr(np.linalg, name, self._counted(name, getattr(np.linalg, name)))
 
     def _counted(self, name, fn):
         def counted(*args, **kwargs):
-            self.calls[name] += kwargs.get("compute_uv", True)
+            vectors = kwargs.get("compute_uv", True)
+            self.calls[name] += vectors
+            self.norms += not vectors
             return fn(*args, **kwargs)
 
         return counted
@@ -256,12 +266,19 @@ def test_defect_data_takes_one_svd_and_reading_either_side_adds_none(monkeypatch
 
 
 def test_classification_takes_one_svd_with_vectors(monkeypatch):
-    # the defect record's SVD of P; every norm is an SVD without vectors
-    pair = random_gamma_contraction(np.random.default_rng(11))
-    count = _LinalgCounter(monkeypatch)
-    rep = is_gamma_contraction(pair)
-    assert rep.defect is not None
-    assert count.calls["svd"] == 1 and count.calls["pinv"] == 0
+    # one SVD of P gives ||P||, the isometry residuals and the defect record;
+    # the only other SVDs are the norms ||S|| and ||S - S*P||, without vectors
+    rng = np.random.default_rng(11)
+    pairs = {
+        GAMMA_CONTRACTION: random_gamma_contraction(rng),
+        GAMMA_UNITARY: gamma_unitary_synth(*random_commuting_unitaries(rng, 4)),
+    }
+    for kind, pair in pairs.items():
+        count = _LinalgCounter(monkeypatch)
+        rep = is_gamma_contraction(pair)
+        assert rep.defect is not None and rep.kind == kind
+        assert count.calls["svd"] == 1 and count.calls["pinv"] == 0
+        assert count.norms <= 2
 
 
 @pytest.mark.parametrize("read_star_first", [False, True])
