@@ -28,7 +28,7 @@ from .errors import (
     ProblemTooLarge,
 )
 from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm
-from .numrad import WR_SLACK, numerical_radius
+from .numrad import WR_SLACK, grid_bounds, numerical_radius
 from .pair import OperatorPair, restrict
 
 GAMMA_UNITARY = "GammaUnitary"
@@ -42,7 +42,7 @@ class ClassificationReport:
     kind: str
     fundamental_op: Optional[np.ndarray] = None
     fundamental_residual: float = np.inf
-    wA: float = np.inf
+    wA: float = np.inf  # wA <= w(A) <= wA_upper: the grid or level-set bounds that decided
     wA_upper: float = np.inf
     checks: list = field(default_factory=list)
     defect: Optional[DefectData] = None
@@ -130,7 +130,10 @@ def is_gamma_contraction(
     report carries; ||P|| <= 1 passes exactly when that record accepts P.
     w(A) <= 1 passes when the certified upper bound on w(A) is at most
     1 + wr_slack; the answer is NotGamma when the lower bound exceeds it,
-    and Inconclusive when the two bounds straddle it.
+    and Inconclusive when the two bounds straddle it.  The bounds come from
+    the angle grid of `grid_bounds` when they decide, and otherwise (and
+    for n <= 1) from `numerical_radius`; wA and wA_upper are the bounds
+    that decided.
     """
     S, P = pair.S, pair.P
     U, s, Vh = np.linalg.svd(P)
@@ -149,7 +152,9 @@ def is_gamma_contraction(
         rep.kind = NOT_GAMMA
         return rep
     F, residual = fundamental_op(S, dd, tol)
-    wr = numerical_radius(F, tol)
+    wr = grid_bounds(F)[0] if len(F) > 1 else None
+    if wr is None or wr.value <= 1 + wr_slack < wr.upper:
+        wr = numerical_radius(F, tol)
     rep.fundamental_op = F
     rep.fundamental_residual = residual
     rep.wA, rep.wA_upper = wr.value, wr.upper

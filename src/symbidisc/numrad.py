@@ -3,8 +3,10 @@
 w(A) is the maximum over theta of f(theta), the top eigenvalue of
 Re(e^{i theta} A) = (e^{i theta} A + e^{-i theta} A*) / 2.
 
-A coarse grid of angles, evaluated as one stacked eigensolve, picks a
-starting angle, and a safeguarded Newton ascent of f raises the lower bound
+A coarse grid of angles, evaluated as one stacked eigensolve, already
+brackets w(A) within a factor sec(pi / START_ANGLES) (`grid_bounds`), which
+decides w(A) <= r for any r outside that band.  It also picks a starting
+angle, and a safeguarded Newton ascent of f raises the lower bound
 to the local maximum near it.  The upper bound comes from the level-set
 method of Mengi & Overton ("Algorithms for the computation of the
 pseudospectral radius and the numerical radius of a matrix", IMA J. Numer.
@@ -49,6 +51,25 @@ def _top_eigs(A: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """f at every angle, from one eigvalsh of the stacked Re(e^{i theta} A)."""
     z = np.exp(1j * thetas)[:, None, None]
     return np.linalg.eigvalsh(0.5 * (z * A + np.conj(z) * adj(A)))[:, -1]
+
+
+def grid_bounds(A: np.ndarray) -> tuple[NumRadResult, float]:
+    """Bounds on w(A), n >= 2, from f on the START_ANGLES grid alone.
+
+    value is the grid maximum.  Some grid angle lies within pi / m of the
+    direction of a point of W(A) on the circle |z| = w(A), so w(A) <=
+    sec(pi / m) max_k f(theta_k) (the support-line polygon of C. R. Johnson,
+    SIAM J. Numer. Anal. 15, 1978); upper adds 8 n eps ||A||_F to the grid
+    maximum for the eigvalsh rounding, as ||A||_F >= ||A||.  Also returns
+    the angle of the grid minimum, the level set's Cayley pole.
+    """
+    n = A.shape[0]
+    thetas = 2 * np.pi * np.arange(START_ANGLES) / START_ANGLES
+    f = _top_eigs(A, thetas)
+    k = int(np.argmax(f))
+    rounding = 8 * n * np.finfo(float).eps * np.linalg.norm(A)
+    upper = (f[k] + rounding) / np.cos(np.pi / START_ANGLES)
+    return NumRadResult(float(f[k]), float(thetas[k]), float(upper)), float(thetas[np.argmin(f)])
 
 
 def _ascend(A: np.ndarray, theta: float, tol: Tolerance) -> tuple[float, float]:
@@ -127,11 +148,9 @@ def numerical_radius(A, tol: Tolerance = DEFAULT_TOL) -> NumRadResult:
         w = float(abs(a))
         return NumRadResult(w, float(-np.angle(a) % (2 * np.pi)), w)
 
-    thetas = 2 * np.pi * np.arange(START_ANGLES) / START_ANGLES
-    f = _top_eigs(A, thetas)
     # the Cayley pole at the smallest f keeps the Cholesky factor far from singular
-    pole = thetas[np.argmin(f)]
-    theta, lower = _ascend(A, thetas[np.argmax(f)], tol)
+    grid, pole = grid_bounds(A)
+    theta, lower = _ascend(A, grid.argmax_angle, tol)
     for steps in range(1, MAX_LEVEL_SETS + 1):
         r = lower + tol.convergence_tol * max(1.0, lower)
         cuts = np.sort(np.append(_level_set_angles(A, r, pole), pole))

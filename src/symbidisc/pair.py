@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, opnorm
 
 
 def restrict(M: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
@@ -47,5 +47,4 @@ def make_pair(S, P, window: Optional[np.ndarray] = None) -> OperatorPair:
     if S.shape != P.shape or S.shape[0] != S.shape[1]:
         raise ValueError("S and P must be square matrices of the same size")
     comm = restrict(S @ P - P @ S, window)
-    norm = float(np.linalg.norm(comm, 2)) if comm.size else 0.0
-    return OperatorPair(S, P, norm, window)
+    return OperatorPair(S, P, opnorm(comm), window)

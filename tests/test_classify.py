@@ -36,8 +36,9 @@ from symbidisc.generate import (
 )
 from symbidisc.hardy import gamma_isometry_model
 from symbidisc.linalg import DEFAULT_TOL, adj, opnorm, psd_sqrt, range_basis, sandwich_solve
-from symbidisc.numrad import WR_SLACK, NumRadResult, numerical_radius
+from symbidisc.numrad import WR_SLACK, NumRadResult, grid_bounds, numerical_radius
 from symbidisc.pair import make_pair
+from test_defect import _LinalgCounter
 
 
 def test_unitary_pair_classifies_unitary():
@@ -102,13 +103,53 @@ def test_off_grid_numerical_radius_peak_answers_not_gamma():
     ids=["pass", "straddle", "fail"],
 )
 def test_numerical_radius_gate(monkeypatch, value, upper, kind):
+    # the bounds are injected at both sources the decision reads: the angle
+    # grid, and the level set that runs when the grid bounds straddle
     bounds = NumRadResult(value, 0.0, upper)
+    monkeypatch.setattr(classify, "grid_bounds", lambda A: (bounds, 0.0))
     monkeypatch.setattr(classify, "numerical_radius", lambda A, tol: bounds)
     pair = random_gamma_contraction(np.random.default_rng(6))
     rep = is_gamma_contraction(pair)
     assert rep.kind == kind
     assert (rep.wA, rep.wA_upper) == (value, upper)
     assert ("w(A) <= 1", kind == GAMMA_CONTRACTION, max(0.0, upper - 1)) in rep.checks
+
+
+def test_grid_decides_a_generated_pair_without_the_level_set(monkeypatch):
+    pair = random_gamma_contraction(np.random.default_rng(6))
+    count = _LinalgCounter(monkeypatch, ("eigh", "eigvals"))
+    rep = is_gamma_contraction(pair)
+    assert count.calls == {"eigh": 0, "eigvals": 0}
+    assert rep.kind == GAMMA_CONTRACTION and rep.fundamental_op.shape == (2, 2)
+    grid, _ = grid_bounds(rep.fundamental_op)
+    assert (rep.wA, rep.wA_upper) == (grid.value, grid.upper)
+    assert rep.wA <= numerical_radius(rep.fundamental_op).value <= rep.wA_upper <= 1 + WR_SLACK
+
+
+def test_grid_maximum_above_one_answers_not_gamma(monkeypatch):
+    # with P = 0 the fundamental operator is S, and f(0) = 1.2 on the grid
+    pair = make_pair(np.diag([1.2, 0.0]), np.zeros((2, 2)))
+    count = _LinalgCounter(monkeypatch, ("eigh", "eigvals"))
+    rep = is_gamma_contraction(pair)
+    assert count.calls == {"eigh": 0, "eigvals": 0}
+    assert rep.kind == NOT_GAMMA
+    assert rep.wA == pytest.approx(1.2, abs=1e-12) and rep.wA <= rep.wA_upper
+
+
+@pytest.mark.parametrize("outside", [True, False], ids=["outside", "inside"])
+def test_knife_edge_pair_falls_back_to_the_level_set(monkeypatch, outside):
+    # w(S) = 1 +/- 1e-6 lies in the band the grid cannot decide
+    rng = np.random.default_rng(16)
+    eigs = np.exp(2j * np.pi * rng.random(4))
+    eigs[0] *= 1 + 1e-6 if outside else 1 - 1e-6
+    U = random_unitary(rng, 4)
+    pair = make_pair((U * eigs) @ adj(U), np.zeros((4, 4)))
+    count = _LinalgCounter(monkeypatch, ("eigh", "eigvals"))
+    rep = is_gamma_contraction(pair)
+    assert count.calls["eigvals"] >= 1
+    assert rep.kind == (NOT_GAMMA if outside else GAMMA_CONTRACTION)
+    res = numerical_radius(rep.fundamental_op)
+    assert (rep.wA, rep.wA_upper) == (res.value, res.upper)
 
 
 @pytest.mark.parametrize("outside", [True, False], ids=["outside", "inside"])

@@ -9,6 +9,7 @@ from symbidisc.cli import (
     run_command,
     save_matrix,
 )
+from symbidisc.numrad import numerical_radius
 
 
 def write_matrix(path, M):
@@ -60,6 +61,21 @@ def test_classify_command(capsys, tmp_path):
     assert 1.0 <= obj["wA_upper"] <= 1 + 1e-8
     assert obj["wA"] == pytest.approx(1.0, abs=1e-8)
     assert obj["flushed_max"] == 0.0
+
+
+def test_classify_reports_the_grid_bounds_that_decided(capsys, tmp_path):
+    # P = 0 makes S the fundamental operator; w(S) = 0.648 is far enough below
+    # 1 for the 16-angle grid to decide, so wA and wA_upper bracket w(S)
+    S = np.array([[0.5, 0.6], [0.0, 0.4j]])
+    s_path = write_matrix(tmp_path / "S.json", S)
+    p_path = write_matrix(tmp_path / "P.json", np.zeros((2, 2)))
+    code, out, _ = run(capsys, ["classify", "--S", s_path, "--P", p_path])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["kind"] == "GammaContraction"
+    value = numerical_radius(S).value
+    assert obj["wA"] <= value <= obj["wA_upper"]
+    assert obj["wA_upper"] - obj["wA"] > 1e-6  # grid bounds, not the level-set ones
 
 
 def test_classify_reports_flushed_max(capsys, tmp_path):

@@ -235,11 +235,11 @@ def test_pi_nf_matrix_matches_the_two_product_loop(N):
 
 
 class _LinalgCounter:
-    """Counts calls of np.linalg eigh, pinv and svd with vectors while patched in,
-    and in `norms` the calls of svd without vectors."""
+    """Counts calls of the np.linalg functions `names` (svd only with vectors)
+    while patched in, and in `norms` the calls of svd without vectors."""
 
-    def __init__(self, monkeypatch):
-        self.calls = {"eigh": 0, "svd": 0, "pinv": 0}
+    def __init__(self, monkeypatch, names=("eigh", "svd", "pinv")):
+        self.calls = dict.fromkeys(names, 0)
         self.norms = 0
         for name in self.calls:
             monkeypatch.setattr(np.linalg, name, self._counted(name, getattr(np.linalg, name)))

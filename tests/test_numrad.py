@@ -162,6 +162,14 @@ def _matrix_of_kind(rng, n, kind):
         return _normal(rng, np.diagonal(A))
     if kind == "rescaled":
         return A * 10.0 ** rng.uniform(-6, 6)
+    if kind == "jordan":
+        return np.exp(2j * np.pi * rng.random()) * np.diag(np.ones(n - 1), 1)
+    if kind == "weighted-shift":
+        return np.diag(rng.uniform(0.1, 2.0, n - 1), 1)
+    if kind == "near-normal":
+        return _normal(rng, np.diagonal(A)) + 10.0 ** rng.uniform(-9, -3) * A
+    if kind == "scalar-plus-nilpotent":
+        return A[0, 0] * np.eye(n) + np.triu(A, 1)
     return A
 
 
@@ -178,6 +186,21 @@ def test_ascent_agrees_with_the_grid_start_reference(seed, n, kind):
     rounding = 8 * EPS * opnorm(A)
     assert res.value <= upper + rounding and value <= res.upper + rounding
     assert res.steps <= steps
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3, 6, 20, 44]),
+    st.sampled_from(["generic", "jordan", "weighted-shift", "near-normal", "scalar-plus-nilpotent"]),
+)
+def test_grid_bounds_bracket_the_level_set_bounds(seed, n, kind):
+    A = _matrix_of_kind(np.random.default_rng(seed), n, kind)
+    grid, pole = numrad.grid_bounds(A)
+    res = numerical_radius(A)
+    rounding = 8 * n * EPS * np.linalg.norm(A)
+    assert grid.value <= res.value + rounding and grid.upper >= res.upper
+    assert 0 <= pole < 2 * np.pi
 
 
 def test_generic_fundamental_operators_certify_in_one_step():
