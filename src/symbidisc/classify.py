@@ -28,7 +28,7 @@ from .errors import (
     ProblemTooLarge,
 )
 from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm
-from .numrad import WR_SLACK, grid_bounds, numerical_radius
+from .numrad import WR_SLACK, _level_set, grid_bounds, numerical_radius
 from .pair import OperatorPair, restrict
 
 GAMMA_UNITARY = "GammaUnitary"
@@ -131,9 +131,9 @@ def is_gamma_contraction(
     w(A) <= 1 passes when the certified upper bound on w(A) is at most
     1 + wr_slack; the answer is NotGamma when the lower bound exceeds it,
     and Inconclusive when the two bounds straddle it.  The bounds come from
-    the angle grid of `grid_bounds` when they decide, and otherwise (and
-    for n <= 1) from `numerical_radius`; wA and wA_upper are the bounds
-    that decided.
+    the angle grid of `grid_bounds` when they decide, otherwise from the
+    level set started on that grid, and for n <= 1 from the closed form of
+    `numerical_radius`; wA and wA_upper are the bounds that decided.
     """
     S, P = pair.S, pair.P
     U, s, Vh = np.linalg.svd(P)
@@ -152,9 +152,9 @@ def is_gamma_contraction(
         rep.kind = NOT_GAMMA
         return rep
     F, residual = fundamental_op(S, dd, tol)
-    wr = grid_bounds(F)[0] if len(F) > 1 else None
-    if wr is None or wr.value <= 1 + wr_slack < wr.upper:
-        wr = numerical_radius(F, tol)
+    wr, pole = grid_bounds(F) if len(F) > 1 else (numerical_radius(F, tol), None)
+    if pole is not None and wr.value <= 1 + wr_slack < wr.upper:
+        wr = _level_set(F, wr, pole, tol)
     rep.fundamental_op = F
     rep.fundamental_residual = residual
     rep.wA, rep.wA_upper = wr.value, wr.upper
@@ -333,23 +333,6 @@ NULL_TOL = 1e-6
 INTERTWINER_SEED = 0
 
 
-def _operator_lists(ops1, ops2):
-    """Coerce two operator lists and check their shapes.
-
-    Both lists must be non-empty and of equal length, and each must hold
-    square matrices of one size; otherwise DimensionMismatch.
-    """
-    ops1 = [as_matrix(T) for T in ops1]
-    ops2 = [as_matrix(T) for T in ops2]
-    if len(ops1) != len(ops2) or not ops1:
-        raise DimensionMismatch("operator lists must be non-empty and equal length")
-    for name, ops in (("first", ops1), ("second", ops2)):
-        n = ops[0].shape[0]
-        if any(T.shape != (n, n) for T in ops):
-            raise DimensionMismatch(f"{name} operator list has mismatched shapes")
-    return ops1, ops2
-
-
 def _accept_threshold(tol: Tolerance) -> float:
     """Largest certificate ||U T - T' U|| / max(1, ||T||) that counts as equivalence."""
     return max(tol.residual_tol * 100, 1e-7)
@@ -409,24 +392,48 @@ def find_unitary_intertwiner(
 ):
     """Search for a unitary U with U T = T' U for every listed operator.
 
-    Every intertwiner also intertwines one random Hermitian element H of
-    each tuple's *-algebra.  The spectra of H_1 and H_2 must agree, which
-    only rejects; in their eigenbases the Gram operator of the joint
-    Sylvester system is solved on the sum m_k^2 block-diagonal unknowns of
-    the eigenvalue clusters, n for a simple spectrum.  Its null space is
-    spanned by the eigenvectors with eigenvalues at most (NULL_TOL*scale)^2,
-    and a unitary is extracted by polar decomposition of a random element,
-    the best of 8, or of one on a one-dimensional null space: its elements
-    c D_0 all have the polar factor (c/|c|) polar(D_0) and one certificate.
-    Returns (U, residual) or (None, inf).  Raises ProblemTooLarge when the
-    Gram operator would exceed GRAM_BUDGET_BYTES.
+    Both lists must be non-empty, of equal length and each of square
+    matrices of one size; otherwise DimensionMismatch.  Returns (U,
+    certificate), the certificate being max ||U T - T' U|| / max(1, ||T||)
+    over the letters, or (None, inf): always for lists of different sizes,
+    and the empty U with certificate 0 for 0 x 0 lists.  Three checks come
+    first and only reject, each because it implies a certificate above
+    _accept_threshold(tol):
+    - a letter's singular values or trace differ by more than that
+      threshold times max(1, ||T||), as max_k |s_k(T) - s_k(T')| <=
+      ||U T U* - T'|| (Mirsky) and |tr T - tr T'| <= n ||U T U* - T'||;
+    - the spectra of one random Hermitian element H of each tuple's
+      *-algebra differ by more than its slack (_intertwiner_space);
+    - the Gram null space below is empty.
+    In the eigenbases of H the Gram operator of the joint Sylvester system
+    is solved on the sum m_k^2 block-diagonal unknowns of the eigenvalue
+    clusters, n for a simple spectrum.  Its null space is spanned by the
+    eigenvectors with eigenvalues at most (NULL_TOL*scale)^2, and a unitary
+    is extracted by polar decomposition of a random element, the best of 8,
+    or of one on a one-dimensional null space: its elements c D_0 all have
+    the polar factor (c/|c|) polar(D_0) and one certificate.  Raises
+    ProblemTooLarge when the Gram operator would exceed GRAM_BUDGET_BYTES.
     """
-    ops1, ops2 = _operator_lists(ops1, ops2)
+    ops1 = [as_matrix(T) for T in ops1]
+    ops2 = [as_matrix(T) for T in ops2]
+    if len(ops1) != len(ops2) or not ops1:
+        raise DimensionMismatch("operator lists must be non-empty and equal length")
+    for name, ops in (("first", ops1), ("second", ops2)):
+        n = ops[0].shape[0]
+        if any(T.shape != (n, n) for T in ops):
+            raise DimensionMismatch(f"{name} operator list has mismatched shapes")
     n = ops1[0].shape[0]
-    if n != ops2[0].shape[0] or n == 0:
+    if n != ops2[0].shape[0]:
         return None, np.inf
-    norms1 = [max(1.0, opnorm(T)) for T in ops1]
-    scale = max(norms1 + [opnorm(T) for T in ops2])
+    if n == 0:
+        return np.zeros((0, 0)), 0.0
+    L = np.stack([ops1, ops2])
+    s, tr = np.linalg.svd(L, compute_uv=False), np.trace(L, axis1=-2, axis2=-1)
+    norms1 = np.maximum(1.0, s[0, :, 0])
+    scale = max(norms1.max(), s[1, :, 0].max())
+    bound = _accept_threshold(tol) * norms1
+    if np.any(abs(s[0] - s[1]).max(-1) > bound) or np.any(abs(tr[0] - tr[1]) / n > bound):
+        return None, np.inf
     rng = np.random.default_rng(INTERTWINER_SEED)
     space = _intertwiner_space(ops1, ops2, scale, tol, rng)
     if space is None:
@@ -445,26 +452,6 @@ def find_unitary_intertwiner(
     return best_U, float(best_res)
 
 
-def _trace_words_agree(ops1, ops2, tol: Tolerance) -> bool:
-    """Traces of the words of length 1 and 2 in the operators and adjoints agree.
-
-    tr(L_i L_j) is one einsum over all letter pairs.  The slack for words of
-    length k is residual_tol * 10 * max(1, ||T||^k, |t1|, |t2|) (||T*|| = ||T||).
-    """
-    nrm = max(1.0, np.max(opnorm(np.stack(ops1))), np.max(opnorm(np.stack(ops2))))
-    alpha1 = np.stack(ops1 + [adj(T) for T in ops1])
-    alpha2 = np.stack(ops2 + [adj(T) for T in ops2])
-    by_length = (
-        (1, np.einsum("iaa->i", alpha1), np.einsum("iaa->i", alpha2)),
-        (2, np.einsum("iab,jba->ij", alpha1, alpha1), np.einsum("iab,jba->ij", alpha2, alpha2)),
-    )
-    for length, t1, t2 in by_length:
-        slack = tol.residual_tol * 10 * np.maximum(nrm**length, np.maximum(abs(t1), abs(t2)))
-        if np.any(abs(t1 - t2) > slack):
-            return False
-    return True
-
-
 def joint_unitary_equiv(
     ops1,
     ops2,
@@ -472,21 +459,9 @@ def joint_unitary_equiv(
 ) -> bool:
     """Joint unitary equivalence of two operator tuples.
 
-    The unitary-intertwiner certificate ||U T - T' U|| / max(1, ||T||) <=
-    max(100 residual_tol, 1e-7) decides.  Two checks come first and only
-    reject, definitively: the traces of the words of length at most 2 in
-    the operators and adjoints, then the spectra of one random Hermitian
-    element of each tuple's *-algebra (in find_unitary_intertwiner, whose
-    block-diagonal Gram null space supplies U).  Raises ProblemTooLarge
-    when that Gram operator would exceed GRAM_BUDGET_BYTES.
+    True exactly when find_unitary_intertwiner's certificate is at most
+    _accept_threshold(tol) = max(100 residual_tol, 1e-7); the checks that
+    reject before it is computed are each implied by it.  0 x 0 lists are
+    equivalent.  Raises ProblemTooLarge as find_unitary_intertwiner does.
     """
-    ops1, ops2 = _operator_lists(ops1, ops2)
-    n = ops1[0].shape[0]
-    if n != ops2[0].shape[0]:
-        return False
-    if n == 0:
-        return True
-    if not _trace_words_agree(ops1, ops2, tol):
-        return False
-    U, res = find_unitary_intertwiner(ops1, ops2, tol)
-    return U is not None and res <= _accept_threshold(tol)
+    return find_unitary_intertwiner(ops1, ops2, tol)[1] <= _accept_threshold(tol)

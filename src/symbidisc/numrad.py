@@ -147,9 +147,15 @@ def numerical_radius(A, tol: Tolerance = DEFAULT_TOL) -> NumRadResult:
         a = A[0, 0]
         w = float(abs(a))
         return NumRadResult(w, float(-np.angle(a) % (2 * np.pi)), w)
+    return _level_set(A, *grid_bounds(A), tol)
 
-    # the Cayley pole at the smallest f keeps the Cholesky factor far from singular
-    grid, pole = grid_bounds(A)
+
+def _level_set(A: np.ndarray, grid: NumRadResult, pole: float, tol: Tolerance) -> NumRadResult:
+    """Two-sided bounds on w(A), n >= 2, from grid_bounds(A) = (grid, pole).
+
+    The ascent starts at the grid maximum; the Cayley pole at the smallest
+    f keeps the Cholesky factor far from singular.
+    """
     theta, lower = _ascend(A, grid.argmax_angle, tol)
     for steps in range(1, MAX_LEVEL_SETS + 1):
         r = lower + tol.convergence_tol * max(1.0, lower)

@@ -104,10 +104,10 @@ def test_off_grid_numerical_radius_peak_answers_not_gamma():
 )
 def test_numerical_radius_gate(monkeypatch, value, upper, kind):
     # the bounds are injected at both sources the decision reads: the angle
-    # grid, and the level set that runs when the grid bounds straddle
+    # grid, and the level set that runs on it when the grid bounds straddle
     bounds = NumRadResult(value, 0.0, upper)
     monkeypatch.setattr(classify, "grid_bounds", lambda A: (bounds, 0.0))
-    monkeypatch.setattr(classify, "numerical_radius", lambda A, tol: bounds)
+    monkeypatch.setattr(classify, "_level_set", lambda A, grid, pole, tol: bounds)
     pair = random_gamma_contraction(np.random.default_rng(6))
     rep = is_gamma_contraction(pair)
     assert rep.kind == kind
@@ -474,8 +474,8 @@ def test_trace_words_of_length_two_reject():
     # tr A = tr B = 0, but tr(A A*) = 2 and tr(B B*) = 4
     A, B = np.diag([1.0, -1.0]), np.array([[0.0, 2.0], [0.0, 0.0]])
     U = random_unitary(np.random.default_rng(3), 2)
-    assert classify._trace_words_agree([A, B], [U @ A @ adj(U), U @ B @ adj(U)], DEFAULT_TOL)
-    assert not classify._trace_words_agree([A], [B], DEFAULT_TOL)
+    assert joint_unitary_equiv([A, B], [U @ A @ adj(U), U @ B @ adj(U)])
+    assert not joint_unitary_equiv([A], [B])
 
 
 def test_find_unitary_intertwiner_recovers_conjugation():
@@ -505,6 +505,46 @@ def test_operator_lists_must_match():
         find_unitary_intertwiner([A, B], [U @ A @ adj(U)])
     with pytest.raises(DimensionMismatch):
         find_unitary_intertwiner([], [])
+
+
+def test_operator_lists_of_size_zero_have_the_empty_intertwiner():
+    U, res = find_unitary_intertwiner([np.zeros((0, 0))], [np.zeros((0, 0))])
+    assert U.shape == (0, 0) and res == 0.0
+    assert joint_unitary_equiv([np.zeros((0, 0))], [np.zeros((0, 0))])
+
+
+def test_certificate_below_threshold_is_equivalence():
+    # a trace gap of n c is allowed by a certificate of c: each of these
+    # certificates is under the threshold, and so each pair is equivalent
+    accept = classify._accept_threshold(DEFAULT_TOL)
+    rng = np.random.default_rng(6)
+    pair = gamma_isometry_model(random_symbol(rng, 3), 4)
+    U = random_unitary(rng, pair.dim)
+    S2, P2 = U @ pair.S @ adj(U) + 5e-8 * np.eye(pair.dim), U @ pair.P @ adj(U)
+    a = 0.3 + 0.4j
+    for ops1, ops2 in (([pair.S, pair.P], [S2, P2]), ([[[a]]], [[[a + 3e-7]]])):
+        assert find_unitary_intertwiner(ops1, ops2)[1] <= accept
+        assert joint_unitary_equiv(ops1, ops2)
+
+
+def test_strangers_at_size_65_are_rejected_before_the_gram_operator():
+    # H of a scalar letter has one cluster of size 65, over GRAM_BUDGET_BYTES;
+    # the singular values or the trace reject these strangers first
+    n = 65
+    eye, rank_one, flip = np.eye(n), np.zeros((n, n)), np.ones(n)
+    rank_one[-1, -1], flip[-1] = 1e-3, -1
+    strangers = [
+        (0.5 * eye, 0.6 * eye),
+        (np.zeros((n, n)), rank_one),
+        (eye, -eye),
+        (1e-3 * eye, 1e-3 * np.diag(flip)),
+    ]
+    for A, B in strangers:
+        assert not joint_unitary_equiv([A], [B])
+    # an equivalent scalar pair passes both and reaches the Gram operator
+    ops = [0.5 * eye, 0.25 * eye]
+    with pytest.raises(ProblemTooLarge):
+        joint_unitary_equiv(ops, _haar(np.random.default_rng(65), ops))
 
 
 def _conjugated_model_pair(seed):
@@ -782,7 +822,8 @@ def test_direct_sum_has_the_weakest_kind_of_its_parts(seed, sources):
 
 
 def _best_of_eight(ops1, ops2, seed=0):
-    """find_unitary_intertwiner with the best of 8 polar draws on every null space."""
+    """find_unitary_intertwiner without its singular-value and trace
+    rejection, with the best of 8 polar draws on every null space."""
     n = ops1[0].shape[0]
     norms1 = [max(1.0, opnorm(T)) for T in ops1]
     scale = max(norms1 + [opnorm(T) for T in ops2])
@@ -845,6 +886,34 @@ def test_polar_draws_follow_the_null_space_dimension(monkeypatch):
         _, res = find_unitary_intertwiner(ops, conj)
         assert (ref_dim, calls["polar"]) == (dim, draws)
         assert res == pytest.approx(ref_res, abs=1e-12) and res < 1e-12
+
+
+def _equivalence_input(rng, variant):
+    """A conjugate, a conjugate perturbed by eps I (1e-9 <= eps <= 1e-5), a
+    stranger of the same size, or a conjugate of T + T."""
+    pair = random_gamma_contraction(rng)
+    ops1 = [pair.S, pair.P]
+    if variant == "direct-sum":
+        ops1 = [block_diag(T, T) for T in ops1]
+    ops2 = _haar(rng, ops1)
+    if variant == "perturbed":
+        ops2[0] = ops2[0] + 10 ** rng.uniform(-9, -5) * np.eye(pair.dim)
+    if variant == "stranger":
+        other = random_gamma_contraction(rng)
+        while other.dim != pair.dim:
+            other = random_gamma_contraction(rng)
+        ops2 = [other.S, other.P]
+    return ops1, ops2
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_SEEDS, st.sampled_from(["conjugate", "perturbed", "stranger", "direct-sum"]))
+def test_equivalence_is_the_certificate_of_every_polar_draw(seed, variant):
+    # _best_of_eight reaches the Gram null space without the early
+    # rejections, so they may only reject what its certificate rejects
+    ops1, ops2 = _equivalence_input(np.random.default_rng(seed), variant)
+    accept = classify._accept_threshold(DEFAULT_TOL)
+    assert joint_unitary_equiv(ops1, ops2) == (_best_of_eight(ops1, ops2)[1] <= accept)
 
 
 # ---------------------------------------------------------------------------
