@@ -6,9 +6,9 @@ general case decided through the fundamental-operator equation
 
     S - S*P = D_P A D_P,   w(A) <= 1,
 
-solved on the defect basis of P.  One SVD of P gives ||P||, the isometry
-residuals and the defect record.  A von Neumann sampling check and a joint
-unitary-equivalence test round out the toolbox.
+solved on the defect basis of P.  The pair's one SVD of P gives ||P||, the
+isometry residuals and the defect record.  A von Neumann sampling check
+and a joint unitary-equivalence test round out the toolbox.
 """
 
 from __future__ import annotations
@@ -59,21 +59,22 @@ _UNITARY_CHECKS = ("P isometric", "P co-isometric", "S = S*P", "||S|| <= 2")
 _ISOMETRY_CHECKS = ("P isometric", "S = S*P", "||S|| <= 2")
 
 
-def _commutator_gate(pair: OperatorPair, tol: Tolerance, norm_S: float, norm_P: float):
+def _commutator_gate(pair: OperatorPair, tol: Tolerance):
     """NotCommuting unless ||SP - PS|| <= residual_tol * max(1, ||S|| ||P||)."""
-    if pair.commutator_norm > tol.residual_tol * max(1.0, norm_S * norm_P):
+    norm_P = float(np.max(pair.svd_P[1], initial=0.0))
+    if pair.commutator_norm > tol.residual_tol * max(1.0, pair.norm_S * norm_P):
         raise NotCommuting(
             f"commutator norm {pair.commutator_norm:.3e} exceeds tolerance"
         )
 
 
-def _algebra_checks(pair: OperatorPair, tol: Tolerance, norm_S: float, s: np.ndarray) -> dict:
+def _algebra_checks(pair: OperatorPair, tol: Tolerance) -> dict:
     """Check name -> (ok, residual) for the unitary and isometric cases.
 
-    norm_S is ||S||, s the singular values of P.  Residuals are restricted
-    to the pair's window; without one both isometry residuals are max|1 - s^2|.
+    Residuals are restricted to the pair's window; without one both
+    isometry residuals are max|1 - s^2| over the singular values s of P.
     """
-    S, P, w = pair.S, pair.P, pair.window
+    S, P, w, s, norm_S = pair.S, pair.P, pair.window, pair.svd_P[1], pair.norm_S
     t = tol.residual_tol
     if w is None:
         r_iso = r_coiso = float(np.max(np.abs((1 - s) * (1 + s)), initial=0.0))
@@ -94,9 +95,8 @@ def _passes(checks: dict, names) -> bool:
 
 
 def is_gamma_isometry(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL):
-    s, norm_S = np.linalg.svd(pair.P, compute_uv=False), opnorm(pair.S)
-    _commutator_gate(pair, tol, norm_S, float(np.max(s, initial=0.0)))
-    checks = _algebra_checks(pair, tol, norm_S, s)
+    _commutator_gate(pair, tol)
+    checks = _algebra_checks(pair, tol)
     ok = _passes(checks, _ISOMETRY_CHECKS)
     rep = ClassificationReport(kind=GAMMA_ISOMETRY if ok else NOT_GAMMA)
     for name in _ISOMETRY_CHECKS:
@@ -125,7 +125,7 @@ def is_gamma_contraction(
     """Full classification of a commuting pair.
 
     Produces the strongest applicable kind; every sub-check is recorded in
-    the report with its residual.  One SVD of P gives ||P|| = s_0, the
+    the report with its residual.  The pair's SVD of P gives ||P|| = s_0, the
     isometry residuals of a pair without a window and the DefectData the
     report carries; ||P|| <= 1 passes exactly when that record accepts P.
     w(A) <= 1 passes when the certified upper bound on w(A) is at most
@@ -136,17 +136,16 @@ def is_gamma_contraction(
     `numerical_radius`; wA and wA_upper are the bounds that decided.
     """
     S, P = pair.S, pair.P
-    U, s, Vh = np.linalg.svd(P)
-    norm_S, norm_P = opnorm(S), float(np.max(s, initial=0.0))
-    _commutator_gate(pair, tol, norm_S, norm_P)
-    algebra = _algebra_checks(pair, tol, norm_S, s)
+    U, s, Vh = pair.svd_P
+    _commutator_gate(pair, tol)
+    algebra = _algebra_checks(pair, tol)
     try:
         dd = _defect_record(P, U, s, Vh, tol)
     except NotAContraction:
         dd = None
     t = tol.residual_tol
     rep = ClassificationReport(INCONCLUSIVE, defect=dd, flushed_max=dd.flushed_max if dd else 0.0)
-    rep.add("||P|| <= 1", dd is not None, max(0.0, norm_P - 1))
+    rep.add("||P|| <= 1", dd is not None, max(0.0, float(np.max(s, initial=0.0)) - 1))
     rep.add("||S|| <= 2", *algebra["||S|| <= 2"])
     if rep.failed():
         rep.kind = NOT_GAMMA
@@ -282,7 +281,7 @@ def von_neumann_margin(
     (cos(degree pi / grid) <= 0) none is.
     """
     S, P = pair.S, pair.P
-    _commutator_gate(pair, tol, opnorm(S), opnorm(P))
+    _commutator_gate(pair, tol)
     # (a, b) with a + b <= degree in row-major order, the order the coefficients are drawn in
     a, b = np.nonzero(np.add.outer(np.arange(degree + 1), np.arange(degree + 1)) <= degree)
     draws = np.random.default_rng(seed).uniform(-1, 1, size=(trials, a.size, 2))

@@ -17,12 +17,13 @@ import sys
 import numpy as np
 
 from .blh import BlhSolution, blh_solve, invariance_check, make_problem
-from .classify import is_gamma_contraction
+from .classify import fundamental_op, is_gamma_contraction
+from .defect import defect_data
 from .dilation import nf_ay_build, schaffer_build
-from .errors import SymbidiscError
+from .errors import NonFiniteInput, SymbidiscError
 from .gamma_point import GammaPoint, beta_solve, in_gamma
 from .hardy import SymbolPoly
-from .linalg import as_matrix
+from .linalg import adj, as_matrix, opnorm
 from .numrad import numerical_radius
 from .pair import make_pair
 from .suite import RunConfig, run_suite
@@ -42,12 +43,32 @@ def matrix_to_json(M) -> dict:
     return {"cols": c, "data": data, "rows": r}
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_pair_of_numbers(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(
+        _is_int(x) or isinstance(x, float) for x in v
+    )
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    r, c = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
-    if len(data) != r * c:
-        raise ValueError(f"data length {len(data)} != rows*cols = {r * c}")
-    return as_matrix(np.array([complex(re, im) for re, im in data]).reshape(r, c))
+    """The matrix of a JSON matrix object; ValueError on a wrong shape or type."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a matrix must be a JSON object, got {type(obj).__name__}")
+    r, c, data = obj["rows"], obj["cols"], obj["data"]
+    if not (_is_int(r) and _is_int(c) and r >= 0 and c >= 0):
+        raise ValueError(f"rows and cols must be non-negative integers, got {r!r} and {c!r}")
+    if not isinstance(data, list) or len(data) != r * c:
+        raise ValueError(f"data must be a list of rows*cols = {r * c} entries")
+    if not all(map(_is_pair_of_numbers, data)):
+        raise ValueError("every data entry must be a pair [re, im] of numbers")
+    try:
+        entries = np.array([complex(re, im) for re, im in data])
+    except OverflowError:  # an integer beyond the float range
+        raise NonFiniteInput("matrix has an entry beyond the float range") from None
+    return as_matrix(entries.reshape(r, c))
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -64,6 +85,8 @@ def save_matrix(path: str, M) -> None:
 def load_symbol_poly(path: str) -> SymbolPoly:
     with open(path) as f:
         obj = json.load(f)
+    if not isinstance(obj, dict) or not isinstance(obj["coeffs"], list):
+        raise ValueError('a symbol file must be a JSON object {"coeffs": [matrix, ...]}')
     return SymbolPoly([matrix_from_json(c) for c in obj["coeffs"]])
 
 
@@ -82,6 +105,8 @@ def load_config(path) -> RunConfig:
         return RunConfig()
     with open(path) as f:
         raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise ValueError(f"a config must be a JSON object, got {type(raw).__name__}")
     known = {k: raw[k] for k in RunConfig.__dataclass_fields__ if k in raw}
     return RunConfig(**known)
 
@@ -128,9 +153,6 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
 
 
 def _cmd_fundamental(args, cfg: RunConfig) -> int:
-    from .classify import fundamental_op
-    from .defect import defect_data
-
     pair = _load_pair(args, cfg)
     F, residual = fundamental_op(pair.S, defect_data(pair.P, cfg.tol), cfg.tol)
     _emit(
@@ -154,46 +176,31 @@ def _cmd_dilate(args, cfg: RunConfig) -> int:
     prefix = args.out_prefix
     if args.schaffer:
         sp = schaffer_build(pair, N, cfg.tol)
-        save_matrix(f"{prefix}_V.json", sp.V)
-        save_matrix(f"{prefix}_W.json", sp.W)
-        save_matrix(f"{prefix}_embed.json", sp.embed)
-        from .linalg import adj, opnorm
-
-        _emit(
-            {
-                "N": N,
-                "files": [f"{prefix}_V.json", f"{prefix}_W.json", f"{prefix}_embed.json"],
-                "intertwining_residual_P": opnorm(
-                    adj(sp.V) @ sp.embed - sp.embed @ adj(pair.P)
-                ),
-                "intertwining_residual_S": opnorm(
-                    adj(sp.W) @ sp.embed - sp.embed @ adj(pair.S)
-                ),
-                "kind": "schaffer",
-            }
-        )
+        outputs = [("V", sp.V), ("W", sp.W), ("embed", sp.embed)]
+        report = {
+            "intertwining_residual_P": opnorm(adj(sp.V) @ sp.embed - sp.embed @ adj(pair.P)),
+            "intertwining_residual_S": opnorm(adj(sp.W) @ sp.embed - sp.embed @ adj(pair.S)),
+            "kind": "schaffer",
+        }
     else:
         m = nf_ay_build(pair, N, cfg.tol)
-        save_matrix(f"{prefix}_S_model.json", m.S_model)
-        save_matrix(f"{prefix}_P_model.json", m.P_model)
-        save_matrix(f"{prefix}_basis.json", m.model_space.basis)
-        save_matrix(f"{prefix}_symbol.json", m.symbol_A)
-        _emit(
-            {
-                "N": N,
-                "cnu_margin": m.model_space.cnu_margin,
-                "files": [
-                    f"{prefix}_S_model.json",
-                    f"{prefix}_P_model.json",
-                    f"{prefix}_basis.json",
-                    f"{prefix}_symbol.json",
-                ],
-                "kind": "nf-ay",
-                "residual_P": m.residual_P,
-                "residual_S": m.residual_S,
-                "trunc_error": m.model_space.trunc_error,
-            }
-        )
+        outputs = [
+            ("S_model", m.S_model),
+            ("P_model", m.P_model),
+            ("basis", m.model_space.basis),
+            ("symbol", m.symbol_A),
+        ]
+        report = {
+            "cnu_margin": m.model_space.cnu_margin,
+            "kind": "nf-ay",
+            "residual_P": m.residual_P,
+            "residual_S": m.residual_S,
+            "trunc_error": m.model_space.trunc_error,
+        }
+    files = [f"{prefix}_{suffix}.json" for suffix, _ in outputs]
+    for path, (_, M) in zip(files, outputs):
+        save_matrix(path, M)
+    _emit({"N": N, "files": files, **report})
     return 0
 
 

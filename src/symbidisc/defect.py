@@ -115,7 +115,8 @@ def defect_data(P, tol: Tolerance = DEFAULT_TOL) -> DefectData:
     columns of V and U that `rank_flush` keeps are the range bases of D_P
     and D_P*.  P is a contraction exactly when `rank_flush` accepts
     1 - s^2; otherwise NotAContraction.  Classification's ||P|| <= 1 check
-    is this test: it builds its record from its own SVD with `_defect_record`.
+    and factorization_check run this test with `_defect_record` on the SVD
+    the pair carries (`OperatorPair.svd_P`), so a pair's P is factored once.
     """
     P = as_matrix(P)
     if P.shape[0] != P.shape[1]:

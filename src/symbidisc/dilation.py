@@ -25,7 +25,7 @@ from .classify import (
     fundamental_op,
     is_gamma_contraction,
 )
-from .defect import ModelSpace, build_model_space, defect_data, pi_nf_matrix
+from .defect import ModelSpace, _defect_record, build_model_space, pi_nf_matrix
 from .errors import (
     ClassificationFailed,
     NotADilation,
@@ -196,7 +196,8 @@ def factorization_check(
     The factor map Phi sends the stages M_z^j Pi of the minimal dilation to
     the stages V^j E, j <= d = min(FACTOR_DEPTH, N - 1).  As Pi h = D_P* h +
     M_z Pi P* h, their span is the Wold sum of the wandering degrees 0..d-1
-    and z^d ran Pi_{<=N-d} (Sz.-Nagy and Foias, ch. I).  On that orthonormal
+    and z^d ran Pi_{<=N-d} (Sz.-Nagy and Foias, ch. I), with the defect
+    record of P built from the pair's SVD of P.  On that orthonormal
     basis B, degree-j coordinates go to V^j w, w = (E - V E P*) Q / root on
     the D_P* basis Q, and z^d U goes to V^d E Vh*/s from one thin SVD
     U s Vh of Pi_{<=N-d}, cut by pinv's rule (rank_tol times the largest s).
@@ -218,7 +219,7 @@ def factorization_check(
 
     if N < 1:
         raise TruncationTooSmall(f"need N >= 1, got {N}")
-    dd = defect_data(P, tol)
+    dd = _defect_record(P, *pair.svd_P, tol)
     depth = min(FACTOR_DEPTH, N - 1)
     U, s, Vh = np.linalg.svd(pi_nf_matrix(dd, N - depth), full_matrices=False)
     keep = s > tol.rank_tol * s[0]

@@ -13,14 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteInput
+
 DEFAULT_BOUNDARY_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class GammaPoint:
+    """A point (s, p) of C^2; a NaN or infinite coordinate raises NonFiniteInput."""
+
     s: complex
     p: complex
+
+    def __post_init__(self):
+        if not (cmath.isfinite(self.s) and cmath.isfinite(self.p)):
+            raise NonFiniteInput(f"point ({self.s}, {self.p}) has a non-finite coordinate")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -19,7 +20,11 @@ def restrict(M: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """A commuting pair (S, P) with cached commutator norm.
+    """A commuting pair (S, P) with its commutator norm.
+
+    `svd_P` = np.linalg.svd(P) as (U, s, Vh) and `norm_S` = ||S|| are taken
+    on first read and kept: every check on the pair reads them, so P is
+    factored once.
 
     For pairs living on a truncated Hardy space, `window` is the boolean
     coordinate mask of the degrees on which operator identities are exact
@@ -34,6 +39,14 @@ class OperatorPair:
     @property
     def dim(self) -> int:
         return self.S.shape[0]
+
+    @cached_property
+    def svd_P(self):
+        return np.linalg.svd(self.P)
+
+    @cached_property
+    def norm_S(self) -> float:
+        return opnorm(self.S)
 
 
 def degree_mask(dim: int, block_size: int, degree_hi: int) -> np.ndarray:

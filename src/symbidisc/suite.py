@@ -8,7 +8,9 @@ run exactly these functions.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List
 
 import numpy as np
@@ -68,12 +70,20 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.rank_tol > 0 and self.residual_tol > 0 and self.wr_slack > 0):
+        for name in ("rank_tol", "residual_tol", "wr_slack", "N", "seed"):
+            v = getattr(self, name)
+            kinds = (int,) if name in ("N", "seed") else (int, float)
+            if isinstance(v, bool) or not isinstance(v, kinds) or not abs(v) <= sys.float_info.max:
+                raise ValueError(f"{name} must be a finite {kinds[-1].__name__}, got {v!r}")
+        if not self.wr_slack > 0:
             raise ValueError("tolerances must be strictly positive")
         if self.N < 2:
             raise ValueError("truncation N must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        self.tol  # builds the Tolerance, which checks rank_tol and residual_tol
 
-    @property
+    @cached_property
     def tol(self) -> Tolerance:
         return Tolerance(rank_tol=self.rank_tol, residual_tol=self.residual_tol)
 

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbidisc.cli import (
     matrix_from_json,
@@ -9,6 +15,7 @@ from symbidisc.cli import (
     run_command,
     save_matrix,
 )
+from symbidisc.errors import NonFiniteInput
 from symbidisc.numrad import numerical_radius
 
 
@@ -48,6 +55,13 @@ def test_point_outside(capsys):
     code, out, _ = run(capsys, ["point", "--s", "2.2", "--p", "1"])
     assert code == 0
     assert json.loads(out)["inside"] is False
+
+
+@pytest.mark.parametrize("s, p", [("nan", "0"), ("inf", "0"), ("0", "1-infj")])
+def test_point_with_a_non_finite_coordinate_is_a_typed_error(capsys, s, p):
+    code, out, err = run(capsys, ["point", "--s", s, "--p", p])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "NonFiniteInput"
 
 
 def test_classify_command(capsys, tmp_path):
@@ -186,6 +200,112 @@ def test_non_finite_matrix_file_is_a_typed_error(capsys, tmp_path):
     code, out, err = run(capsys, ["classify", "--S", str(s_path), "--P", p_path])
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "NonFiniteInput"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"rows": 1, "cols": 2, "data": [[None, 0], [0, 0]]},
+        [1, 2],
+        {"rows": "1", "cols": 1, "data": [[0, 0]]},
+        {"rows": 1, "cols": 1, "data": {"0": [0, 0]}},
+        {"rows": 1, "cols": 1, "data": [[0, 0, 0]]},
+        {"rows": 1, "cols": 1, "data": [[True, 0]]},
+        {"rows": -1, "cols": -1, "data": [[0, 0]]},
+    ],
+)
+def test_malformed_matrix_file_is_a_value_error(capsys, tmp_path, bad):
+    a_path = tmp_path / "A.json"
+    a_path.write_text(json.dumps(bad))
+    code, out, err = run(capsys, ["numrad", "--A", str(a_path)])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_matrix_entry_beyond_the_float_range_is_non_finite():
+    with pytest.raises(NonFiniteInput):
+        matrix_from_json({"rows": 1, "cols": 1, "data": [[10**400, 0]]})
+
+
+@pytest.mark.parametrize("bad", [[1], {"coeffs": 3}, {"coeffs": "ab"}, {"coeffs": [[1, 2]]}])
+def test_malformed_symbol_file_is_a_value_error(capsys, tmp_path, bad):
+    a_path = write_matrix(tmp_path / "A.json", np.eye(1))
+    t_path = tmp_path / "theta.json"
+    t_path.write_text(json.dumps(bad))
+    code, out, err = run(capsys, ["blh", "solve", "--A", a_path, "--theta", str(t_path)])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"N": "3"}, {"rank_tol": 1.5}, {"seed": 1.0}, {"seed": -1}, {"wr_slack": None}, ["N", 3], "N"],
+)
+def test_malformed_config_is_rejected_before_any_output(capsys, tmp_path, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    code, out, err = run(capsys, ["--config", str(cfg), "suite"])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+_LEAF = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    # numerical_radius overflows from entries near 1e154 on, and does not return at 1e308
+    | st.floats(-1e100, 1e100)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+    | st.text(max_size=4)
+)
+_JSON = st.recursive(
+    _LEAF,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_MATRIX = st.fixed_dictionaries(
+    {
+        "rows": st.integers(-1, 3) | _LEAF,
+        "cols": st.integers(-1, 3) | _LEAF,
+        "data": st.lists(st.lists(_LEAF, max_size=3) | _LEAF, max_size=9) | _JSON,
+    }
+)
+_SQUARE = st.integers(0, 3).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "rows": st.just(n),
+            "cols": st.just(n),
+            "data": st.lists(
+                st.lists(st.integers(-3, 3) | st.floats(-1e100, 1e100), min_size=2, max_size=2),
+                min_size=n * n,
+                max_size=n * n,
+            ),
+        }
+    )
+)
+_CONFIG = st.dictionaries(
+    st.sampled_from(["rank_tol", "residual_tol", "wr_slack", "N", "seed"]),
+    _LEAF | st.floats(1e-12, 0.9) | st.integers(-1, 40),
+    max_size=5,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_SQUARE | _MATRIX | _JSON, st.just({}) | _CONFIG | _JSON)
+def test_numrad_on_arbitrary_json_files_answers_or_rejects(matrix, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        a_path, cfg_path = Path(tmp, "A.json"), Path(tmp, "cfg.json")
+        a_path.write_text(json.dumps(matrix))
+        cfg_path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(["--config", str(cfg_path), "numrad", "--A", str(a_path)])
+    assert code in (0, 1)
+    if code == 1:
+        assert out.getvalue() == ""
+        obj = json.loads(err.getvalue())
+        assert isinstance(obj, dict) and set(obj) == {"error", "message"}
 
 
 def test_usage_error_exit_code():

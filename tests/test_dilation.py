@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from symbidisc import dilation
-from symbidisc.classify import fundamental_op, is_gamma_isometry
+from symbidisc.classify import fundamental_op, is_gamma_isometry, von_neumann_margin
 from symbidisc.defect import defect_data, pi_nf_matrix
 from symbidisc.dilation import (
     compressed_scalar,
@@ -226,9 +226,10 @@ def test_factorization_basis_spans_the_range_of_g(monkeypatch):
     G, _, _ = _stage_matrices(pair, (sp.V, sp.embed))
     calls = _recording_svd(monkeypatch)
     Phi, _, _ = factorization_check(pair, (sp.V, sp.embed), N)
-    # B: every coordinate of degrees 0..d-1, and z^d times the kept left factor of Pi_{<=N-d}
-    (P, _), (_, (U, s, _)) = calls  # the defect record's SVD of P comes first
-    assert np.array_equal(P, pair.P)
+    # B: every coordinate of degrees 0..d-1, and z^d times the kept left factor of Pi_{<=N-d};
+    # schaffer_build factored P on the pair, so that SVD is the only one with vectors
+    ((Pi, (U, s, _)),) = calls
+    assert np.array_equal(Pi, pi_nf_matrix(dd, N - d))
     U = U[:, s > DEFAULT_TOL.rank_tol * s[0]]
     B = scipy.linalg.block_diag(np.eye(d * rs), U)
     ref = range_basis(G)
@@ -240,15 +241,42 @@ def test_factorization_basis_spans_the_range_of_g(monkeypatch):
 def test_factorization_takes_no_pinv_and_one_svd_with_vectors(monkeypatch):
     pair = random_gamma_contraction(np.random.default_rng(14))
     sp = schaffer_build(pair, N)
+    rs, d = defect_data(pair.P).rank_dPstar, min(dilation.FACTOR_DEPTH, N - 1)
     pinvs, pinv = [], np.linalg.pinv
     monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: pinvs.append(a) or pinv(*a, **k))
     calls = _recording_svd(monkeypatch)
     factorization_check(pair, (sp.V, sp.embed), N)
-    # after the defect record's SVD of P, the one SVD with vectors is of Pi_{<=N-d},
-    # which has n columns, not of the 9 n stage matrix
+    # schaffer_build factored P on the pair, so the one SVD with vectors is of
+    # Pi_{<=N-d}, which has n columns, not of the 9 n stage matrix
     assert pinvs == []
-    assert np.array_equal(calls[0][0], pair.P)
-    assert [a.shape[1] for a, _ in calls[1:]] == [pair.dim]
+    assert [a.shape for a, _ in calls] == [((N - d + 1) * rs, pair.dim)]
+
+
+def test_certify_sequence_factors_p_once_and_takes_the_norm_of_s_once(monkeypatch):
+    def certify(pair):
+        margin, cand = von_neumann_margin(pair)
+        sp = schaffer_build(pair, N)
+        return margin, cand, sp, factorization_check(pair, (sp.V, sp.embed), N)
+
+    pair = random_gamma_contraction(np.random.default_rng(18))
+    seen, svd = [], np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        seen.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    got = certify(pair)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    # the gates and the defect record factor P itself; a sampled polynomial equal
+    # to p(S, P) = P is a new array, and its norm is that candidate's own
+    assert sum(a is pair.P for a in seen) == 1
+    assert sum(a is pair.S for a in seen) == 1
+    margin, cand, sp, (Phi, iso_res, wd_res) = certify(make_pair(pair.S, pair.P))
+    assert got[0] == margin and np.array_equal(got[1], cand)
+    for name in ("V", "W", "embed", "A_used", "window"):
+        assert np.array_equal(getattr(got[2], name), getattr(sp, name))
+    assert np.array_equal(got[3][0], Phi) and got[3][1:] == (iso_res, wd_res)
 
 
 def test_factorization_fails_on_a_non_isometric_hardy_block():
