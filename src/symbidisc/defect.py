@@ -8,10 +8,10 @@ D_P* = (I - PP*)^(1/2); the characteristic function is
 stored in orthonormal defect-space bases.  A finite c.n.u. matrix has
 spectral radius < 1, so Theta is inner, the boundary defect vanishes, and
 the model space reduces to the orthogonal complement of Theta * H^2 inside
-the truncated H^2 over the D_P* defect space.  The model basis is obtained
-by orthonormalizing the columns of the minimal-dilation embedding
+the truncated H^2 over the D_P* defect space.  The model basis is the polar
+factor, the nearest isometry (Higham 1986), of the minimal-dilation embedding
 
-    h  ->  sum_k z^k (D_P* P*^k h),
+    Pi:  h  ->  sum_k z^k (D_P* P*^k h),
 
 whose range spans that complement up to the geometric truncation tail.
 Both defect operators come from one SVD P = U diag(s) V*: D_P = V diag(r) V*
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .hardy import SymbolPoly
 from .linalg import DEFAULT_TOL, Tolerance, _fix_phases, adj, as_matrix, opnorm, psd_sqrt
-from .linalg import range_basis, rank_flush
+from .linalg import rank_flush
 
 CNU_MARGIN = 1e-8
 MODEL_TAIL = 1e-8  # the model space needs spectral_radius^(N+1) <= MODEL_TAIL
@@ -181,17 +181,15 @@ def pi_nf_matrix(dd: DefectData, N: int) -> np.ndarray:
     """Matrix of the truncated minimal-dilation embedding of dd.P.
 
     Degree-k row block is Q_dPstar* D_P* P*^k; columns are the embeddings
-    of the standard basis of the source space.
+    of the standard basis of the source space, filled by doubling.
     """
     cnu_check(dd)
-    Pstar = adj(dd.P)
-    rs = dd.rank_dPstar
-    B = dd.root[:, None] * adj(dd.Q_dPstar)  # Q_dPstar* D_P*, carried as B <- B P*
-    Pi = np.empty(((N + 1) * rs, B.shape[1]), dtype=complex)
-    for k in range(N + 1):
-        Pi[k * rs : (k + 1) * rs] = B
-        B = B @ Pstar
-    return Pi
+    power, rows = adj(dd.P), (N + 1) * dd.rank_dPstar
+    Pi = dd.root[:, None] * adj(dd.Q_dPstar)  # the degree-0 block Q_dPstar* D_P*
+    while len(Pi) < rows:  # blocks 0..2^j-1 times P*^(2^j) are blocks 2^j..2^(j+1)-1
+        Pi = np.concatenate([Pi, Pi[: rows - len(Pi)] @ power])
+        power = power @ power
+    return Pi[:rows]
 
 
 def truncation_tail(P, N: int) -> float:
@@ -209,7 +207,8 @@ def build_model_space(dd: DefectData, N: int, tol: Tolerance = DEFAULT_TOL) -> M
     class C_00: Theta is inner and the boundary defect vanishes (Sz.-Nagy
     and Foias, ch. VI), which licenses dropping the boundary summand of
     the ambient space without sampling it.  N must reach the smallest
-    truncation with spectral_radius^(N+1) <= MODEL_TAIL.
+    truncation with spectral_radius^(N+1) <= MODEL_TAIL.  The basis is the
+    polar factor of Pi, or its kept left singular vectors if Pi is rank-deficient.
     """
     cnu_check(dd)
     rho = dd.spectral_radius
@@ -217,4 +216,7 @@ def build_model_space(dd: DefectData, N: int, tol: Tolerance = DEFAULT_TOL) -> M
     if N < need:
         raise TruncationTooSmall(f"spectral radius {rho:.4f} needs N >= {need} (got {N})")
     Pi = pi_nf_matrix(dd, N)
-    return ModelSpace(range_basis(Pi, tol), Pi, N, 1 - rho, truncation_tail(dd.P, N))
+    U, s, Vh = np.linalg.svd(Pi, full_matrices=False)
+    r = int(np.sum(s > tol.rank_tol * s[0]))
+    basis = U @ Vh if r == Pi.shape[1] else _fix_phases(U[:, :r])
+    return ModelSpace(basis, Pi, N, 1 - rho, truncation_tail(dd.P, N))

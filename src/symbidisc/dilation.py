@@ -5,9 +5,10 @@ Schaffer pair: on the space H + truncated H^2 over the D_P defect space,
     V = [[P, 0], [row(D_P), M_z]],   W = [[S, 0], [row(A* D_P), A + A* M_z]],
 
 with the embedding h -> h + 0 intertwining the adjoints exactly.  The
-model builder compresses (M_{A + A*z}, M_z) to the truncated model space
-and certifies unitary equivalence back to the input pair; the compressed
-scalar X = P_Q (I tensor A)|_Q realizes S = X + P X*.
+model builder compresses (M_{A + A*z}, M_z) block by block to the truncated
+model space, in a basis that keeps the input's coordinates, and certifies
+the model against the input pair; the compressed scalar
+X = P_Q (I tensor A)|_Q realizes S = X + P X*.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     ResidualTooLarge,
     TruncationTooSmall,
 )
-from .hardy import build_mult_op, compress, shift_op, symbol_a_plus_astar_z
+from .hardy import SymbolPoly, build_mult_op, compress_mult, shift_op, symbol_a_plus_astar_z
 from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm
 from .numrad import numerical_radius
 from .pair import OperatorPair, make_pair
@@ -131,39 +132,31 @@ def nf_ay_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> NfA
     """Functional model of a c.n.u. pair on the truncated model space.
 
     The symbol is the adjoint of the fundamental operator of (S*, P*),
-    solved on the swapped defect data of P from the classification report;
-    the model operators are compressions of the pure model pair, certified
-    against the input by an explicit unitary.  The model space is the
-    range of the embedding Pi, with Pi* M = S Pi* and Pi* M_z = P Pi*, and
-    Pi is isometric for pure P up to the truncation tail; the unitary is
-    the polar factor of Pi* Q on the model basis Q.  A model space of the
-    wrong dimension gets no unitary and infinite residuals.
+    solved on the swapped defect data of P from the classification report.
+    The model operators compress the pure model pair M to the range of the
+    embedding Pi, with Pi* M = S Pi*, Pi* M_z = P Pi* and Pi isometric up
+    to the truncation tail.  The basis Q is the polar factor of Pi, so the
+    unitary that certifies the model, the polar factor of Pi* Q, is I.  A
+    model space of the wrong dimension gets no unitary and infinite residuals.
     """
-    S, P = pair.S, pair.P
     dd = _require_gamma(pair, tol).defect
-    symbol_A = adj(fundamental_op(adj(S), dd.adjoint(), tol)[0])
+    symbol_A = adj(fundamental_op(adj(pair.S), dd.adjoint(), tol)[0])
 
     model = build_model_space(dd, N, tol)
     rs = dd.rank_dPstar
-    S_model = compress(build_mult_op(symbol_a_plus_astar_z(symbol_A), N), model.basis)
-    P_model = compress(shift_op(rs, N), model.basis)
+    S_model = compress_mult(symbol_a_plus_astar_z(symbol_A), model.basis)
+    P_model = compress_mult(SymbolPoly([0 * np.eye(rs), np.eye(rs)]), model.basis)
 
-    U, res_S, res_P = None, np.inf, np.inf
-    if model.dim == S.shape[0]:
-        W, _, Vh = np.linalg.svd(adj(model.embedding) @ model.basis)
-        U = W @ Vh
-        res_S = opnorm(U @ S_model - S @ U)
-        res_P = opnorm(U @ P_model - P @ U)
-    return NfAyModel(model, symbol_A, S_model, P_model, float(res_S), float(res_P), U)
+    U = np.eye(model.dim) if model.dim == pair.dim else None
+    res = [np.inf] * 2 if U is None else opnorm(np.stack([S_model - pair.S, P_model - pair.P]))
+    return NfAyModel(model, symbol_A, S_model, P_model, *map(float, res), U)
 
 
 def compressed_scalar(model: NfAyModel) -> CompressedScalar:
     """Compression of the constant symbol operator; satisfies S = X + P X*.
 
     w(symbol_A) waits for the first read of `decompressed_wr`."""
-    N = model.model_space.N
-    big = np.kron(np.eye(N + 1), model.symbol_A)
-    X = compress(big, model.model_space.basis)
+    X = compress_mult(SymbolPoly([model.symbol_A]), model.model_space.basis)
     defect = opnorm(model.S_model - (X + model.P_model @ adj(X)))
     if defect > model.tolerance_bound:
         raise ResidualTooLarge(

@@ -62,4 +62,4 @@ class ResidualTooLarge(SymbidiscError):
 
 
 class ProblemTooLarge(SymbidiscError):
-    """A dense system would exceed its fixed memory budget."""
+    """A dense system would exceed its fixed memory budget, or a bound the float range."""

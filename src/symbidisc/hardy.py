@@ -108,3 +108,13 @@ def compress(op, basis) -> np.ndarray:
             f"operator dimension {M.shape[1]} does not match basis rows {Q.shape[0]}"
         )
     return adj(Q) @ M @ Q
+
+
+def compress_mult(phi: SymbolPoly, Q: np.ndarray) -> np.ndarray:
+    """Q* T_phi Q for the truncated T_phi of `build_mult_op`, summed block by block."""
+    (rows, m), b = Q.shape, phi.dom_dim
+    T = Q.reshape(rows // b, b, m).transpose(1, 0, 2)  # T[:, j] is the degree-j block Q_j
+    return sum(  # sum_j Q_(j+k)* C_k Q_j, both stacks flattened in one (coordinate, degree) order
+        adj(T[:, k:].reshape(-1, m)) @ (C @ T[:, : T.shape[1] - k].reshape(b, -1)).reshape(-1, m)
+        for k, C in enumerate(phi.coeffs[: T.shape[1]])
+    )

@@ -21,16 +21,19 @@ above r, so one step usually certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ProblemTooLarge
 from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm
 
 START_ANGLES = 16  # a multiple of 4, so the grid holds 0, pi/2, pi and 3 pi/2
 UNIMODULAR_TOL = 1e-6
 MAX_LEVEL_SETS = 50
+MAX_ASCENT_STEPS = 50  # Newton converges in a few; the cap ends a NaN ascent
 WR_SLACK = 1e-8
+HUGE = 2.0**256  # larger entries are scaled down, so that no square of one overflows
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,7 @@ def _ascend(A: np.ndarray, theta: float, tol: Tolerance) -> tuple[float, float]:
     gain is below a tenth of the convergence tolerance.
     """
     Ah, best = adj(A), None
-    while True:
+    for _ in range(MAX_ASCENT_STEPS):
         z = np.exp(1j * theta)
         lam, V = np.linalg.eigh(0.5 * (z * A + np.conj(z) * Ah))
         if best is not None and lam[-1] < best[1]:
@@ -100,6 +103,7 @@ def _ascend(A: np.ndarray, theta: float, tol: Tolerance) -> tuple[float, float]:
             return best
         step = float(np.clip(-d1 / d2, -np.pi / START_ANGLES, np.pi / START_ANGLES))
         theta = (best[0] + step) % (2 * np.pi)
+    return best
 
 
 def _level_set_angles(A: np.ndarray, r: float, pole: float) -> np.ndarray:
@@ -136,6 +140,7 @@ def numerical_radius(A, tol: Tolerance = DEFAULT_TOL) -> NumRadResult:
 
     upper - value <= convergence_tol * max(1, value), unless the level-set
     step has not certified r after MAX_LEVEL_SETS steps; upper is then ||A||.
+    An entry above HUGE scales A by an exact power of two; ProblemTooLarge if w(A) overflows.
     """
     A = as_matrix(A)
     n = A.shape[0]
@@ -143,11 +148,16 @@ def numerical_radius(A, tol: Tolerance = DEFAULT_TOL) -> NumRadResult:
         raise ValueError("numerical radius needs a square matrix")
     if n == 0:
         return NumRadResult(0.0, 0.0, 0.0)
+    big = max(abs(A.real).max(), abs(A.imag).max())
+    scale = 2.0 ** int(2 - np.frexp(big)[1]) if big > HUGE else 1.0  # max entry in [2, 4)
     if n == 1:
-        a = A[0, 0]
-        w = float(abs(a))
-        return NumRadResult(w, float(-np.angle(a) % (2 * np.pi)), w)
-    return _level_set(A, *grid_bounds(A), tol)
+        a = A[0, 0] * scale
+        res = NumRadResult(float(abs(a)), float(-np.angle(a) % (2 * np.pi)), float(abs(a)))
+    else:
+        res = _level_set(A * scale, *grid_bounds(A * scale), tol)
+    if not np.isfinite(res.upper / scale):
+        raise ProblemTooLarge("the bound on w(A) exceeds the float range")
+    return res if scale == 1.0 else replace(res, value=res.value / scale, upper=res.upper / scale)
 
 
 def _level_set(A: np.ndarray, grid: NumRadResult, pole: float, tol: Tolerance) -> NumRadResult:

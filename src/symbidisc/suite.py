@@ -36,7 +36,6 @@ from .defect import (
     build_model_space,
     defect_data,
     delta_eval,
-    pi_nf_matrix,
     theta_eval,
     theta_taylor,
 )
@@ -257,7 +256,7 @@ def criterion_nf_model(cfg: RunConfig) -> CriterionResult:
         )
         if not joint_unitary_equiv([P_model], [P], tol=tol2):
             bad_equiv += 1
-        Pi = pi_nf_matrix(dd, cfg.N)
+        Pi = ms.embedding
         worst_id = max(
             worst_id,
             opnorm(adj(Pi) @ Mz @ Pi - P),

@@ -219,7 +219,7 @@ def _pi_nf_two_products(dd, N):
     return np.vstack(blocks)
 
 
-@pytest.mark.parametrize("N", [-1, 0, 1, 32])
+@pytest.mark.parametrize("N", [-1, 0, 1, 2, 3, 7, 8, 15, 16, 32])
 def test_pi_nf_matrix_matches_the_two_product_loop(N):
     rng = np.random.default_rng(13)
     contractions = (

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from symbidisc import dilation
+from symbidisc import defect, dilation, hardy
 from symbidisc.classify import fundamental_op, is_gamma_isometry, von_neumann_margin
-from symbidisc.defect import defect_data, pi_nf_matrix
+from symbidisc.defect import build_model_space, defect_data, pi_nf_matrix
 from symbidisc.dilation import (
     compressed_scalar,
     factorization_check,
@@ -24,6 +24,7 @@ from symbidisc.hardy import shift_op
 from symbidisc.linalg import DEFAULT_TOL, adj, opnorm, range_basis
 from symbidisc.numrad import numerical_radius
 from symbidisc.pair import make_pair
+from test_defect import _LinalgCounter
 
 N = 32
 
@@ -392,3 +393,41 @@ def test_nf_ay_round_trip_with_non_nilpotent_p():
         assert max(m.residual_S, m.residual_P) <= m.tolerance_bound
         W = m.intertwiner
         assert opnorm(adj(W) @ W - np.eye(3)) < 1e-12
+
+
+def test_model_basis_is_continuous_in_pi_and_needs_no_rotation(monkeypatch):
+    # Pi is isometric up to the truncation tail, so its singular values cluster at 1 and
+    # its singular vectors jump under rounding-size changes; its polar factor does not
+    rng = np.random.default_rng(21)
+    exact = defect.pi_nf_matrix
+    for _ in range(10):
+        pair = random_gamma_contraction(rng)
+        dd = defect_data(pair.P)
+        E = rng.standard_normal((N + 1) * dd.rank_dPstar * pair.dim).reshape(-1, pair.dim)
+        E *= 1e-15 * opnorm(exact(dd, N)) / opnorm(E)
+        basis = build_model_space(dd, N).basis
+        monkeypatch.setattr(defect, "pi_nf_matrix", lambda d, n: exact(d, n) + E)
+        assert opnorm(build_model_space(dd, N).basis - basis) <= 1e-12
+        monkeypatch.undo()
+
+        m = nf_ay_build(pair, N)
+        assert np.array_equal(m.intertwiner, np.eye(pair.dim))
+        assert max(m.residual_S, m.residual_P) <= m.tolerance_bound
+        assert m.residual_S == pytest.approx(opnorm(m.S_model - pair.S), rel=1e-12)
+        assert m.residual_P == pytest.approx(opnorm(m.P_model - pair.P), rel=1e-12)
+        # the unitary that certifies the model, the polar factor of Pi* Q, is I
+        W, _, Vh = np.linalg.svd(adj(m.model_space.embedding) @ m.model_space.basis)
+        assert opnorm(W @ Vh - np.eye(pair.dim)) < 1e-12
+
+
+def test_model_and_compressed_scalar_build_no_ambient_operator(monkeypatch):
+    # one SVD with vectors, that of Pi: the pair's SVD of P is taken before counting
+    pair = random_gamma_contraction(np.random.default_rng(22))
+    _ = pair.svd_P
+    built = []
+    for module in (hardy, dilation):
+        monkeypatch.setattr(module, "build_mult_op", lambda *a: built.append("build_mult_op"))
+    monkeypatch.setattr(np, "kron", lambda *a: built.append("kron"))
+    count = _LinalgCounter(monkeypatch)
+    compressed_scalar(nf_ay_build(pair, N))
+    assert built == [] and count.calls["svd"] == 1

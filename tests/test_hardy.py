@@ -7,6 +7,7 @@ from symbidisc.hardy import (
     SymbolPoly,
     build_mult_op,
     compress,
+    compress_mult,
     gamma_isometry_model,
     shift_op,
     symbol_a_plus_astar_z,
@@ -103,3 +104,24 @@ def test_compress_projects():
     M = np.diag([1.0, 2.0, 3.0])
     Q = np.array([[1.0], [0.0], [0.0]])
     assert np.allclose(compress(M, Q), [[1.0]])
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_compress_mult_matches_the_dense_compression(degree, b):
+    rng = np.random.default_rng(10 * degree + b)
+    phi = SymbolPoly([rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
+                      for _ in range(degree + 1)])
+    for N in (degree, degree + 1, 9):
+        Q = np.linalg.qr(rng.standard_normal(((N + 1) * b, 4)) + 0j)[0]  # orthonormal columns
+        dense = compress(build_mult_op(phi, N), Q)
+        assert np.allclose(compress_mult(phi, Q), dense, rtol=0, atol=1e-13)
+
+
+def test_compress_mult_needs_whole_blocks_and_truncates_short_bases():
+    phi = SymbolPoly([np.eye(2), 3 * np.eye(2)])
+    with pytest.raises(ValueError):  # not whole blocks of 2
+        compress_mult(phi, np.ones((5, 1)))
+    # at N = 0 < deg(phi) the truncation keeps C_0 alone
+    Q = np.array([[0.6], [0.8]])
+    assert np.allclose(compress_mult(phi, Q), [[1.0]])

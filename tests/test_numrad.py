@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from symbidisc import numrad
 from symbidisc.classify import is_gamma_contraction
+from symbidisc.errors import ProblemTooLarge
 from symbidisc.generate import random_gamma_contraction, random_unitary
 from symbidisc.linalg import DEFAULT_TOL, adj, opnorm
 from symbidisc.numrad import numerical_radius
@@ -269,3 +270,24 @@ def test_a_step_that_lowers_f_is_not_kept():
     _, f = numrad._ascend(A, 0.0, DEFAULT_TOL)
     assert f >= f0 - 4 * EPS
     _check_against_dense(A)
+
+
+def test_huge_entries_are_scaled_exactly_or_rejected():
+    # unscaled, 1e160 entries overflow a square and 1e308 entries send the ascent into a NaN loop
+    for v in (1e160, 1e300, 2.0**1000):
+        for A, w in ((np.full((2, 2), v), 2 * v), (np.array([[0, v], [0, 0]]), v / 2)):
+            res = numerical_radius(A)
+            assert res.value == pytest.approx(w, rel=1e-14)
+            assert res.value <= res.upper <= res.value * (1 + 1e-11)
+            if v == 2.0**1000:  # scaled to the largest entry 2, exactly
+                small = numerical_radius(2 * A / v)
+                assert (res.value, res.upper) == (small.value * v / 2, small.upper * v / 2)
+    assert numerical_radius(np.array([[0, 1e308], [0, 0]])).value == pytest.approx(5e307)
+    for A in (np.full((2, 2), 1e308), [[1.7e308 + 1.7e308j]]):
+        with pytest.raises(ProblemTooLarge):
+            numerical_radius(A)
+
+
+def test_ascent_stops_on_nan():
+    A = np.array([[np.nan, 1.0], [0.0, 0.0]], dtype=complex)
+    assert np.isnan(numrad._ascend(A, 0.3, DEFAULT_TOL)[1])
