@@ -44,7 +44,7 @@ print(f"\nModel space at truncation N = {N}: dim = {ms.dim} (source dim 3), "
 
 Mz = shift_op(dd.rank_dPstar, N)
 P_model = compress(Mz, ms.basis)
-Pi = pi_nf_matrix(dd, N)
+Pi, _ = pi_nf_matrix(dd, N)
 print("  || Pi* Mz Pi - P ||      =", f"{opnorm(adj(Pi) @ Mz @ Pi - P):.2e}")
 print("  || Mz* Pi - Pi P* ||     =", f"{opnorm(adj(Mz) @ Pi - Pi @ adj(P)):.2e}")
 print("  spectrum of compressed shift vs P:",

@@ -33,7 +33,6 @@ from .defect import (
     spectral_radius,
     theta_eval,
     theta_taylor,
-    truncation_tail,
 )
 from .dilation import (
     CompressedScalar,

@@ -13,7 +13,7 @@ factor, the nearest isometry (Higham 1986), of the minimal-dilation embedding
 
     Pi:  h  ->  sum_k z^k (D_P* P*^k h),
 
-whose range spans that complement up to the geometric truncation tail.
+whose range spans that complement up to the measured truncation tail ||P^(N+1)||.
 Both defect operators come from one SVD P = U diag(s) V*: D_P = V diag(r) V*
 and D_P* = U diag(r) U* with r = (1 - s^2)^(1/2), which is P D_P = D_P* P.
 The routines that need the defect spaces take the DefectData record of P,
@@ -40,7 +40,7 @@ from .linalg import DEFAULT_TOL, Tolerance, _fix_phases, adj, as_matrix, opnorm,
 from .linalg import rank_flush
 
 CNU_MARGIN = 1e-8
-MODEL_TAIL = 1e-8  # the model space needs spectral_radius^(N+1) <= MODEL_TAIL
+MODEL_TAIL = 1e-8  # the model space needs the measured tail ||P^(N+1)|| <= MODEL_TAIL
 DELTA_GRID = 256  # boundary angles at which the defect of Theta is sampled
 
 
@@ -141,10 +141,10 @@ def theta_taylor(dd: DefectData, K: int) -> SymbolPoly:
     C_0 = -Q* P Q restricted to the defect bases.  The Neumann expansion of
     the resolvent gives C_k = Q_dPstar* D_P* P*^(k-1) D_P Q_dP for k >= 1:
     the degree-(k-1) block of the embedding `pi_nf_matrix` times
-    D_P Q_dP = Q_dP diag(root).
+    D_P Q_dP = Q_dP diag(root).  The embedding rejects K < 0.
     """
     # for K = 0 the embedding has no blocks, but it still runs the c.n.u. check
-    Pi = pi_nf_matrix(dd, K - 1)
+    Pi = pi_nf_matrix(dd, K - 1)[0]
     C = (Pi @ (dd.Q_dP * dd.root)).reshape(K, dd.rank_dPstar, dd.rank_dP)
     return SymbolPoly([-adj(dd.Q_dPstar) @ dd.P @ dd.Q_dP, *C])
 
@@ -177,46 +177,45 @@ def delta_eval(dd: DefectData, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return psd_sqrt(np.eye(th.shape[-1]) - adj(th) @ th, tol)
 
 
-def pi_nf_matrix(dd: DefectData, N: int) -> np.ndarray:
-    """Matrix of the truncated minimal-dilation embedding of dd.P.
+def pi_nf_matrix(dd: DefectData, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix of the truncated minimal-dilation embedding of dd.P, and P*^(N+1).
 
     Degree-k row block is Q_dPstar* D_P* P*^k; columns are the embeddings
-    of the standard basis of the source space, filled by doubling.
+    of the standard basis of the source space, filled by doubling.  Its
+    powers P*^(2^j) over the binary digits of N + 1 multiply to P*^(N+1),
+    the adjoint of the tail the truncation drops: Pi* Pi = I - P^(N+1) P*^(N+1).
     """
+    if N < -1:
+        raise TruncationTooSmall(f"the embedding needs N + 1 >= 0 blocks, got {N + 1}")
     cnu_check(dd)
-    power, rows = adj(dd.P), (N + 1) * dd.rank_dPstar
+    power, tail, rows = adj(dd.P), np.eye(len(dd.P)), (N + 1) * dd.rank_dPstar
     Pi = dd.root[:, None] * adj(dd.Q_dPstar)  # the degree-0 block Q_dPstar* D_P*
-    while len(Pi) < rows:  # blocks 0..2^j-1 times P*^(2^j) are blocks 2^j..2^(j+1)-1
-        Pi = np.concatenate([Pi, Pi[: rows - len(Pi)] @ power])
+    for j in range((N + 1).bit_length()):  # power = P*^(2^j)
+        if (N + 1) >> j & 1:
+            tail = tail @ power
+        if len(Pi) < rows:  # blocks 0..2^j-1 times P*^(2^j) are blocks 2^j..2^(j+1)-1
+            Pi = np.concatenate([Pi, Pi[: rows - len(Pi)] @ power])
         power = power @ power
-    return Pi[:rows]
+    return Pi[:rows], tail
 
 
-def truncation_tail(P, N: int) -> float:
-    """||P^(N+1)||, the norm bound on everything the truncation discards."""
-    P = as_matrix(P)
-    if P.size == 0:
-        return 0.0
-    return opnorm(np.linalg.matrix_power(P, N + 1))
-
-
-def build_model_space(dd: DefectData, N: int, tol: Tolerance = DEFAULT_TOL) -> ModelSpace:
+def build_model_space(dd: DefectData, N: int) -> ModelSpace:
     """Orthonormal basis of the truncated model space of dd.P.
 
     A matrix that passes `cnu_check` has spectral radius < 1, so it is of
     class C_00: Theta is inner and the boundary defect vanishes (Sz.-Nagy
     and Foias, ch. VI), which licenses dropping the boundary summand of
-    the ambient space without sampling it.  N must reach the smallest
-    truncation with spectral_radius^(N+1) <= MODEL_TAIL.  The basis is the
-    polar factor of Pi, or its kept left singular vectors if Pi is rank-deficient.
+    the ambient space without sampling it.  N is accepted when the measured
+    tail ||P^(N+1)|| is at most MODEL_TAIL; then sigma_min(Pi)^2 = 1 -
+    ||P^(N+1)||^2 rounds to 1, so Pi has full rank and the basis is its polar factor.
     """
-    cnu_check(dd)
-    rho = dd.spectral_radius
-    need = int(np.ceil(np.log(MODEL_TAIL) / np.log(rho))) - 1 if rho > 0 else 0
-    if N < need:
-        raise TruncationTooSmall(f"spectral radius {rho:.4f} needs N >= {need} (got {N})")
-    Pi = pi_nf_matrix(dd, N)
-    U, s, Vh = np.linalg.svd(Pi, full_matrices=False)
-    r = int(np.sum(s > tol.rank_tol * s[0]))
-    basis = U @ Vh if r == Pi.shape[1] else _fix_phases(U[:, :r])
-    return ModelSpace(basis, Pi, N, 1 - rho, truncation_tail(dd.P, N))
+    Pi, tail = pi_nf_matrix(dd, N)
+    trunc_error, rho = opnorm(tail), dd.spectral_radius
+    if trunc_error > MODEL_TAIL:  # spectral_radius^(N+1) <= ||P^(N+1)||, exact for normal P
+        need = int(np.ceil(np.log(MODEL_TAIL) / np.log(rho))) - 1 if rho > 0 else 0
+        raise TruncationTooSmall(
+            f"||P^(N+1)|| = {trunc_error:.3e} exceeds {MODEL_TAIL:.0e} at N = {N} "
+            f"(spectral radius {rho:.4f} needs N >= {need}, a lower bound)"
+        )
+    U, _, Vh = np.linalg.svd(Pi, full_matrices=False)
+    return ModelSpace(U @ Vh, Pi, N, 1 - rho, trunc_error)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -59,13 +58,15 @@ class SchafferPair:
 
 @dataclass(frozen=True)
 class NfAyModel:
+    """The functional model of a pair; in the input's coordinates, so `intertwiner` is I."""
+
     model_space: ModelSpace
     symbol_A: np.ndarray
     S_model: np.ndarray
     P_model: np.ndarray
     residual_S: float
     residual_P: float
-    intertwiner: Optional[np.ndarray]
+    intertwiner: np.ndarray
 
     @property
     def tolerance_bound(self) -> float:
@@ -135,21 +136,20 @@ def nf_ay_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> NfA
     solved on the swapped defect data of P from the classification report.
     The model operators compress the pure model pair M to the range of the
     embedding Pi, with Pi* M = S Pi*, Pi* M_z = P Pi* and Pi isometric up
-    to the truncation tail.  The basis Q is the polar factor of Pi, so the
-    unitary that certifies the model, the polar factor of Pi* Q, is I.  A
-    model space of the wrong dimension gets no unitary and infinite residuals.
+    to the tail ||P^(N+1)|| <= MODEL_TAIL that `build_model_space` gates on,
+    so the model has the input's dimension.  The basis Q is the polar factor
+    of Pi, so the unitary that certifies the model, the polar factor of Pi* Q, is I.
     """
     dd = _require_gamma(pair, tol).defect
     symbol_A = adj(fundamental_op(adj(pair.S), dd.adjoint(), tol)[0])
 
-    model = build_model_space(dd, N, tol)
+    model = build_model_space(dd, N)
     rs = dd.rank_dPstar
     S_model = compress_mult(symbol_a_plus_astar_z(symbol_A), model.basis)
     P_model = compress_mult(SymbolPoly([0 * np.eye(rs), np.eye(rs)]), model.basis)
 
-    U = np.eye(model.dim) if model.dim == pair.dim else None
-    res = [np.inf] * 2 if U is None else opnorm(np.stack([S_model - pair.S, P_model - pair.P]))
-    return NfAyModel(model, symbol_A, S_model, P_model, *map(float, res), U)
+    res = opnorm(np.stack([S_model - pair.S, P_model - pair.P]))
+    return NfAyModel(model, symbol_A, S_model, P_model, *map(float, res), np.eye(pair.dim))
 
 
 def compressed_scalar(model: NfAyModel) -> CompressedScalar:
@@ -214,8 +214,8 @@ def factorization_check(
         raise TruncationTooSmall(f"need N >= 1, got {N}")
     dd = _defect_record(P, *pair.svd_P, tol)
     depth = min(FACTOR_DEPTH, N - 1)
-    U, s, Vh = np.linalg.svd(pi_nf_matrix(dd, N - depth), full_matrices=False)
-    keep = s > tol.rank_tol * s[0]
+    U, s, Vh = np.linalg.svd(pi_nf_matrix(dd, N - depth)[0], full_matrices=False)
+    keep = s > tol.rank_tol * s.max(initial=0.0)
     U, s, Vh = U[:, keep], s[keep], Vh[keep]
 
     wander = embed - V @ embed @ adj(P)  # |(E - V E P*) h| = |D_P* h| if V is isometric

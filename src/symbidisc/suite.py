@@ -51,8 +51,8 @@ from .generate import (
     random_unitary,
 )
 from .hardy import SymbolPoly, compress, gamma_isometry_model, shift_op
-from .linalg import Tolerance, adj, opnorm
-from .numrad import numerical_radius
+from .linalg import DEFAULT_TOL, Tolerance, adj, opnorm
+from .numrad import WR_SLACK, numerical_radius
 from .pair import make_pair
 
 RHO_CAP = 0.53  # keeps the geometric tail under the model-space gate at N = 32
@@ -62,9 +62,9 @@ RHO_CAP = 0.53  # keeps the geometric tail under the model-space gate at N = 32
 class RunConfig:
     """Knobs shared by the suite and the CLI."""
 
-    rank_tol: float = 1e-10
-    residual_tol: float = 1e-8
-    wr_slack: float = 1e-8
+    rank_tol: float = DEFAULT_TOL.rank_tol
+    residual_tol: float = DEFAULT_TOL.residual_tol
+    wr_slack: float = WR_SLACK
     N: int = 32
     seed: int = 0
 
@@ -244,7 +244,7 @@ def criterion_nf_model(cfg: RunConfig) -> CriterionResult:
         dim = int(rng.integers(1, 4))
         P = random_strict_contraction(rng, dim, 0.9, rho_max=RHO_CAP)
         dd = defect_data(P, cfg.tol)
-        ms = build_model_space(dd, cfg.N, cfg.tol)
+        ms = build_model_space(dd, cfg.N)
         if ms.dim != dim:
             bad_dim += 1
             continue

@@ -186,6 +186,33 @@ def test_dilate_nf_ay(capsys, tmp_path):
     assert S_model[0, 0] == pytest.approx(1.2, abs=1e-6)
 
 
+def test_dilate_nf_ay_on_the_empty_pair(capsys, tmp_path):
+    path = tmp_path / "E.json"
+    path.write_text(json.dumps({"rows": 0, "cols": 0, "data": []}))
+    prefix = str(tmp_path / "m")
+    argv = ["dilate", "--nf-ay", "--S", str(path), "--P", str(path), "--out-prefix", prefix]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["residual_S"] == obj["residual_P"] == obj["trunc_error"] == 0.0
+    basis = matrix_from_json(json.loads((tmp_path / "m_basis.json").read_text()))
+    assert basis.shape == (0, 0)
+
+
+def test_dilate_nf_ay_refuses_a_truncation_under_transient_growth(capsys, tmp_path):
+    # rho(P)^27 <= 1e-8, but ||P^27|| = 5.8e-2 for this non-normal P
+    n = 10
+    T = 0.5 * np.eye(n) + 0.5 * np.diag(np.ones(n - 1), -1)
+    P = 0.999 * T / np.linalg.norm(T, 2)
+    s_path = write_matrix(tmp_path / "S.json", (np.eye(n) + P) / 2)
+    p_path = write_matrix(tmp_path / "P.json", P)
+    argv = ["dilate", "--nf-ay", "--S", s_path, "--P", p_path, "--N", "26",
+            "--out-prefix", str(tmp_path / "m")]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "TruncationTooSmall"
+
+
 def test_domain_error_exit_code_and_json_stderr(capsys, tmp_path):
     code, out, err = run(capsys, ["numrad", "--A", str(tmp_path / "missing.json")])
     assert code == 1

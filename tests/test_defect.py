@@ -17,7 +17,6 @@ from symbidisc.defect import (
     spectral_radius,
     theta_eval,
     theta_taylor,
-    truncation_tail,
 )
 from symbidisc.dilation import gamma_unitary_synth
 from symbidisc.errors import (
@@ -144,7 +143,7 @@ def test_truncation_controls():
     P = np.diag([0.5, 0.1])
     assert spectral_radius(P) == pytest.approx(0.5)
     N = 32
-    assert truncation_tail(P, N) <= 0.5 ** (N + 1) + 1e-15
+    assert build_model_space(defect_data(P), N).trunc_error <= 0.5 ** (N + 1) + 1e-15
 
 
 @pytest.mark.parametrize("rho", [0.5, 0.9, 0.97, 0.123])
@@ -199,7 +198,7 @@ def test_pi_nf_identities():
     rng = np.random.default_rng(8)
     P = random_strict_contraction(rng, 3, 0.8, rho_max=0.5)
     N = 40
-    Pi = pi_nf_matrix(defect_data(P), N)
+    Pi, _ = pi_nf_matrix(defect_data(P), N)
     assert np.allclose(adj(Pi) @ Pi, np.eye(3), atol=1e-8)
     from symbidisc.hardy import shift_op
 
@@ -219,8 +218,9 @@ def _pi_nf_two_products(dd, N):
     return np.vstack(blocks)
 
 
-@pytest.mark.parametrize("N", [-1, 0, 1, 2, 3, 7, 8, 15, 16, 32])
+@pytest.mark.parametrize("N", [-1, 0, 1, 2, 3, 6, 7, 8, 14, 15, 16, 32])
 def test_pi_nf_matrix_matches_the_two_product_loop(N):
+    # the blocks of Pi, and the power P*^(N+1) that the truncation discards
     rng = np.random.default_rng(13)
     contractions = (
         random_strict_contraction(rng, 3, 0.8, rho_max=0.5),
@@ -229,9 +229,28 @@ def test_pi_nf_matrix_matches_the_two_product_loop(N):
     )
     for P in contractions:
         dd = defect_data(P)
-        Pi, ref = pi_nf_matrix(dd, N), _pi_nf_two_products(dd, N)
+        (Pi, tail), ref = pi_nf_matrix(dd, N), _pi_nf_two_products(dd, N)
         assert Pi.shape == ref.shape == ((N + 1) * dd.rank_dPstar, P.shape[0])
         assert np.allclose(Pi, ref, rtol=0, atol=1e-14)
+        assert np.allclose(tail, np.linalg.matrix_power(adj(P), N + 1), rtol=0, atol=1e-14)
+
+
+def test_negative_truncations_are_rejected():
+    dd = defect_data([[0.5]])
+    with pytest.raises(TruncationTooSmall, match="got -1"):
+        theta_taylor(dd, -1)
+    for N in (-2, -5):
+        with pytest.raises(TruncationTooSmall):
+            pi_nf_matrix(dd, N)
+        with pytest.raises(TruncationTooSmall):
+            build_model_space(dd, N)
+    assert len(theta_taylor(dd, 0).coeffs) == 1
+
+
+def test_empty_model_space():
+    ms = build_model_space(defect_data(np.zeros((0, 0))), 32)
+    assert ms.dim == 0 and ms.basis.shape == ms.embedding.shape == (0, 0)
+    assert ms.trunc_error == 0.0 and ms.cnu_margin == 1.0
 
 
 class _LinalgCounter:
@@ -263,6 +282,14 @@ def test_defect_data_takes_one_svd_and_reading_either_side_adds_none(monkeypatch
     _ = dd.D_Pstar, dd.Q_dPstar, dd.rank_dPstar
     _ = dd.adjoint().adjoint().D_Pstar, dd.adjoint().Q_dP  # the bases swap, nothing is rebuilt
     assert count.calls == {"eigh": 0, "svd": 1, "pinv": 0}
+
+
+def test_model_space_takes_one_svd_with_vectors_and_no_matrix_power(monkeypatch):
+    # the tail is read off the embedding's doubling, and its norm is the one other SVD
+    dd = defect_data(random_gamma_contraction(np.random.default_rng(10)).P)
+    count = _LinalgCounter(monkeypatch, names=("svd", "matrix_power"))
+    build_model_space(dd, 32)
+    assert count.calls == {"svd": 1, "matrix_power": 0} and count.norms == 1
 
 
 def test_classification_takes_one_svd_with_vectors(monkeypatch):

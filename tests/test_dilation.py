@@ -3,7 +3,13 @@ import pytest
 import scipy.linalg
 
 from symbidisc import defect, dilation, hardy
-from symbidisc.classify import fundamental_op, is_gamma_isometry, von_neumann_margin
+from symbidisc.classify import (
+    GAMMA_CONTRACTION,
+    fundamental_op,
+    is_gamma_contraction,
+    is_gamma_isometry,
+    von_neumann_margin,
+)
 from symbidisc.defect import build_model_space, defect_data, pi_nf_matrix
 from symbidisc.dilation import (
     compressed_scalar,
@@ -127,7 +133,7 @@ def test_gamma_unitary_synth_guards():
 def _nf_dilation(pair, N=N):
     """The minimal dilation (M_z, Pi) of the pair, at truncation N."""
     dd = defect_data(pair.P)
-    return shift_op(dd.rank_dPstar, N), pi_nf_matrix(dd, N)
+    return shift_op(dd.rank_dPstar, N), pi_nf_matrix(dd, N)[0]
 
 
 def _padded_nf_dilation(pair):
@@ -230,11 +236,11 @@ def test_factorization_basis_spans_the_range_of_g(monkeypatch):
     # B: every coordinate of degrees 0..d-1, and z^d times the kept left factor of Pi_{<=N-d};
     # schaffer_build factored P on the pair, so that SVD is the only one with vectors
     ((Pi, (U, s, _)),) = calls
-    assert np.array_equal(Pi, pi_nf_matrix(dd, N - d))
+    assert np.array_equal(Pi, pi_nf_matrix(dd, N - d)[0])
     U = U[:, s > DEFAULT_TOL.rank_tol * s[0]]
     B = scipy.linalg.block_diag(np.eye(d * rs), U)
     ref = range_basis(G)
-    assert B.shape[1] == ref.shape[1] == d * rs + np.linalg.matrix_rank(pi_nf_matrix(dd, N - d))
+    assert B.shape[1] == ref.shape[1] == d * rs + np.linalg.matrix_rank(pi_nf_matrix(dd, N - d)[0])
     assert opnorm(B @ adj(B) - ref @ adj(ref)) < 1e-12
     assert opnorm(Phi - Phi @ B @ adj(B)) < 1e-12  # Phi vanishes off ran G
 
@@ -359,7 +365,7 @@ def test_factorization_sees_the_null_space_of_the_last_stage():
         assert (wd_res < 1e-8) == (ref_block < 1e-8) == defined
     # at N = 1 there is no stage relation, and the reference reads 0
     pair = random_gamma_contraction(np.random.default_rng(19))
-    assert np.linalg.matrix_rank(pi_nf_matrix(defect_data(pair.P), 1)) < pair.dim
+    assert np.linalg.matrix_rank(pi_nf_matrix(defect_data(pair.P), 1)[0]) < pair.dim
     sp = schaffer_build(pair, 1)
     assert factorization_check(pair, (sp.V, sp.embed), 1)[2] > 0.5
 
@@ -372,13 +378,53 @@ def test_factorization_rejects_non_dilation():
         factorization_check(pair, (np.zeros((n, n)), np.eye(n)), N)
 
 
-def test_nf_ay_model_of_wrong_dimension_gets_no_intertwiner():
-    # P nilpotent of order 40: at N = 32 the embedding reaches only 33 dimensions
+def test_nf_ay_model_needs_the_tail_that_gives_it_full_dimension():
+    # P nilpotent of order 40: at N = 32 the embedding reaches only 33 dimensions, and
+    # ||P^33|| = 1 refuses it; at N = 39 P^40 = 0 and the model has the input's dimension
     J = np.diag(np.ones(39), -1)
-    m = nf_ay_build(make_pair(np.zeros((40, 40)), J), N)
-    assert m.model_space.dim == 33
-    assert m.intertwiner is None
-    assert m.residual_S == m.residual_P == np.inf
+    pair = make_pair(np.zeros((40, 40)), J)
+    with pytest.raises(TruncationTooSmall):
+        nf_ay_build(pair, N)
+    m = nf_ay_build(pair, 39)
+    assert m.model_space.dim == 40 and m.model_space.trunc_error == 0.0
+    assert np.array_equal(m.intertwiner, np.eye(40))
+    assert max(m.residual_S, m.residual_P) <= 1e-12
+
+
+def _transient_pair(lam, n):
+    """P = 0.999 (lam I + J/2) / ||lam I + J/2|| with J the nilpotent shift, S = (I + P)/2.
+
+    ||P^k|| stays far above rho(P)^k for many steps (transient growth)."""
+    T = lam * np.eye(n) + 0.5 * np.diag(np.ones(n - 1), -1)
+    P = 0.999 * T / opnorm(T)
+    return make_pair((np.eye(n) + P) / 2, P)
+
+
+@pytest.mark.parametrize("lam, n, short", [(0.5, 10, 26), (0.3, 16, 18)])
+def test_nf_ay_model_is_gated_on_the_measured_tail(lam, n, short):
+    # rho(P)^(short+1) <= 1e-8, but ||P^(short+1)|| is 5.8e-2 and 0.74: a gate on
+    # rho passed residuals of 1.1e-3 and 8.8e-2 under its tail-scaled bound
+    pair = _transient_pair(lam, n)
+    assert is_gamma_contraction(pair).kind == GAMMA_CONTRACTION
+    with pytest.raises(TruncationTooSmall, match=r"\|\|P\^\(N\+1\)\|\| = "):
+        nf_ay_build(pair, short)
+    m = nf_ay_build(pair, 104)
+    assert m.model_space.trunc_error <= 1e-8
+    assert max(m.residual_S, m.residual_P) <= 1e-8
+
+
+def test_empty_pair_has_an_empty_model():
+    m = nf_ay_build(make_pair(np.zeros((0, 0)), np.zeros((0, 0))), N)
+    assert m.model_space.dim == 0 and m.S_model.shape == m.P_model.shape == (0, 0)
+    assert m.residual_S == m.residual_P == 0.0 and m.intertwiner.shape == (0, 0)
+    assert compressed_scalar(m).X.shape == (0, 0)
+
+
+def test_empty_pair_has_an_empty_factor_map():
+    pair = make_pair(np.zeros((0, 0)), np.zeros((0, 0)))
+    sp = schaffer_build(pair, N)
+    Phi, iso_res, wd_res = factorization_check(pair, (sp.V, sp.embed), N)
+    assert Phi.shape == (0, 0) and iso_res == wd_res == 0.0
 
 
 def test_nf_ay_round_trip_with_non_nilpotent_p():
@@ -404,10 +450,13 @@ def test_model_basis_is_continuous_in_pi_and_needs_no_rotation(monkeypatch):
         pair = random_gamma_contraction(rng)
         dd = defect_data(pair.P)
         E = rng.standard_normal((N + 1) * dd.rank_dPstar * pair.dim).reshape(-1, pair.dim)
-        E *= 1e-15 * opnorm(exact(dd, N)) / opnorm(E)
+        Pi, tail = exact(dd, N)
+        E *= 1e-15 * opnorm(Pi) / opnorm(E)
         basis = build_model_space(dd, N).basis
-        monkeypatch.setattr(defect, "pi_nf_matrix", lambda d, n: exact(d, n) + E)
-        assert opnorm(build_model_space(dd, N).basis - basis) <= 1e-12
+        monkeypatch.setattr(defect, "pi_nf_matrix", lambda d, n: (exact(d, n)[0] + E, tail))
+        perturbed = build_model_space(dd, N)
+        assert np.array_equal(perturbed.embedding, Pi + E)  # the patch reaches the model
+        assert opnorm(perturbed.basis - basis) <= 1e-12
         monkeypatch.undo()
 
         m = nf_ay_build(pair, N)
