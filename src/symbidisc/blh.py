@@ -33,15 +33,21 @@ class BlhProblem:
         return self.inner_residual <= INNER_WARN
 
 
+def _symbol_on(A, theta: SymbolPoly) -> np.ndarray:
+    """A as a matrix; ValueError unless it is square on the codomain of theta."""
+    A = as_matrix(A)
+    if A.shape[0] != A.shape[1] or A.shape[0] != theta.cod_dim:
+        raise ValueError("A must be square on the codomain of theta")
+    return A
+
+
 def make_problem(A, theta: SymbolPoly) -> BlhProblem:
     """Bundle a symbol and multiplier; records how far Theta is from inner.
 
     The inner residual is max ||Theta* Theta - I|| over INNER_GRID boundary
     points, evaluated as one stack.
     """
-    A = as_matrix(A)
-    if A.shape[0] != A.shape[1] or A.shape[0] != theta.cod_dim:
-        raise ValueError("A must be square on the codomain of theta")
+    A = _symbol_on(A, theta)
     Th = theta.eval(np.exp(2j * np.pi * np.arange(INNER_GRID) / INNER_GRID))
     worst = np.max(opnorm(adj(Th) @ Th - np.eye(theta.dom_dim)))
     return BlhProblem(A, theta, float(worst))
@@ -116,7 +122,7 @@ def blh_solve(prob: BlhProblem, tol: Tolerance = DEFAULT_TOL):
     residual = float(np.max(opnorm(theta_symbol(B) - rhs)))
     if residual > tol.residual_tol * max(1.0, opnorm(A)):
         return NoSolution(B, residual)
-    wB = numerical_radius(B, tol).value
+    wB = numerical_radius(B).value
     return BlhSolution(B, residual, kernel_dim, float(wB))
 
 
@@ -135,7 +141,7 @@ def invariance_check(A, theta: SymbolPoly, N: int, tol: Tolerance = DEFAULT_TOL)
     under A + A* M_z is compared against the range through domain degrees
     <= N - deg, so no truncation edge enters the residual.
     """
-    A = as_matrix(A)
+    A = _symbol_on(A, theta)
     d = theta.degree
     if N < d + 1:
         raise TruncationTooSmall(f"need N >= deg + 1 = {d + 1}")

@@ -20,14 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .defect import DefectData, _defect_record
-from .errors import (
-    DimensionMismatch,
-    NotAContraction,
-    NotCommuting,
-    NotPureModelForm,
-    ProblemTooLarge,
-)
-from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm
+from .errors import DimensionMismatch, NotAContraction, NotCommuting, NotPureModelForm
+from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, check_budget, opnorm
 from .numrad import WR_SLACK, _level_set, grid_bounds, numerical_radius
 from .pair import OperatorPair, restrict
 
@@ -104,24 +98,20 @@ def is_gamma_isometry(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL):
     return ok, rep
 
 
-def fundamental_op(S, dd: DefectData, tol: Tolerance = DEFAULT_TOL):
+def fundamental_op(S, dd: DefectData):
     """Solve S - S*P = D_P A D_P, with dd the defect data of P = dd.P.
 
     With D_P Q = Q diag(r), A = diag(1/r) Q*CQ diag(1/r) for C = S - S*P on
     the D_P defect basis Q, and the residual is ||QQ*CQQ* - C||_F.  dd made
-    the rank decision, so tol is not read.  Returns (A, residual).  Called
-    on S* with dd.adjoint() it yields the adjoint of the model symbol.
+    the rank decision.  Returns (A, residual).  Called on S* with
+    dd.adjoint() it yields the adjoint of the model symbol.
     """
     C, Q, inv = S - adj(S) @ dd.P, dd.Q_dP, 1 / dd.root
     B = adj(Q) @ C @ Q
     return inv[:, None] * B * inv, float(np.linalg.norm(Q @ B @ adj(Q) - C))
 
 
-def is_gamma_contraction(
-    pair: OperatorPair,
-    tol: Tolerance = DEFAULT_TOL,
-    wr_slack: float = WR_SLACK,
-) -> ClassificationReport:
+def is_gamma_contraction(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:
     """Full classification of a commuting pair.
 
     Produces the strongest applicable kind; every sub-check is recorded in
@@ -129,7 +119,7 @@ def is_gamma_contraction(
     isometry residuals of a pair without a window and the DefectData the
     report carries; ||P|| <= 1 passes exactly when that record accepts P.
     w(A) <= 1 passes when the certified upper bound on w(A) is at most
-    1 + wr_slack; the answer is NotGamma when the lower bound exceeds it,
+    1 + WR_SLACK; the answer is NotGamma when the lower bound exceeds it,
     and Inconclusive when the two bounds straddle it.  The bounds come from
     the angle grid of `grid_bounds` when they decide, otherwise from the
     level set started on that grid, and for n <= 1 from the closed form of
@@ -150,19 +140,19 @@ def is_gamma_contraction(
     if rep.failed():
         rep.kind = NOT_GAMMA
         return rep
-    F, residual = fundamental_op(S, dd, tol)
-    wr, pole = grid_bounds(F) if len(F) > 1 else (numerical_radius(F, tol), None)
-    if pole is not None and wr.value <= 1 + wr_slack < wr.upper:
-        wr = _level_set(F, wr, pole, tol)
+    F, residual = fundamental_op(S, dd)
+    wr, pole = grid_bounds(F) if len(F) > 1 else (numerical_radius(F), None)
+    if pole is not None and wr.value <= 1 + WR_SLACK < wr.upper:
+        wr = _level_set(F, wr, pole)
     rep.fundamental_op = F
     rep.fundamental_residual = residual
     rep.wA, rep.wA_upper = wr.value, wr.upper
     rep.add("fundamental equation consistent", residual <= t, residual)
-    rep.add("w(A) <= 1", wr.upper <= 1 + wr_slack, max(0.0, wr.upper - 1))
-    if residual > t or wr.value > 1 + wr_slack:
+    rep.add("w(A) <= 1", wr.upper <= 1 + WR_SLACK, max(0.0, wr.upper - 1))
+    if residual > t or wr.value > 1 + WR_SLACK:
         rep.kind = NOT_GAMMA
     elif rep.failed():
-        rep.kind = INCONCLUSIVE  # the bounds on w(A) straddle 1 + wr_slack
+        rep.kind = INCONCLUSIVE  # the bounds on w(A) straddle 1 + WR_SLACK
     elif _passes(algebra, _UNITARY_CHECKS):
         rep.kind = GAMMA_UNITARY
     elif _passes(algebra, _ISOMETRY_CHECKS):
@@ -172,7 +162,7 @@ def is_gamma_contraction(
     return rep
 
 
-def recover_pure_symbol(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def recover_pure_symbol(pair: OperatorPair, N: int) -> np.ndarray:
     """Read the symbol back off a truncated pure model pair.
 
     S* - S P* concentrates the symbol's adjoint in the degree-0 diagonal
@@ -323,11 +313,10 @@ def von_neumann_margin(
 # Eigenvalues of the random Hermitian element closer than _MERGE_GAP times its
 # norm share a cluster: a split at gap g turns an input perturbation e into a
 # certificate of about e / g, so only wide gaps split.  A reduced Gram
-# operator over GRAM_BUDGET_BYTES (4096 unknowns, one cluster of size 64)
+# operator over linalg.GRAM_BUDGET_BYTES (4096 unknowns, one cluster of size 64)
 # raises ProblemTooLarge.  The Gram null space is cut at (NULL_TOL*scale)^2,
 # and INTERTWINER_SEED draws the Hermitian element and the trial unitaries.
 _MERGE_GAP = 1e-3
-GRAM_BUDGET_BYTES = 2**28
 NULL_TOL = 1e-6
 INTERTWINER_SEED = 0
 
@@ -363,8 +352,7 @@ def _intertwiner_space(ops1, ops2, scale: float, tol: Tolerance, rng):
     gap = max(_MERGE_GAP * np.max(abs(lam[0])), 2 * slack)
     cluster = np.concatenate(([0], np.cumsum(np.diff(lam).min(0) > gap)))
     I, J = np.nonzero(cluster[:, None] == cluster)
-    if 16 * I.size**2 > GRAM_BUDGET_BYTES:
-        raise ProblemTooLarge(f"intertwiner Gram operator on {I.size} unknowns is over budget")
+    check_budget("intertwiner Gram operator", I.size, I.size)
 
     # Gram operator G = sum K^H K of the Sylvester maps X -> B X - X A over the
     # letter pairs (T, T') and (T*, T'*), at the entries X_IJ:

@@ -132,12 +132,12 @@ def _cmd_point(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _load_pair(args, cfg: RunConfig):
+def _load_pair(args):
     return make_pair(load_matrix(args.S), load_matrix(args.P))
 
 
 def _cmd_classify(args, cfg: RunConfig) -> int:
-    rep = is_gamma_contraction(_load_pair(args, cfg), cfg.tol, cfg.wr_slack)
+    rep = is_gamma_contraction(_load_pair(args), cfg.tol)
     out = {
         "checks": [[name, ok, res] for name, ok, res in rep.checks],
         "flushed_max": rep.flushed_max,
@@ -153,25 +153,25 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
 
 
 def _cmd_fundamental(args, cfg: RunConfig) -> int:
-    pair = _load_pair(args, cfg)
-    F, residual = fundamental_op(pair.S, defect_data(pair.P, cfg.tol), cfg.tol)
+    pair = _load_pair(args)
+    F, residual = fundamental_op(pair.S, defect_data(pair.P, cfg.tol))
     _emit(
         {
             "A": matrix_to_json(F),
             "residual": residual,
-            "wA": numerical_radius(F, cfg.tol).value,
+            "wA": numerical_radius(F).value,
         }
     )
     return 0
 
 
 def _cmd_numrad(args, cfg: RunConfig) -> int:
-    _emit(dataclasses.asdict(numerical_radius(load_matrix(args.A), cfg.tol)))
+    _emit(dataclasses.asdict(numerical_radius(load_matrix(args.A))))
     return 0
 
 
 def _cmd_dilate(args, cfg: RunConfig) -> int:
-    pair = _load_pair(args, cfg)
+    pair = _load_pair(args)
     N = args.N if args.N is not None else cfg.N
     prefix = args.out_prefix
     if args.schaffer:

@@ -36,8 +36,8 @@ from .errors import (
     TruncationTooSmall,
 )
 from .hardy import SymbolPoly
-from .linalg import DEFAULT_TOL, Tolerance, _fix_phases, adj, as_matrix, opnorm, psd_sqrt
-from .linalg import rank_flush
+from .linalg import DEFAULT_TOL, Tolerance, _fix_phases, adj, as_matrix, check_budget, opnorm
+from .linalg import psd_sqrt, rank_flush
 
 CNU_MARGIN = 1e-8
 MODEL_TAIL = 1e-8  # the model space needs the measured tail ||P^(N+1)|| <= MODEL_TAIL
@@ -86,7 +86,6 @@ class ModelSpace:
 
     basis: np.ndarray
     embedding: np.ndarray
-    N: int
     cnu_margin: float  # 1 - spectral radius, the margin that licenses dropping Delta
     trunc_error: float
 
@@ -184,11 +183,13 @@ def pi_nf_matrix(dd: DefectData, N: int) -> tuple[np.ndarray, np.ndarray]:
     of the standard basis of the source space, filled by doubling.  Its
     powers P*^(2^j) over the binary digits of N + 1 multiply to P*^(N+1),
     the adjoint of the tail the truncation drops: Pi* Pi = I - P^(N+1) P*^(N+1).
+    ProblemTooLarge before Pi is allocated when it is over the budget of `check_budget`.
     """
     if N < -1:
         raise TruncationTooSmall(f"the embedding needs N + 1 >= 0 blocks, got {N + 1}")
     cnu_check(dd)
     power, tail, rows = adj(dd.P), np.eye(len(dd.P)), (N + 1) * dd.rank_dPstar
+    check_budget("minimal-dilation embedding", rows, len(dd.P))
     Pi = dd.root[:, None] * adj(dd.Q_dPstar)  # the degree-0 block Q_dPstar* D_P*
     for j in range((N + 1).bit_length()):  # power = P*^(2^j)
         if (N + 1) >> j & 1:
@@ -218,4 +219,4 @@ def build_model_space(dd: DefectData, N: int) -> ModelSpace:
             f"(spectral radius {rho:.4f} needs N >= {need}, a lower bound)"
         )
     U, _, Vh = np.linalg.svd(Pi, full_matrices=False)
-    return ModelSpace(U @ Vh, Pi, N, 1 - rho, trunc_error)
+    return ModelSpace(U @ Vh, Pi, 1 - rho, trunc_error)

@@ -35,7 +35,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .hardy import SymbolPoly, build_mult_op, compress_mult, shift_op, symbol_a_plus_astar_z
-from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm
+from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, check_budget, opnorm
 from .numrad import numerical_radius
 from .pair import OperatorPair, make_pair
 
@@ -48,9 +48,7 @@ class SchafferPair:
     V: np.ndarray
     W: np.ndarray
     embed: np.ndarray
-    A_used: np.ndarray
     window: np.ndarray
-    N: int
 
     def as_pair(self) -> OperatorPair:
         return make_pair(self.W, self.V, window=self.window)
@@ -96,7 +94,8 @@ def schaffer_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> 
 
     The adjoint intertwinings with the embedding are exact: no truncation
     enters the embedded columns.  The defect data of P comes from the
-    classification report.
+    classification report.  ProblemTooLarge before V and W are allocated
+    when they are over the budget of `check_budget`.
     """
     report = _require_gamma(pair, tol)
     S, P, dd = pair.S, pair.P, report.defect
@@ -105,6 +104,7 @@ def schaffer_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> 
     r = dd.rank_dP
     hardy_dim = (N + 1) * r
     dim = n + hardy_dim
+    check_budget("Schaffer dilation", dim, dim)
 
     row = dd.root[:, None] * adj(dd.Q_dP)  # h -> D_P h in defect-basis coordinates
 
@@ -126,7 +126,7 @@ def schaffer_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> 
     window = np.concatenate(
         [np.ones(n, dtype=bool), (np.arange(hardy_dim) // max(r, 1)) <= N - 1]
     )
-    return SchafferPair(V, W, embed, F, window, N)
+    return SchafferPair(V, W, embed, window)
 
 
 def nf_ay_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> NfAyModel:
@@ -141,7 +141,7 @@ def nf_ay_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> NfA
     of Pi, so the unitary that certifies the model, the polar factor of Pi* Q, is I.
     """
     dd = _require_gamma(pair, tol).defect
-    symbol_A = adj(fundamental_op(adj(pair.S), dd.adjoint(), tol)[0])
+    symbol_A = adj(fundamental_op(adj(pair.S), dd.adjoint())[0])
 
     model = build_model_space(dd, N)
     rs = dd.rank_dPstar
@@ -207,7 +207,7 @@ def factorization_check(
     P, n = pair.P, pair.dim
 
     d_res = opnorm(adj(V) @ embed - embed @ adj(P))
-    if d_res > max(tol.residual_tol, 100 * tol.convergence_tol) * 100:
+    if d_res > max(tol.residual_tol, 1e-10) * 100:
         raise NotADilation(f"adjoint intertwining fails by {d_res:.3e}")
 
     if N < 1:

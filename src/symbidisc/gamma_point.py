@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NonFiniteInput
 
-DEFAULT_BOUNDARY_TOL = 1e-9
+BOUNDARY_TOL = 1e-9  # a root of modulus up to 1 + BOUNDARY_TOL counts as in the closed disk
 _EPS = float(np.finfo(float).eps)
 
 
@@ -60,10 +60,10 @@ def _quadratic_roots(s: complex, p: complex):
     return big, p / big
 
 
-def in_gamma(pt: GammaPoint, tol: float = DEFAULT_BOUNDARY_TOL) -> bool:
+def in_gamma(pt: GammaPoint) -> bool:
     """True iff both roots of t^2 - s t + p lie in the closed unit disk."""
     r1, r2 = _quadratic_roots(pt.s, pt.p)
-    return abs(r1) <= 1 + tol and abs(r2) <= 1 + tol
+    return abs(r1) <= 1 + BOUNDARY_TOL and abs(r2) <= 1 + BOUNDARY_TOL
 
 
 def beta_solve(pt: GammaPoint) -> BetaSolution:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, TruncationTooSmall
-from .linalg import adj, as_matrix
+from .linalg import adj, as_matrix, check_budget
 from .pair import OperatorPair, degree_mask, make_pair
 
 
@@ -66,11 +66,13 @@ def build_mult_op(phi: SymbolPoly, N: int) -> np.ndarray:
 
     Acts on degrees 0..N with the coefficient C_k on the k-th block
     subdiagonal; truncated identities are exact up to degree N - deg(phi).
+    ProblemTooLarge before the matrix is allocated when it is over budget.
     """
     d = phi.degree
     if N < d:
         raise TruncationTooSmall(f"need N >= deg(phi) = {d}, got {N}")
     b_r, b_c = phi.cod_dim, phi.dom_dim
+    check_budget("multiplication operator", (N + 1) * b_r, (N + 1) * b_c)
     M = np.zeros(((N + 1) * b_r, (N + 1) * b_c), dtype=complex)
     for k, C in enumerate(phi.coeffs):
         for j in range(N + 1 - k):

@@ -12,29 +12,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndefiniteInput, NonFiniteInput, NotHermitian
+from .errors import IndefiniteInput, NonFiniteInput, NotHermitian, ProblemTooLarge
+
+GRAM_BUDGET_BYTES = 2**28  # the largest dense complex array a routine may allocate
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical tolerances used throughout the package.
+    """The two tolerances a user sets: the rank cut and the residual bound.
 
-    rank_tol is relative to the largest singular value; residual_tol and
-    convergence_tol are absolute up to a max(1, scale) factor.
+    rank_tol is relative to the largest singular value; residual_tol is
+    absolute up to a max(1, scale) factor.
     """
 
     rank_tol: float = 1e-10
     residual_tol: float = 1e-8
-    convergence_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rank_tol > 0 and self.residual_tol > 0 and self.convergence_tol > 0):
+        if not (self.rank_tol > 0 and self.residual_tol > 0):
             raise ValueError("tolerances must be strictly positive")
         if self.rank_tol >= 1:
             raise ValueError("rank_tol must be < 1")
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def check_budget(what: str, rows: int, cols: int) -> None:
+    """ProblemTooLarge when a rows x cols complex array exceeds GRAM_BUDGET_BYTES."""
+    if 16 * rows * cols > GRAM_BUDGET_BYTES:
+        raise ProblemTooLarge(f"{what} of {rows} x {cols} exceeds {GRAM_BUDGET_BYTES} bytes")
 
 
 def as_matrix(M) -> np.ndarray:

@@ -26,13 +26,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ProblemTooLarge
-from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm
+from .linalg import adj, as_matrix, opnorm
 
 START_ANGLES = 16  # a multiple of 4, so the grid holds 0, pi/2, pi and 3 pi/2
 UNIMODULAR_TOL = 1e-6
 MAX_LEVEL_SETS = 50
 MAX_ASCENT_STEPS = 50  # Newton converges in a few; the cap ends a NaN ascent
-WR_SLACK = 1e-8
+WR_SLACK = 1e-8  # w(A) <= 1 passes when the certified upper bound is at most 1 + WR_SLACK
+CONVERGENCE_TOL = 1e-12  # the certified gap upper - value, relative to max(1, value)
 HUGE = 2.0**256  # larger entries are scaled down, so that no square of one overflows
 
 
@@ -75,7 +76,7 @@ def grid_bounds(A: np.ndarray) -> tuple[NumRadResult, float]:
     return NumRadResult(float(f[k]), float(thetas[k]), float(upper)), float(thetas[np.argmin(f)])
 
 
-def _ascend(A: np.ndarray, theta: float, tol: Tolerance) -> tuple[float, float]:
+def _ascend(A: np.ndarray, theta: float) -> tuple[float, float]:
     """Safeguarded Newton ascent of f from theta; returns (theta, f(theta)).
 
     With Re(e^{i theta} A) = V diag(lam) V* (top pair last) and g =
@@ -84,7 +85,7 @@ def _ascend(A: np.ndarray, theta: float, tol: Tolerance) -> tuple[float, float]:
     spacing and kept only when f does not drop, so the result is never
     below f at the start (and the level set keeps r > f(pole)); the ascent
     stops at a repeated top eigenvalue, at f'' >= 0 or when the predicted
-    gain is below a tenth of the convergence tolerance.
+    gain is below a tenth of CONVERGENCE_TOL.
     """
     Ah, best = adj(A), None
     for _ in range(MAX_ASCENT_STEPS):
@@ -99,7 +100,7 @@ def _ascend(A: np.ndarray, theta: float, tol: Tolerance) -> tuple[float, float]:
             return best
         d1 = g[-1].real
         d2 = 2 * np.sum(np.abs(g[:-1]) ** 2 / gaps) - lam[-1]
-        if d2 >= 0 or d1 * d1 / (-2 * d2) <= 0.1 * tol.convergence_tol * max(1.0, lam[-1]):
+        if d2 >= 0 or d1 * d1 / (-2 * d2) <= 0.1 * CONVERGENCE_TOL * max(1.0, lam[-1]):
             return best
         step = float(np.clip(-d1 / d2, -np.pi / START_ANGLES, np.pi / START_ANGLES))
         theta = (best[0] + step) % (2 * np.pi)
@@ -135,10 +136,10 @@ def _level_set_angles(A: np.ndarray, r: float, pole: float) -> np.ndarray:
     return (np.angle(z) + pole - np.pi) % (2 * np.pi)
 
 
-def numerical_radius(A, tol: Tolerance = DEFAULT_TOL) -> NumRadResult:
+def numerical_radius(A) -> NumRadResult:
     """Two-sided bounds on w(A).
 
-    upper - value <= convergence_tol * max(1, value), unless the level-set
+    upper - value <= CONVERGENCE_TOL * max(1, value), unless the level-set
     step has not certified r after MAX_LEVEL_SETS steps; upper is then ||A||.
     An entry above HUGE scales A by an exact power of two; ProblemTooLarge if w(A) overflows.
     """
@@ -154,21 +155,21 @@ def numerical_radius(A, tol: Tolerance = DEFAULT_TOL) -> NumRadResult:
         a = A[0, 0] * scale
         res = NumRadResult(float(abs(a)), float(-np.angle(a) % (2 * np.pi)), float(abs(a)))
     else:
-        res = _level_set(A * scale, *grid_bounds(A * scale), tol)
+        res = _level_set(A * scale, *grid_bounds(A * scale))
     if not np.isfinite(res.upper / scale):
         raise ProblemTooLarge("the bound on w(A) exceeds the float range")
     return res if scale == 1.0 else replace(res, value=res.value / scale, upper=res.upper / scale)
 
 
-def _level_set(A: np.ndarray, grid: NumRadResult, pole: float, tol: Tolerance) -> NumRadResult:
+def _level_set(A: np.ndarray, grid: NumRadResult, pole: float) -> NumRadResult:
     """Two-sided bounds on w(A), n >= 2, from grid_bounds(A) = (grid, pole).
 
     The ascent starts at the grid maximum; the Cayley pole at the smallest
     f keeps the Cholesky factor far from singular.
     """
-    theta, lower = _ascend(A, grid.argmax_angle, tol)
+    theta, lower = _ascend(A, grid.argmax_angle)
     for steps in range(1, MAX_LEVEL_SETS + 1):
-        r = lower + tol.convergence_tol * max(1.0, lower)
+        r = lower + CONVERGENCE_TOL * max(1.0, lower)
         cuts = np.sort(np.append(_level_set_angles(A, r, pole), pole))
         mids = 0.5 * (cuts + np.append(cuts[1:], cuts[0] + 2 * np.pi)) % (2 * np.pi)
         fm = _top_eigs(A, mids)
@@ -176,7 +177,7 @@ def _level_set(A: np.ndarray, grid: NumRadResult, pole: float, tol: Tolerance) -
         if fm[k] <= r:
             upper = r
             break
-        theta, lower = _ascend(A, mids[k], tol)
+        theta, lower = _ascend(A, mids[k])
     else:
         steps, upper = MAX_LEVEL_SETS, max(lower, opnorm(A))  # w(A) <= ||A|| always holds
     return NumRadResult(lower, float(theta), float(upper), steps)

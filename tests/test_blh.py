@@ -9,7 +9,7 @@ from symbidisc.blh import (
     make_problem,
     mirror_solve,
 )
-from symbidisc.errors import TruncationTooSmall
+from symbidisc.errors import ProblemTooLarge, TruncationTooSmall
 from symbidisc.generate import random_inner_poly, random_symbol, random_unitary
 from symbidisc.hardy import SymbolPoly
 from symbidisc.linalg import DEFAULT_TOL, adj, opnorm
@@ -72,6 +72,16 @@ def test_invariance_examples():
 def test_invariance_truncation_guard():
     with pytest.raises(TruncationTooSmall):
         invariance_check(np.eye(2), z_times_identity(2), 1)
+
+
+def test_invariance_check_shares_the_shape_check_of_make_problem():
+    theta = SymbolPoly([np.eye(1)])
+    with pytest.raises(ValueError, match="square on the codomain of theta"):
+        make_problem(np.eye(2), theta)
+    with pytest.raises(ValueError, match="square on the codomain of theta"):
+        invariance_check(np.eye(2), theta, 8)
+    with pytest.raises(ProblemTooLarge):
+        invariance_check(np.eye(1), theta, 10**7)
 
 
 def test_inner_residual_recorded():

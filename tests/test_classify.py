@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from symbidisc import classify
+from symbidisc import classify, linalg
 from symbidisc.classify import (
     GAMMA_CONTRACTION,
     GAMMA_ISOMETRY,
@@ -107,7 +107,7 @@ def test_numerical_radius_gate(monkeypatch, value, upper, kind):
     # grid, and the level set that runs on it when the grid bounds straddle
     bounds = NumRadResult(value, 0.0, upper)
     monkeypatch.setattr(classify, "grid_bounds", lambda A: (bounds, 0.0))
-    monkeypatch.setattr(classify, "_level_set", lambda A, grid, pole, tol: bounds)
+    monkeypatch.setattr(classify, "_level_set", lambda A, grid, pole: bounds)
     pair = random_gamma_contraction(np.random.default_rng(6))
     rep = is_gamma_contraction(pair)
     assert rep.kind == kind
@@ -644,7 +644,7 @@ def test_find_unitary_intertwiner_size_guard(monkeypatch):
     ops = [block_diag(T, T) for T in _model_ops(rng, 1, 2)]
     conj = _haar(rng, ops)
     assert find_unitary_intertwiner(ops, conj)[1] < 1e-12
-    monkeypatch.setattr(classify, "GRAM_BUDGET_BYTES", 16 * 12**2 - 1)
+    monkeypatch.setattr(linalg, "GRAM_BUDGET_BYTES", 16 * 12**2 - 1)
     with pytest.raises(ProblemTooLarge):
         find_unitary_intertwiner(ops, conj)
     assert issubclass(ProblemTooLarge, SymbidiscError)

@@ -213,6 +213,35 @@ def test_dilate_nf_ay_refuses_a_truncation_under_transient_growth(capsys, tmp_pa
     assert json.loads(err)["error"] == "TruncationTooSmall"
 
 
+@pytest.mark.parametrize(
+    "argv", [["dilate", "--schaffer"], ["dilate", "--nf-ay"], ["blh", "check"]]
+)
+def test_over_budget_truncation_is_a_typed_error(capsys, tmp_path, argv):
+    s_path = write_matrix(tmp_path / "S.json", 1.2 * np.eye(2))
+    p_path = write_matrix(tmp_path / "P.json", 0.5 * np.eye(2))
+    t_path = tmp_path / "theta.json"
+    t_path.write_text(json.dumps({"coeffs": [matrix_to_json(np.eye(2))]}))
+    if argv[0] == "dilate":
+        argv += ["--S", s_path, "--P", p_path, "--out-prefix", str(tmp_path / "m")]
+    else:
+        argv += ["--A", s_path, "--theta", str(t_path)]
+    code, out, err = run(capsys, argv + ["--N", str(10**7)])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ProblemTooLarge"
+
+
+@pytest.mark.parametrize("action", ["solve", "check"])
+def test_blh_symbol_off_the_codomain_of_theta_is_a_value_error(capsys, tmp_path, action):
+    a_path = write_matrix(tmp_path / "A.json", np.eye(2))
+    t_path = tmp_path / "theta.json"
+    t_path.write_text(json.dumps({"coeffs": [matrix_to_json(np.eye(1))]}))
+    code, out, err = run(capsys, ["blh", action, "--A", a_path, "--theta", str(t_path)])
+    assert code == 1 and out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "ValueError"
+    assert obj["message"] == "A must be square on the codomain of theta"
+
+
 def test_domain_error_exit_code_and_json_stderr(capsys, tmp_path):
     code, out, err = run(capsys, ["numrad", "--A", str(tmp_path / "missing.json")])
     assert code == 1
@@ -266,7 +295,7 @@ def test_malformed_symbol_file_is_a_value_error(capsys, tmp_path, bad):
 
 @pytest.mark.parametrize(
     "bad",
-    [{"N": "3"}, {"rank_tol": 1.5}, {"seed": 1.0}, {"seed": -1}, {"wr_slack": None}, ["N", 3], "N"],
+    [{"N": "3"}, {"rank_tol": 1.5}, {"seed": 1.0}, {"seed": -1}, {"residual_tol": None}, ["N", 3], "N"],
 )
 def test_malformed_config_is_rejected_before_any_output(capsys, tmp_path, bad):
     cfg = tmp_path / "cfg.json"
@@ -350,8 +379,9 @@ def test_deterministic_output(capsys, tmp_path):
 
 def test_config_file_round_trip(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    # unknown keys, such as the former grid sizes, are ignored
-    cfg.write_text(json.dumps({"seed": 3, "N": 16, "boundary_grid": 256, "vn_grid": 64}))
+    # unknown keys, such as the retired grid sizes and w(A) slack, are ignored
+    retired = {"boundary_grid": 256, "vn_grid": 64, "wr_slack": 0.5}
+    cfg.write_text(json.dumps({"seed": 3, "N": 16, **retired}))
     a_path = write_matrix(tmp_path / "A.json", np.eye(2))
     code, out, _ = run(capsys, ["--config", str(cfg), "numrad", "--A", a_path])
     assert code == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,7 +12,7 @@ from symbidisc.classify import (
     is_gamma_isometry,
     von_neumann_margin,
 )
-from symbidisc.defect import build_model_space, defect_data, pi_nf_matrix
+from symbidisc.defect import build_model_space, defect_data, pi_nf_matrix, theta_taylor
 from symbidisc.dilation import (
     compressed_scalar,
     factorization_check,
@@ -23,6 +25,7 @@ from symbidisc.errors import (
     NotADilation,
     NotCommuting,
     NotUnitary,
+    ProblemTooLarge,
     TruncationTooSmall,
 )
 from symbidisc.generate import random_commuting_unitaries, random_gamma_contraction, random_unitary
@@ -281,7 +284,7 @@ def test_certify_sequence_factors_p_once_and_takes_the_norm_of_s_once(monkeypatc
     assert sum(a is pair.S for a in seen) == 1
     margin, cand, sp, (Phi, iso_res, wd_res) = certify(make_pair(pair.S, pair.P))
     assert got[0] == margin and np.array_equal(got[1], cand)
-    for name in ("V", "W", "embed", "A_used", "window"):
+    for name in ("V", "W", "embed", "window"):
         assert np.array_equal(getattr(got[2], name), getattr(sp, name))
     assert np.array_equal(got[3][0], Phi) and got[3][1:] == (iso_res, wd_res)
 
@@ -480,3 +483,21 @@ def test_model_and_compressed_scalar_build_no_ambient_operator(monkeypatch):
     count = _LinalgCounter(monkeypatch)
     compressed_scalar(nf_ay_build(pair, N))
     assert built == [] and count.calls["svd"] == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [schaffer_build, nf_ay_build, lambda pair, N: theta_taylor(defect_data(pair.P), N)],
+    ids=["schaffer_build", "nf_ay_build", "theta_taylor"],
+)
+def test_over_budget_truncation_is_refused_before_anything_is_allocated(build):
+    # at N = 10^7 the dilation space and the embedding of a 2 x 2 pair are over budget
+    pair = make_pair(1.2 * np.eye(2), 0.5 * np.eye(2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProblemTooLarge, match="exceeds 268435456 bytes"):
+            build(pair, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

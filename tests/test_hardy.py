@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from symbidisc.classify import is_gamma_isometry
-from symbidisc.errors import DimensionMismatch, TruncationTooSmall
+from symbidisc.errors import DimensionMismatch, ProblemTooLarge, TruncationTooSmall
 from symbidisc.hardy import (
     SymbolPoly,
     build_mult_op,
@@ -60,6 +60,12 @@ def test_build_mult_op_truncation_guard():
     phi = SymbolPoly([np.eye(1)] * 4)  # degree 3
     with pytest.raises(TruncationTooSmall):
         build_mult_op(phi, 2)
+
+
+def test_build_mult_op_budget_guard():
+    # (10^7 + 1)^2 complex entries, refused before the matrix is allocated
+    with pytest.raises(ProblemTooLarge):
+        build_mult_op(SymbolPoly([np.eye(1)]), 10**7)
 
 
 def test_shift_is_isometric_below_top_degree():

@@ -7,7 +7,7 @@ from symbidisc import numrad
 from symbidisc.classify import is_gamma_contraction
 from symbidisc.errors import ProblemTooLarge
 from symbidisc.generate import random_gamma_contraction, random_unitary
-from symbidisc.linalg import DEFAULT_TOL, adj, opnorm
+from symbidisc.linalg import adj, opnorm
 from symbidisc.numrad import numerical_radius
 
 EPS = np.finfo(float).eps
@@ -82,7 +82,7 @@ def test_two_sided_bounds(name):
     w = known if known is not None else res.value
     rounding = 8 * EPS * max(1.0, opnorm(A))
     assert res.value <= res.upper
-    assert res.upper - res.value <= DEFAULT_TOL.convergence_tol * max(1.0, w) + rounding
+    assert res.upper - res.value <= numrad.CONVERGENCE_TOL * max(1.0, w) + rounding
     assert 1 <= res.steps <= numrad.MAX_LEVEL_SETS
     assert res.upper >= _dense_max(A)
     if known is not None:
@@ -136,7 +136,7 @@ def test_rayleigh_lower_bound_never_exceeds_value():
         assert abs(np.vdot(v, A @ v)) <= w + 1e-9
 
 
-def _numerical_radius_reference(A, tol=DEFAULT_TOL):
+def _numerical_radius_reference(A):
     """The level-set loop started from the grid maximum, with no ascent.
 
     Returns (value, upper, steps) with the contract of numerical_radius.
@@ -145,7 +145,7 @@ def _numerical_radius_reference(A, tol=DEFAULT_TOL):
     f = numrad._top_eigs(A, thetas)
     pole, lower = thetas[np.argmin(f)], float(np.max(f))
     for steps in range(1, numrad.MAX_LEVEL_SETS + 1):
-        r = lower + tol.convergence_tol * max(1.0, lower)
+        r = lower + numrad.CONVERGENCE_TOL * max(1.0, lower)
         cuts = np.sort(np.append(numrad._level_set_angles(A, r, pole), pole))
         mids = 0.5 * (cuts + np.append(cuts[1:], cuts[0] + 2 * np.pi)) % (2 * np.pi)
         fm = numrad._top_eigs(A, mids)
@@ -230,7 +230,7 @@ def _check_against_dense(A, known=None, angles=20_000):
     res = numerical_radius(A)
     dense = _dense_max(A, angles)
     rounding = 8 * EPS * max(1.0, opnorm(A))
-    assert res.upper - res.value <= DEFAULT_TOL.convergence_tol * max(1.0, res.value) + rounding
+    assert res.upper - res.value <= numrad.CONVERGENCE_TOL * max(1.0, res.value) + rounding
     assert dense <= res.upper and res.value >= dense - 1e-7
     if known is not None:
         assert res.value - rounding <= known <= res.upper
@@ -267,7 +267,7 @@ def test_a_step_that_lowers_f_is_not_kept():
     A[0, 15] = 0.1
     A *= np.exp(1j * (np.pi / 2 - 0.05) / 16)
     f0 = float(numrad._top_eigs(A, np.zeros(1))[0])
-    _, f = numrad._ascend(A, 0.0, DEFAULT_TOL)
+    _, f = numrad._ascend(A, 0.0)
     assert f >= f0 - 4 * EPS
     _check_against_dense(A)
 
@@ -290,4 +290,4 @@ def test_huge_entries_are_scaled_exactly_or_rejected():
 
 def test_ascent_stops_on_nan():
     A = np.array([[np.nan, 1.0], [0.0, 0.0]], dtype=complex)
-    assert np.isnan(numrad._ascend(A, 0.3, DEFAULT_TOL)[1])
+    assert np.isnan(numrad._ascend(A, 0.3)[1])
