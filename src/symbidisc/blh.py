@@ -4,17 +4,19 @@ Given a symbol operator A and a polynomial inner multiplier Theta, find B
 with (A + A*z) Theta(z) = Theta(z) (B + B*z).  Matching coefficients of
 z^k gives a real-linear system in (Re B, Im B) because B and its adjoint
 are not independent complex unknowns.  The companion check tests directly
-whether Theta's range is invariant under the truncated symbol operator.
+whether Theta's range is invariant under the truncated symbol operator,
+applied by its symbol.  The inner residual and w(B) wait for a first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import TruncationTooSmall
-from .hardy import SymbolPoly, build_mult_op, symbol_a_plus_astar_z
+from .hardy import SymbolPoly, build_mult_op
 from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm, range_basis
 from .numrad import numerical_radius
 
@@ -24,9 +26,16 @@ INNER_WARN = 1e-8
 
 @dataclass(frozen=True)
 class BlhProblem:
+    """A symbol and a multiplier; `inner_residual` is computed on first read."""
+
     A: np.ndarray
     theta: SymbolPoly
-    inner_residual: float
+
+    @cached_property
+    def inner_residual(self) -> float:  # max |eigenvalue| of Theta* Theta - I on the grid
+        Th = self.theta.eval(np.exp(2j * np.pi * np.arange(INNER_GRID) / INNER_GRID))
+        H = adj(Th) @ Th - np.eye(self.theta.dom_dim)
+        return float(np.max(np.abs(np.linalg.eigvalsh(H)), initial=0.0))
 
     @property
     def is_inner(self) -> bool:
@@ -42,15 +51,9 @@ def _symbol_on(A, theta: SymbolPoly) -> np.ndarray:
 
 
 def make_problem(A, theta: SymbolPoly) -> BlhProblem:
-    """Bundle a symbol and multiplier; records how far Theta is from inner.
-
-    The inner residual is max ||Theta* Theta - I|| over INNER_GRID boundary
-    points, evaluated as one stack.
-    """
-    A = _symbol_on(A, theta)
-    Th = theta.eval(np.exp(2j * np.pi * np.arange(INNER_GRID) / INNER_GRID))
-    worst = np.max(opnorm(adj(Th) @ Th - np.eye(theta.dom_dim)))
-    return BlhProblem(A, theta, float(worst))
+    """Bundle a symbol and multiplier after the shape check; how far Theta
+    is from inner waits for the first read of `inner_residual`."""
+    return BlhProblem(_symbol_on(A, theta), theta)
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,10 @@ class BlhSolution:
     B: np.ndarray
     residual: float
     kernel_dim: int
-    wB: float
+
+    @cached_property
+    def wB(self) -> float:  # w(B), computed on first read
+        return float(numerical_radius(self.B).value)
 
 
 @dataclass(frozen=True)
@@ -122,8 +128,7 @@ def blh_solve(prob: BlhProblem, tol: Tolerance = DEFAULT_TOL):
     residual = float(np.max(opnorm(theta_symbol(B) - rhs)))
     if residual > tol.residual_tol * max(1.0, opnorm(A)):
         return NoSolution(B, residual)
-    wB = numerical_radius(B).value
-    return BlhSolution(B, residual, kernel_dim, float(wB))
+    return BlhSolution(B, residual, kernel_dim)
 
 
 def mirror_solve(B, theta: SymbolPoly) -> np.ndarray:
@@ -139,7 +144,8 @@ def invariance_check(A, theta: SymbolPoly, N: int, tol: Tolerance = DEFAULT_TOL)
 
     The range is sampled through domain degrees <= N - deg - 1; the image
     under A + A* M_z is compared against the range through domain degrees
-    <= N - deg, so no truncation edge enters the residual.
+    <= N - deg, so no truncation edge enters the residual.  A + A* M_z is
+    applied by its symbol: degree j of the image is A Q_j + A* Q_(j-1).
     """
     A = _symbol_on(A, theta)
     d = theta.degree
@@ -150,7 +156,9 @@ def invariance_check(A, theta: SymbolPoly, N: int, tol: Tolerance = DEFAULT_TOL)
     dom_cols = (N - d) * e
     Q_small = range_basis(T_theta[:, :dom_cols], tol)
     Q_big = range_basis(T_theta[:, : dom_cols + e], tol)
-    T = build_mult_op(symbol_a_plus_astar_z(A), N)
-    img = T @ Q_small
+    Qj = Q_small.reshape(N + 1, len(A), -1)  # the degree blocks Q_j
+    img = A @ Qj
+    img[1:] += adj(A) @ Qj[:-1]
+    img = img.reshape(Q_small.shape)
     residual = float(opnorm(img - Q_big @ (adj(Q_big) @ img)))
     return residual <= tol.residual_tol * max(1.0, opnorm(A)), residual

@@ -209,7 +209,9 @@ def build_model_space(dd: DefectData, N: int) -> ModelSpace:
     the ambient space without sampling it.  N is accepted when the measured
     tail ||P^(N+1)|| is at most MODEL_TAIL; then sigma_min(Pi)^2 = 1 -
     ||P^(N+1)||^2 rounds to 1, so Pi has full rank and the basis is its polar factor.
+    ProblemTooLarge, before Pi is allocated, when the model path's peak of 4 Pi is over budget.
     """
+    check_budget("model space", 4 * (N + 1) * dd.rank_dPstar, len(dd.P))
     Pi, tail = pi_nf_matrix(dd, N)
     trunc_error, rho = opnorm(tail), dd.spectral_radius
     if trunc_error > MODEL_TAIL:  # spectral_radius^(N+1) <= ||P^(N+1)||, exact for normal P

@@ -116,8 +116,9 @@ def compress_mult(phi: SymbolPoly, Q: np.ndarray) -> np.ndarray:
     """Q* T_phi Q for the truncated T_phi of `build_mult_op`, summed block by block."""
     (rows, m), b = Q.shape, phi.dom_dim
     T = Q.reshape(rows // max(b, 1), b, m).transpose(1, 0, 2)  # T[:, j] is the degree-j block Q_j
-    return sum(  # sum_j Q_(j+k)* C_k Q_j, both stacks flattened in one (coordinate, degree) order
-        (adj(T[:, k:].reshape(-1, m)) @ (C @ T[:, : T.shape[1] - k].reshape(b, -1)).reshape(-1, m)
-         for k, C in enumerate(phi.coeffs[: T.shape[1]])),
-        np.zeros((m, m), complex),  # the compression to a 0-dimensional defect space
-    )
+    out = np.zeros((m, m), complex)  # the compression to a 0-dimensional defect space
+    for k, C in enumerate(phi.coeffs[: T.shape[1]]):  # sum_j Q_(j+k)* C_k Q_j
+        CQ = (C @ T[:, : T.shape[1] - k].reshape(b, -1)).reshape(-1, m)  # (coordinate, degree) rows
+        out += np.conj(T[:, k:], order="C").reshape(-1, m).T @ CQ  # in the same row order
+        del CQ  # a term holds at most two temporaries of Q's size: C_k Q_j, then conj(Q)
+    return out

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symbidisc import blh
 from symbidisc.blh import (
+    INNER_GRID,
     BlhSolution,
     NoSolution,
     blh_solve,
@@ -11,8 +15,9 @@ from symbidisc.blh import (
 )
 from symbidisc.errors import ProblemTooLarge, TruncationTooSmall
 from symbidisc.generate import random_inner_poly, random_symbol, random_unitary
-from symbidisc.hardy import SymbolPoly
-from symbidisc.linalg import DEFAULT_TOL, adj, opnorm
+from symbidisc.hardy import SymbolPoly, build_mult_op, symbol_a_plus_astar_z
+from symbidisc.linalg import DEFAULT_TOL, adj, opnorm, range_basis
+from symbidisc.numrad import numerical_radius
 
 
 def z_times_identity(e):
@@ -199,3 +204,122 @@ def test_mirror_solve_round_trips_through_blh_solve():
             solved += 1
             assert opnorm(mirror_solve(sol.B, theta) - A) < 1e-12
     assert solved >= 10
+
+
+def _stacked_opnorm_inner_residual(theta):
+    """max ||Theta* Theta - I|| over the grid, as one stacked SVD (the eager form)."""
+    Th = theta.eval(np.exp(2j * np.pi * np.arange(INNER_GRID) / INNER_GRID))
+    return float(np.max(opnorm(adj(Th) @ Th - np.eye(theta.dom_dim)))), float(np.max(opnorm(Th)))
+
+
+def _diagnostic_cases():
+    rng = np.random.default_rng(13)
+    W = random_unitary(rng, 3)
+    zero = np.zeros((3, 3))
+    yield "zI", random_symbol(rng, 2), z_times_identity(2)
+    yield "W", random_symbol(rng, 3), SymbolPoly([W])
+    yield "W_z2", random_symbol(rng, 3), SymbolPoly([zero, zero, W])
+    yield "inner", (0.3 + 0.4j) * np.eye(2), random_inner_poly(rng, 2, 3)  # B = A
+    yield "lossy", random_symbol(rng, 2), SymbolPoly([0.5 * np.eye(2), 0.3 * np.eye(2)])  # B = A
+
+
+DIAGNOSTIC_CASES = list(_diagnostic_cases())
+
+
+class _Calls:
+    """Counts eigvalsh, the SVDs of a grid-sized stack and blh.numerical_radius
+    while patched in."""
+
+    def __init__(self, monkeypatch):
+        self.eigvalsh = self.grid_svd = self.numerical_radius = 0
+        eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
+
+        def counted_eigvalsh(M, *args, **kwargs):
+            self.eigvalsh += 1
+            return eigvalsh(M, *args, **kwargs)
+
+        def counted_svd(M, *args, **kwargs):
+            self.grid_svd += np.ndim(M) == 3 and len(M) == INNER_GRID
+            return svd(M, *args, **kwargs)
+
+        def counted_numerical_radius(M):
+            self.numerical_radius += 1
+            return numerical_radius(M)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(blh, "numerical_radius", counted_numerical_radius)
+
+    @property
+    def counts(self):
+        return self.eigvalsh, self.grid_svd, self.numerical_radius
+
+
+@pytest.mark.parametrize("name, A, theta", DIAGNOSTIC_CASES, ids=[c[0] for c in DIAGNOSTIC_CASES])
+def test_inner_residual_and_wb_wait_for_their_first_read(monkeypatch, name, A, theta):
+    calls = _Calls(monkeypatch)
+    prob = make_problem(A, theta)
+    sol = blh_solve(prob)
+    assert calls.counts == (0, 0, 0)
+    residual = prob.inner_residual
+    assert calls.counts == (1, 0, 0)
+    assert prob.inner_residual == residual and prob.is_inner == (name != "lossy")
+    assert calls.counts == (1, 0, 0)
+    assert isinstance(sol, BlhSolution)
+    wB = sol.wB
+    assert calls.numerical_radius == 1
+    assert sol.wB == wB == numerical_radius(sol.B).value
+    assert calls.numerical_radius == 1
+
+
+@pytest.mark.parametrize("name, A, theta", DIAGNOSTIC_CASES, ids=[c[0] for c in DIAGNOSTIC_CASES])
+def test_inner_residual_matches_the_stacked_opnorm_reference(name, A, theta):
+    reference, sup_norm = _stacked_opnorm_inner_residual(theta)
+    residual = make_problem(A, theta).inner_residual
+    assert abs(residual - reference) <= 8 * np.finfo(float).eps * max(1.0, sup_norm**2)
+
+
+def _dense_invariance_check(A, theta, N, tol=DEFAULT_TOL):
+    """invariance_check with T_(A + A*z) built as a dense block-Toeplitz matrix."""
+    d, e = theta.degree, theta.dom_dim
+    T_theta = build_mult_op(theta, N)
+    Q_small = range_basis(T_theta[:, : (N - d) * e], tol)
+    Q_big = range_basis(T_theta[:, : (N - d + 1) * e], tol)
+    img = build_mult_op(symbol_a_plus_astar_z(A), N) @ Q_small
+    residual = float(opnorm(img - Q_big @ (adj(Q_big) @ img)))
+    return residual <= tol.residual_tol * max(1.0, opnorm(A)), residual
+
+
+def _assert_matches_dense(A, theta, N):
+    ok, residual = invariance_check(A, theta, N)
+    ref_ok, ref_residual = _dense_invariance_check(A, theta, N)
+    assert ok == ref_ok
+    assert abs(residual - ref_residual) <= 1e-13 * max(1.0, opnorm(A))
+    return ok
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    e=st.integers(1, 3),
+    degree=st.integers(0, 3),
+    N_kind=st.sampled_from(["deg + 1", 8, 12]),
+    inner=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_invariance_check_matches_the_dense_symbol_operator(e, degree, N_kind, inner, seed):
+    rng = np.random.default_rng(seed)
+    if inner:
+        theta = random_inner_poly(rng, e, degree)
+    else:
+        theta = SymbolPoly(
+            [rng.standard_normal((e, e)) + 1j * rng.standard_normal((e, e))
+             for _ in range(degree + 1)]
+        )
+    N = theta.degree + 1 if N_kind == "deg + 1" else N_kind
+    _assert_matches_dense(random_symbol(rng, e), theta, N)
+
+
+@pytest.mark.parametrize("N", [2, 8, 12])
+def test_invariance_check_matches_the_dense_symbol_operator_on_the_counterexample(N):
+    theta = SymbolPoly([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])  # diag(z, 1)
+    assert not _assert_matches_dense(np.array([[0.0, 2.0], [0.0, 0.0]]), theta, N)

@@ -15,8 +15,13 @@ from symbidisc.cli import (
     run_command,
     save_matrix,
 )
+from symbidisc.blh import blh_solve, make_problem
 from symbidisc.errors import NonFiniteInput
+from symbidisc.generate import random_unitary
+from symbidisc.hardy import SymbolPoly
+from symbidisc.linalg import adj
 from symbidisc.numrad import numerical_radius
+from test_blh import _dense_invariance_check, _stacked_opnorm_inner_residual
 
 
 def write_matrix(path, M):
@@ -151,6 +156,60 @@ def test_blh_check_command(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["invariant"] is False
     assert obj["residual"] >= 0.1
+
+
+def _write_symbol(path, theta):
+    path.write_text(json.dumps({"coeffs": [matrix_to_json(c) for c in theta.coeffs]}))
+    return str(path)
+
+
+_SHIFT_W = random_unitary(np.random.default_rng(31), 2)
+_BLH_FILES = {  # Theta = W z, solved by B = W* A W, and the diag(z, 1) counterexample
+    "solved": (
+        np.array([[0.3, -0.5j], [0.2, 0.1 + 0.4j]]),
+        SymbolPoly([np.zeros((2, 2)), _SHIFT_W]),
+    ),
+    "unsolved": (
+        np.array([[0.0, 2.0], [0.0, 0.0]]),
+        SymbolPoly([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ["solved", "unsolved"])
+def test_blh_json_keys_and_values_match_an_eager_computation(capsys, tmp_path, case):
+    # inner_residual and wB are computed when the command reads them; the JSON
+    # keeps its keys, and its values are those of the eager forms up to rounding
+    A, theta = _BLH_FILES[case]
+    a_path = write_matrix(tmp_path / "A.json", A)
+    argv = ["--A", a_path, "--theta", _write_symbol(tmp_path / "theta.json", theta)]
+    code, out, err = run(capsys, ["blh", "solve", *argv])
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    sol = blh_solve(make_problem(A, theta))
+    inner_residual, sup_norm = _stacked_opnorm_inner_residual(theta)
+    rounding = 8 * np.finfo(float).eps * max(1.0, sup_norm**2)
+    assert abs(obj["inner_residual"] - inner_residual) <= rounding
+    assert obj["residual"] == pytest.approx(sol.residual, rel=1e-12, abs=1e-15)
+    if case == "solved":
+        assert set(obj) == {"B", "inner_residual", "kernel_dim", "residual", "solved", "wB"}
+        assert obj["solved"] is True and obj["kernel_dim"] == sol.kernel_dim == 0
+        B = matrix_from_json(obj["B"])
+        assert np.allclose(B, sol.B, rtol=0, atol=1e-14)
+        assert np.allclose(B, adj(_SHIFT_W) @ A @ _SHIFT_W, rtol=0, atol=1e-14)
+        assert obj["wB"] == pytest.approx(numerical_radius(B).value, rel=1e-12)
+    else:
+        assert set(obj) == {"best_B", "inner_residual", "residual", "solved"}
+        assert obj["solved"] is False and obj["residual"] >= 1
+        assert np.allclose(matrix_from_json(obj["best_B"]), sol.best_B, rtol=0, atol=1e-14)
+
+    code, out, err = run(capsys, ["blh", "check", *argv])
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert set(obj) == {"N", "invariant", "residual"} and obj["N"] == 8
+    invariant, residual = _dense_invariance_check(A, theta, 8)
+    assert obj["invariant"] is invariant is (case == "solved")
+    assert obj["residual"] == pytest.approx(residual, rel=1e-12, abs=1e-13)
 
 
 def test_dilate_schaffer_writes_files(capsys, tmp_path):

@@ -30,7 +30,7 @@ from symbidisc.errors import (
 )
 from symbidisc.generate import random_commuting_unitaries, random_gamma_contraction, random_unitary
 from symbidisc.hardy import shift_op
-from symbidisc.linalg import DEFAULT_TOL, adj, opnorm, range_basis
+from symbidisc.linalg import DEFAULT_TOL, GRAM_BUDGET_BYTES, adj, opnorm, range_basis
 from symbidisc.numrad import numerical_radius
 from symbidisc.pair import make_pair
 from test_defect import _LinalgCounter
@@ -501,3 +501,44 @@ def test_over_budget_truncation_is_refused_before_anything_is_allocated(build):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_model_path_is_refused_when_its_peak_is_over_budget_though_pi_is_not():
+    # a 1 x 1 pair has a Pi of N + 1 entries, 80 MB at N = 5 * 10^6 and so under the
+    # budget, but the model path holds four arrays of Pi's size at once
+    N_big = 5 * 10**6
+    assert 16 * (N_big + 1) < GRAM_BUDGET_BYTES < 4 * 16 * (N_big + 1)
+    pair = make_pair([[1.2]], [[0.5]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProblemTooLarge, match="model space"):
+            nf_ay_build(pair, N_big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "pair, N_big",
+    [
+        (make_pair([[1.2]], [[0.5]]), 2**16),
+        (make_pair(np.diag([1.2, 0.5, 0.1]), np.diag([0.5, 0.3, -0.2])), 8000),
+        (random_gamma_contraction(np.random.default_rng(20)), 2500),
+    ],
+    ids=["1x1", "diagonal", "generated"],
+)
+def test_model_path_peak_is_within_the_budgeted_four_arrays_of_pi(pair, N_big):
+    # Pi is about 1 MB here, so a fifth array of its size would show over the slack;
+    # rank D_P* is 1, 3 and 3, and a rank of 2 or more takes compress_mult's copies
+    _ = pair.svd_P, pair.norm_S
+    tracemalloc.start()
+    try:
+        model = nf_ay_build(pair, N_big)
+        compressed_scalar(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pi_bytes = model.model_space.embedding.nbytes
+    assert pi_bytes >= 2**19
+    assert peak <= 4 * pi_bytes + 2**18
