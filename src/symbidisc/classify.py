@@ -13,7 +13,9 @@ and a joint unitary-equivalence test round out the toolbox.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -243,6 +245,27 @@ def _torus_sup(E: np.ndarray, grid: int) -> np.ndarray:
     return sup
 
 
+def _torus_coeffs(cands: np.ndarray) -> np.ndarray:
+    """A stack of (s, p) coefficient arrays as polynomials in (z1, z2), for _torus_sup."""
+    return (cands.reshape(len(cands), -1) @ _torus_map(cands.shape[-1] - 1)).reshape(cands.shape)
+
+
+@functools.lru_cache(maxsize=64)  # candidate families kept per process
+def _vn_family(degree: int, trials: int, grid: int, seed: int):
+    """(cands, coarse, sup): coefficients on s^a p^b, max |p| on every (grid // 8)-th torus angle
+    (both read-only) and the torus sups, NaN until first refined by any call: all refine alike."""
+    # (a, b) with a + b <= degree in row-major order, the order the coefficients are drawn in
+    a, b = np.nonzero(np.add.outer(np.arange(degree + 1), np.arange(degree + 1)) <= degree)
+    draws = np.random.default_rng(seed).uniform(-1, 1, size=(trials, a.size, 2))
+    cands = np.zeros((trials + 2, degree + 1, degree + 1), dtype=complex)
+    cands[0, 1, 0] = cands[1, 0, 1] = 1.0
+    cands[2:, a, b] = draws[..., 0] + 1j * draws[..., 1]
+    Zc = _grid_table(grid, degree + 1, max(1, grid // 8))
+    coarse = np.abs(_torus_coeffs(cands).reshape(len(cands), -1) @ np.kron(Zc, Zc).T).max(axis=1)
+    cands.flags.writeable = coarse.flags.writeable = False
+    return cands, coarse, np.full(trials + 2, np.nan)
+
+
 def von_neumann_margin(
     pair: OperatorPair,
     degree: int = 3,
@@ -259,51 +282,49 @@ def von_neumann_margin(
     candidates are evaluated on the pair at once, from one table of the
     words S^a P^b, and on the torus as polynomials in (z1, z2).  A
     negative margin certifies the pair is not a Gamma-contraction (up to
-    grid slack).
+    grid slack).  The witness returned is a copy.
 
+    The candidates depend on (degree, trials, grid, seed) alone and are
+    built once per process, each torus sup when first needed (_vn_family).
     Only candidates that can attain the minimum get _torus_sup and an exact
     norm, and the result is that of refining all.  A margin is at least its
-    floor, the max of |p| on every (grid // 8)-th grid angle minus the
-    Schatten 4-norm of p(S, P); the candidate of lowest floor caps the
-    minimum by its grid max times sec^2(degree pi / grid) (Szego's
-    inequality once per axis) minus its norm.  Floors above that ceiling,
-    with relative slack 1e-12, are dropped; without a ceiling
-    (cos(degree pi / grid) <= 0) none is.
+    floor, the torus sup (before refinement, the max on every (grid // 8)-th
+    grid angle) minus the Schatten 4-norm of p(S, P); the margin of the
+    candidate of lowest floor caps the minimum.  Floors above that ceiling,
+    with relative slack 1e-12, are dropped.  ProblemTooLarge before the
+    family is drawn when the candidate stacks are over budget.
     """
     S, P = pair.S, pair.P
     _commutator_gate(pair, tol)
-    # (a, b) with a + b <= degree in row-major order, the order the coefficients are drawn in
-    a, b = np.nonzero(np.add.outer(np.arange(degree + 1), np.arange(degree + 1)) <= degree)
-    draws = np.random.default_rng(seed).uniform(-1, 1, size=(trials, a.size, 2))
-    cands = np.zeros((trials + 2, degree + 1, degree + 1), dtype=complex)
-    cands[0, 1, 0] = cands[1, 0, 1] = 1.0
-    cands[2:, a, b] = draws[..., 0] + 1j * draws[..., 1]
+    # the peak per candidate: p(S, P) and two copies (adjoint and Gram, or the SVD's), and patches
+    check_budget("von Neumann candidate stacks", trials + 2, 3 * S.size + 3 * 17 * 17)
+    cands, coarse, sup = _vn_family(degree, trials, grid, operator.index(seed))
 
-    spow = [np.eye(S.shape[0], dtype=complex)]
-    ppow = [np.eye(S.shape[0], dtype=complex)]
-    for _ in range(degree):
-        spow.append(spow[-1] @ S)
-        ppow.append(ppow[-1] @ P)
-    words = np.stack([Sa @ Pb for Sa in spow for Pb in ppow])
-    ops = np.tensordot(cands.reshape(trials + 2, -1), words, axes=1)
-    E = (cands.reshape(trials + 2, -1) @ _torus_map(degree)).reshape(cands.shape)
-
-    Zc = _grid_table(grid, degree + 1, max(1, grid // 8))
-    coarse = np.abs(E.reshape(len(E), -1) @ np.kron(Zc, Zc).T).max(axis=1)
+    words = np.zeros(cands.shape[1:] + S.shape, dtype=complex)  # S^a P^b, 0 for a + b > degree
+    words[0, 0], words[1, 0], words[0, 1] = np.eye(len(S)), S, P
+    for k in range(2, degree + 1):
+        words[k, 0], words[0, k] = words[k - 1, 0] @ S, words[0, k - 1] @ P
+    for a in range(1, degree):
+        for b in range(1, degree + 1 - a):
+            words[a, b] = words[a, 0] @ words[0, b]
+    ops = np.tensordot(cands, words, axes=2)
     # ||M||_2 <= ||M*M||_F^(1/2), the Schatten 4-norm, summed on the real view: no complex copy
     gram = adj(ops) @ ops
     s4 = np.einsum("kij,kij->k", gram.view(float), gram.view(float)) ** 0.25
-    floors = coarse - s4
-    c, cos = int(np.argmin(floors)), math.cos(degree * math.pi / grid)
-    ceiling = np.inf
-    if cos > 0:
-        Z = _grid_table(grid, degree + 1)
-        ceiling = np.abs(Z @ E[c] @ Z.T).max() / cos**2 - opnorm(ops[c])
+    del gram
+    floors = np.where(np.isnan(sup), coarse, sup) - s4
+    c = int(np.argmin(floors))
+    if np.isnan(sup[c]):
+        sup[c] = _torus_sup(_torus_coeffs(cands[c : c + 1]), grid)[0]
+    ceiling = sup[c] - opnorm(ops[c])
     live = floors <= ceiling + 1e-12 * (abs(ceiling) + coarse + s4)
-    margins = np.full(len(E), np.inf)
-    margins[live] = _torus_sup(E[live], grid) - opnorm(ops[live])
+    todo = np.flatnonzero(live & np.isnan(sup))
+    if todo.size:
+        sup[todo] = _torus_sup(_torus_coeffs(cands[todo]), grid)
+    margins = np.full(len(sup), np.inf)
+    margins[live] = sup[live] - opnorm(ops[live])
     k = int(np.argmin(margins))
-    return float(margins[k]), cands[k]
+    return float(margins[k]), cands[k].copy()
 
 
 # ---------------------------------------------------------------------------

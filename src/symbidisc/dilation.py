@@ -34,7 +34,7 @@ from .errors import (
     ResidualTooLarge,
     TruncationTooSmall,
 )
-from .hardy import SymbolPoly, build_mult_op, compress_mult, shift_op, symbol_a_plus_astar_z
+from .hardy import SymbolPoly, build_mult_op, compress_mult, symbol_a_plus_astar_z
 from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, check_budget, opnorm
 from .numrad import numerical_radius
 from .pair import OperatorPair, make_pair
@@ -94,8 +94,8 @@ def schaffer_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> 
 
     The adjoint intertwinings with the embedding are exact: no truncation
     enters the embedded columns.  The defect data of P comes from the
-    classification report.  ProblemTooLarge before V and W are allocated
-    when they are over the budget of `check_budget`.
+    classification report.  The Hardy blocks are written into V and W, so the
+    call holds V, W and the embedding, which `check_budget` bounds before they are allocated.
     """
     report = _require_gamma(pair, tol)
     S, P, dd = pair.S, pair.P, report.defect
@@ -104,7 +104,7 @@ def schaffer_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> 
     r = dd.rank_dP
     hardy_dim = (N + 1) * r
     dim = n + hardy_dim
-    check_budget("Schaffer dilation", dim, dim)
+    check_budget("Schaffer dilation", dim, 2 * dim + n)  # V, W and the embedding
 
     row = dd.root[:, None] * adj(dd.Q_dP)  # h -> D_P h in defect-basis coordinates
 
@@ -112,13 +112,13 @@ def schaffer_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> 
     V[:n, :n] = P
     if r:
         V[n : n + r, :n] = row
-        V[n:, n:] = shift_op(r, N)
+        build_mult_op(SymbolPoly([np.zeros((r, r)), np.eye(r)]), N, out=V[n:, n:])
 
     W = np.zeros((dim, dim), dtype=complex)
     W[:n, :n] = S
     if r:
         W[n : n + r, :n] = adj(F) @ row
-        W[n:, n:] = build_mult_op(symbol_a_plus_astar_z(F), N)
+        build_mult_op(symbol_a_plus_astar_z(F), N, out=W[n:, n:])
 
     embed = np.zeros((dim, n), dtype=complex)
     embed[:n, :n] = np.eye(n)

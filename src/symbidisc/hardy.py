@@ -10,7 +10,7 @@ infinite space survive truncation on an interior degree window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,24 +61,26 @@ def symbol_a_plus_astar_z(A) -> SymbolPoly:
     return SymbolPoly([A, adj(A)])
 
 
-def build_mult_op(phi: SymbolPoly, N: int) -> np.ndarray:
+def build_mult_op(phi: SymbolPoly, N: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Block-Toeplitz multiplication operator for an analytic symbol.
 
     Acts on degrees 0..N with the coefficient C_k on the k-th block
     subdiagonal; truncated identities are exact up to degree N - deg(phi).
     ProblemTooLarge before the matrix is allocated when it is over budget.
+    Given `out`, a zero array of that shape or a view of one, it is filled instead.
     """
     d = phi.degree
     if N < d:
         raise TruncationTooSmall(f"need N >= deg(phi) = {d}, got {N}")
     b_r, b_c = phi.cod_dim, phi.dom_dim
-    check_budget("multiplication operator", (N + 1) * b_r, (N + 1) * b_c)
-    M = np.zeros(((N + 1) * b_r, (N + 1) * b_c), dtype=complex)
+    if out is None:
+        check_budget("multiplication operator", (N + 1) * b_r, (N + 1) * b_c)
+        out = np.zeros(((N + 1) * b_r, (N + 1) * b_c), dtype=complex)
+    blocks = out.reshape(N + 1, b_r, N + 1, b_c)  # a view: blocks[i, :, j] is block (i, j)
     for k, C in enumerate(phi.coeffs):
-        for j in range(N + 1 - k):
-            i = j + k
-            M[i * b_r : (i + 1) * b_r, j * b_c : (j + 1) * b_c] = C
-    return M
+        j = np.arange(N + 1 - k)
+        blocks[j + k, :, j] = C
+    return out
 
 
 def shift_op(block_size: int, N: int) -> np.ndarray:

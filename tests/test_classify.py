@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -358,7 +362,9 @@ def _exhaustive_margin(pair, degree=3, trials=100, grid=64, seed=0):
 
 
 def _recorded_stacks(monkeypatch):
-    """Sizes of the stacks that von_neumann_margin hands to _torus_sup."""
+    """Sizes of the stacks that von_neumann_margin hands to _torus_sup, counted
+    from a cleared family cache: a cached family keeps the sups it refined."""
+    classify._vn_family.cache_clear()
     sizes, torus_sup = [], classify._torus_sup
 
     def recorded(E, grid):
@@ -383,21 +389,21 @@ def test_torus_sup_matches_per_block_reference(monkeypatch):
         margin, witness = von_neumann_margin(pair)
         monkeypatch.undo()
         # pruning refines a few candidates, and the answer is that of refining all
-        assert len(sizes) == 1 and sizes[0] < 102
+        assert sum(sizes) < 102
         assert margin == pytest.approx(ref_margin, abs=1e-12)
         assert np.array_equal(witness, ref_witness)
 
 
 @pytest.mark.parametrize("degree, grid", [(3, 6), (5, 8)])
-def test_von_neumann_margin_without_a_ceiling_refines_every_candidate(monkeypatch, degree, grid):
-    # cos(degree pi / grid) is 0 at (3, 6), 6e-17 in floating point so that the
-    # ceiling is of order 1e32, and negative at (5, 8): no candidate can be dropped
+def test_von_neumann_margin_on_a_coarse_grid_matches_point_by_point(monkeypatch, degree, grid):
+    # cos(degree pi / grid) is 0 at (3, 6) and negative at (5, 8), where a grid max
+    # times sec^2 would bound nothing; the ceiling is a refined margin at any grid
     rng = np.random.default_rng(9)
     for pair in (random_gamma_contraction(rng), make_pair([[2.2]], [[1.0]])):
         sizes = _recorded_stacks(monkeypatch)
         margin, witness = von_neumann_margin(pair, degree=degree, trials=6, grid=grid, seed=5)
         monkeypatch.undo()
-        assert sizes == [8]
+        assert 1 <= sum(sizes) <= 8
         ref_margin, ref_witness = _margin_point_by_point(pair, degree, 6, grid, 5)
         assert margin == pytest.approx(ref_margin, abs=1e-12)
         assert np.allclose(witness, ref_witness, rtol=0, atol=1e-12)
@@ -420,10 +426,134 @@ def test_von_neumann_margin_with_near_tied_candidates(monkeypatch, seed):
         sizes = _recorded_stacks(monkeypatch)
         margin, witness = von_neumann_margin(pair, seed=seed)
         monkeypatch.undo()
-        assert sizes[0] >= least_live
+        assert sum(sizes) >= least_live
         ref_margin, ref_witness, _ = _exhaustive_margin(pair, seed=seed)
         assert margin == pytest.approx(ref_margin, abs=1e-12)
         assert np.array_equal(witness, ref_witness)
+
+
+def test_von_neumann_margin_is_the_same_on_a_new_and_a_recurring_family():
+    # bit for bit: the reference refines every candidate, as the margin did
+    # before the family was cached, and each call below either builds the
+    # family or finds it built with some of its sups already refined
+    rng = np.random.default_rng(31)
+    pairs = [random_gamma_contraction(rng) for _ in range(6)] + [make_pair([[2.2]], [[1.0]])]
+    for seed in (0, 7, 19):
+        for first, other in zip(pairs, pairs[1:] + pairs[:1]):
+            classify._vn_family.cache_clear()
+            new = von_neumann_margin(first, seed=seed)
+            again = von_neumann_margin(make_pair(first.S, first.P), seed=seed)
+            warm_other = von_neumann_margin(other, seed=seed)
+            classify._vn_family.cache_clear()
+            new_other = von_neumann_margin(other, seed=seed)
+            results = ((new, first), (again, first), (warm_other, other), (new_other, other))
+            for (margin, witness), pair in results:
+                ref_margin, ref_witness, _ = _exhaustive_margin(pair, seed=seed)
+                assert margin == ref_margin and np.array_equal(witness, ref_witness)
+
+
+def test_a_recurring_family_refines_no_candidate_twice(monkeypatch):
+    rng = np.random.default_rng(32)
+    pairs = [random_gamma_contraction(rng) for _ in range(8)] + [_torus_grid_unitary(4)]
+    sizes = _recorded_stacks(monkeypatch)
+    von_neumann_margin(pairs[0], seed=4)
+    assert 1 <= sum(sizes) < 102
+    before = len(sizes)
+    von_neumann_margin(make_pair(pairs[0].S, pairs[0].P), seed=4)
+    assert len(sizes) == before  # every live candidate of this pair is refined
+    for pair in pairs[1:]:
+        von_neumann_margin(pair, seed=4)
+    # each refinement fills a sup that was unknown, so the refined count is the total
+    sup = classify._vn_family(3, 100, 64, 4)[2]
+    assert sum(sizes) == np.count_nonzero(~np.isnan(sup)) <= 102
+
+
+def test_a_returned_witness_is_a_copy():
+    pair = random_gamma_contraction(np.random.default_rng(33))
+    margin, witness = von_neumann_margin(pair, trials=20, seed=6)
+    kept = witness.copy()
+    witness[...] = 7.0
+    margin2, witness2 = von_neumann_margin(pair, trials=20, seed=6)
+    assert margin2 == margin and np.array_equal(witness2, kept)
+    cands, coarse, _ = classify._vn_family(3, 20, 64, 6)
+    assert not (cands.flags.writeable or coarse.flags.writeable)
+
+
+def test_threads_sharing_a_family_get_the_serial_answers():
+    # the threads fill in one family's sups; a torn or lost write would change
+    # a floor or a margin, and at worst two threads refine one candidate alike
+    rng = np.random.default_rng(36)
+    jobs = [(pair, seed) for seed in (1, 2) for pair in
+            [random_gamma_contraction(rng) for _ in range(5)] + [_torus_grid_unitary(4)]]
+    expected = []
+    for pair, seed in jobs:
+        classify._vn_family.cache_clear()
+        expected.append(von_neumann_margin(pair, seed=seed))
+    classify._vn_family.cache_clear()
+    results = {}
+
+    def work(t):
+        for i in np.random.default_rng(t).permutation(len(jobs)):
+            results[t, i] = von_neumann_margin(jobs[i][0], seed=jobs[i][1])
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 4 * len(jobs)
+    for (_, i), (margin, witness) in results.items():
+        assert margin == expected[i][0] and np.array_equal(witness, expected[i][1])
+
+
+@pytest.mark.parametrize("seed", [1.0, None, "0"])
+def test_von_neumann_margin_rejects_a_seed_that_is_not_an_integer(seed):
+    before = classify._vn_family.cache_info().currsize
+    with pytest.raises(TypeError):
+        von_neumann_margin(make_pair([[0.5]], [[0.2]]), seed=seed)
+    assert classify._vn_family.cache_info().currsize == before
+
+
+def test_von_neumann_margin_over_budget_trials_is_refused_before_anything_is_allocated():
+    # 10^6 trials at n = 10 would ask about 1.6 GB for each stack of candidates
+    pair = random_gamma_contraction(np.random.default_rng(34))
+    _ = pair.svd_P, pair.norm_S, pair.commutator_norm
+    before = classify._vn_family.cache_info()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProblemTooLarge, match="von Neumann candidate stacks"):
+            von_neumann_margin(pair, trials=10**6, seed=12345)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert classify._vn_family.cache_info() == before
+
+
+@pytest.mark.parametrize("pair, trials", [
+    (make_pair([[2.0]], [[1.0]]), 4000),
+    (random_gamma_contraction(np.random.default_rng(35)), 1000),
+    (_torus_grid_unitary(5), 300),
+], ids=["1x1", "generated", "torus-grid-unitary"])
+def test_von_neumann_margin_peak_is_within_its_budget(pair, trials):
+    # the budget counts 3 n^2 + 3 * 17^2 complex entries per candidate; on a
+    # new family the 1 x 1 pairs peak in the family's coarse grid, the torus-grid
+    # unitary in its stacks of candidate operators, with a few hundred refined
+    _ = pair.svd_P, pair.norm_S, pair.commutator_norm
+    classify._vn_family.cache_clear()
+    tracemalloc.start()
+    try:
+        von_neumann_margin(pair, trials=trials, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (trials + 2) * (3 * pair.dim**2 + 3 * 17 * 17)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

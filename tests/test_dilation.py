@@ -29,7 +29,7 @@ from symbidisc.errors import (
     TruncationTooSmall,
 )
 from symbidisc.generate import random_commuting_unitaries, random_gamma_contraction, random_unitary
-from symbidisc.hardy import shift_op
+from symbidisc.hardy import build_mult_op, shift_op, symbol_a_plus_astar_z
 from symbidisc.linalg import DEFAULT_TOL, GRAM_BUDGET_BYTES, adj, opnorm, range_basis
 from symbidisc.numrad import numerical_radius
 from symbidisc.pair import make_pair
@@ -64,6 +64,57 @@ def test_schaffer_compression_recovers_pair():
 def test_schaffer_rejects_non_gamma():
     with pytest.raises(ClassificationFailed):
         schaffer_build(make_pair([[2.2]], [[1.0]]), N)
+
+
+def test_schaffer_writes_the_hardy_blocks_in_place():
+    pair = random_gamma_contraction(np.random.default_rng(2))
+    sp = schaffer_build(pair, N)
+    n, F = pair.dim, is_gamma_contraction(pair).fundamental_op
+    assert np.array_equal(sp.V[n:, n:], shift_op(len(F), N))
+    assert np.array_equal(sp.W[n:, n:], build_mult_op(symbol_a_plus_astar_z(F), N))
+
+
+def test_schaffer_peak_is_within_the_budgeted_v_w_and_embedding():
+    # V is about 1.5 MB here; the budget counts V, W and the n columns of the
+    # embedding, and a block-sized temporary would show over the slack
+    pair = random_gamma_contraction(np.random.default_rng(3))
+    _ = pair.svd_P, pair.norm_S, pair.commutator_norm
+    tracemalloc.start()
+    try:
+        sp = schaffer_build(pair, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dim, n = sp.V.shape[0], pair.dim
+    assert sp.V.nbytes >= 2**20
+    assert 2 * sp.V.nbytes <= peak <= 16 * dim * (2 * dim + n) + 2**17
+
+
+def test_schaffer_over_budget_truncation_of_a_1x1_pair_is_refused_at_once():
+    # dim = 2 + 10^7: V, W and the embedding are budgeted together
+    pair = make_pair([[1.2]], [[0.5]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProblemTooLarge, match="Schaffer dilation of 10000002 x 20000005"):
+            schaffer_build(pair, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_factorization_check_certifies_cnu_without_an_eigensolver(monkeypatch):
+    # the doubling's tail ||P^(N+1)||_F is far below (1 - CNU_MARGIN)^(N+1)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        pair = random_gamma_contraction(rng)
+        sp = schaffer_build(pair, N)
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(1) or eigvals(M))
+        _, iso_res, wd_res = factorization_check(pair, (sp.V, sp.embed), N)
+        monkeypatch.undo()
+        assert calls == [] and max(iso_res, wd_res) <= 1e-8
 
 
 def test_nf_ay_scalar_values():

@@ -56,6 +56,23 @@ def test_build_mult_op_block_toeplitz_layout():
     assert np.allclose(op, expect)
 
 
+@pytest.mark.parametrize("b_r, b_c, N", [(1, 1, 5), (2, 3, 4), (3, 2, 6), (0, 2, 3)])
+def test_build_mult_op_matches_blockwise_writes_and_fills_a_view(b_r, b_c, N):
+    # one write per coefficient into the block view; with out, the blocks go
+    # into a strided view of a larger zero array and nothing else changes
+    rng = np.random.default_rng(b_r + 5 * b_c)
+    phi = SymbolPoly([rng.standard_normal((b_r, b_c)) + 1j * rng.standard_normal((b_r, b_c))
+                      for _ in range(3)])
+    ref = np.zeros(((N + 1) * b_r, (N + 1) * b_c), dtype=complex)
+    for k, C in enumerate(phi.coeffs):
+        for j in range(N + 1 - k):
+            ref[(j + k) * b_r : (j + k + 1) * b_r, j * b_c : (j + 1) * b_c] = C
+    assert np.array_equal(build_mult_op(phi, N), ref)
+    big = np.zeros((ref.shape[0] + 2, ref.shape[1] + 3), dtype=complex)
+    assert build_mult_op(phi, N, out=big[2:, 3:]).base is big
+    assert np.array_equal(big[2:, 3:], ref) and not big[:2].any() and not big[:, :3].any()
+
+
 def test_build_mult_op_truncation_guard():
     phi = SymbolPoly([np.eye(1)] * 4)  # degree 3
     with pytest.raises(TruncationTooSmall):
