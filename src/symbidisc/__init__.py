@@ -97,7 +97,7 @@ from .linalg import (
     range_basis,
     sandwich_solve,
 )
-from .numrad import NumRadResult, numerical_radius
+from .numrad import NumRadResult, decide_wr, numerical_radius
 from .pair import OperatorPair, degree_mask, make_pair, restrict
 from .suite import CriterionResult, RunConfig, run_suite
 

@@ -24,7 +24,7 @@ import numpy as np
 from .defect import DefectData, _defect_record
 from .errors import DimensionMismatch, NotAContraction, NotCommuting, NotPureModelForm
 from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, check_budget, opnorm
-from .numrad import WR_SLACK, _level_set, grid_bounds, numerical_radius
+from .numrad import WR_SLACK, decide_wr
 from .pair import OperatorPair, restrict
 
 GAMMA_UNITARY = "GammaUnitary"
@@ -38,8 +38,9 @@ class ClassificationReport:
     kind: str
     fundamental_op: Optional[np.ndarray] = None
     fundamental_residual: float = np.inf
-    wA: float = np.inf  # wA <= w(A) <= wA_upper: the grid or level-set bounds that decided
+    wA: float = np.inf  # wA <= w(A) <= wA_upper: the bounds of `decide_wr` that decided
     wA_upper: float = np.inf
+    wA_decided_by: Optional[str] = None  # the `decide_wr` step that decided w(A) <= 1 + WR_SLACK
     checks: list = field(default_factory=list)
     defect: Optional[DefectData] = None
     flushed_max: float = 0.0  # largest |eigenvalue| of I - P*P cut to zero
@@ -64,11 +65,12 @@ def _commutator_gate(pair: OperatorPair, tol: Tolerance):
         )
 
 
-def _algebra_checks(pair: OperatorPair, tol: Tolerance) -> dict:
+def _algebra_checks(pair: OperatorPair, tol: Tolerance, record_all: bool = True) -> dict:
     """Check name -> (ok, residual) for the unitary and isometric cases.
 
     Residuals are restricted to the pair's window; without one both
     isometry residuals are max|1 - s^2| over the singular values s of P.
+    Unless record_all, ||S - S*P|| reads inf when P is not isometric: no verdict then reads it.
     """
     S, P, w, s, norm_S = pair.S, pair.P, pair.window, pair.svd_P[1], pair.norm_S
     t = tol.residual_tol
@@ -77,7 +79,7 @@ def _algebra_checks(pair: OperatorPair, tol: Tolerance) -> dict:
     else:
         r_iso = opnorm(restrict(adj(P) @ P - np.eye(len(P)), w))
         r_coiso = opnorm(restrict(P @ adj(P) - np.eye(len(P)), w))
-    r_sym = opnorm(restrict(S - adj(S) @ P, w))
+    r_sym = opnorm(restrict(S - adj(S) @ P, w)) if record_all or r_iso <= t else np.inf
     return {
         "P isometric": (r_iso <= t, r_iso),
         "P co-isometric": (r_coiso <= t, r_coiso),
@@ -122,15 +124,14 @@ def is_gamma_contraction(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL) -> Cl
     report carries; ||P|| <= 1 passes exactly when that record accepts P.
     w(A) <= 1 passes when the certified upper bound on w(A) is at most
     1 + WR_SLACK; the answer is NotGamma when the lower bound exceeds it,
-    and Inconclusive when the two bounds straddle it.  The bounds come from
-    the angle grid of `grid_bounds` when they decide, otherwise from the
-    level set started on that grid, and for n <= 1 from the closed form of
-    `numerical_radius`; wA and wA_upper are the bounds that decided.
+    and Inconclusive when the two bounds straddle it.  The bounds are those
+    of `decide_wr` at that level: wA and wA_upper are the bounds that
+    decided and wA_decided_by the step that found them.
     """
     S, P = pair.S, pair.P
     U, s, Vh = pair.svd_P
     _commutator_gate(pair, tol)
-    algebra = _algebra_checks(pair, tol)
+    algebra = _algebra_checks(pair, tol, record_all=False)
     try:
         dd = _defect_record(P, U, s, Vh, tol)
     except NotAContraction:
@@ -143,12 +144,10 @@ def is_gamma_contraction(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL) -> Cl
         rep.kind = NOT_GAMMA
         return rep
     F, residual = fundamental_op(S, dd)
-    wr, pole = grid_bounds(F) if len(F) > 1 else (numerical_radius(F), None)
-    if pole is not None and wr.value <= 1 + WR_SLACK < wr.upper:
-        wr = _level_set(F, wr, pole)
+    wr = decide_wr(F, 1 + WR_SLACK)
     rep.fundamental_op = F
     rep.fundamental_residual = residual
-    rep.wA, rep.wA_upper = wr.value, wr.upper
+    rep.wA, rep.wA_upper, rep.wA_decided_by = wr.value, wr.upper, wr.decided_by
     rep.add("fundamental equation consistent", residual <= t, residual)
     rep.add("w(A) <= 1", wr.upper <= 1 + WR_SLACK, max(0.0, wr.upper - 1))
     if residual > t or wr.value > 1 + WR_SLACK:
@@ -296,8 +295,10 @@ def von_neumann_margin(
     """
     S, P = pair.S, pair.P
     _commutator_gate(pair, tol)
-    # the peak per candidate: p(S, P) and two copies (adjoint and Gram, or the SVD's), and patches
+    # the peak per candidate: p(S, P) and two copies (adjoint and Gram, or the SVD's), and patches;
+    # a block of the torus grid stage holds grid x grid values and their moduli, 1.5 complex entries
     check_budget("von Neumann candidate stacks", trials + 2, 3 * S.size + 3 * 17 * 17)
+    check_budget("von Neumann torus grid", min(_VN_BLOCK, trials + 2), 3 * grid * grid // 2)
     cands, coarse, sup = _vn_family(degree, trials, grid, operator.index(seed))
 
     words = np.zeros(cands.shape[1:] + S.shape, dtype=complex)  # S^a P^b, 0 for a + b > degree

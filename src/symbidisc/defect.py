@@ -81,13 +81,15 @@ class DefectData:
 
 @dataclass(frozen=True)
 class ModelSpace:
-    """Orthonormal basis of the truncated model space of a c.n.u. matrix,
-    the range of the truncated minimal-dilation embedding."""
+    """Orthonormal basis of the truncated model space of a c.n.u. matrix, the range
+    of the truncated minimal-dilation embedding, and the DefectData it came from."""
 
     basis: np.ndarray
     embedding: np.ndarray
-    cnu_margin: float  # 1 - spectral radius, the margin that licenses dropping Delta
     trunc_error: float
+    defect: DefectData
+    # 1 - spectral radius, the margin that licenses dropping Delta, read on first use
+    cnu_margin = property(lambda self: 1 - self.defect.spectral_radius)
 
     @property
     def dim(self) -> int:
@@ -216,12 +218,13 @@ def build_model_space(dd: DefectData, N: int) -> ModelSpace:
     """
     check_budget("model space", 4 * (N + 1) * dd.rank_dPstar, len(dd.P))
     Pi, tail = pi_nf_matrix(dd, N)
-    trunc_error, rho = opnorm(tail), dd.spectral_radius
+    trunc_error = opnorm(tail)
     if trunc_error > MODEL_TAIL:  # spectral_radius^(N+1) <= ||P^(N+1)||, exact for normal P
+        rho = dd.spectral_radius
         need = int(np.ceil(np.log(MODEL_TAIL) / np.log(rho))) - 1 if rho > 0 else 0
         raise TruncationTooSmall(
             f"||P^(N+1)|| = {trunc_error:.3e} exceeds {MODEL_TAIL:.0e} at N = {N} "
             f"(spectral radius {rho:.4f} needs N >= {need}, a lower bound)"
         )
     U, _, Vh = np.linalg.svd(Pi, full_matrices=False)
-    return ModelSpace(U @ Vh, Pi, 1 - rho, trunc_error)
+    return ModelSpace(U @ Vh, Pi, trunc_error, dd)

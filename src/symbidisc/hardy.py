@@ -120,6 +120,8 @@ def compress_mult(phi: SymbolPoly, Q: np.ndarray) -> np.ndarray:
     T = Q.reshape(rows // max(b, 1), b, m).transpose(1, 0, 2)  # T[:, j] is the degree-j block Q_j
     out = np.zeros((m, m), complex)  # the compression to a 0-dimensional defect space
     for k, C in enumerate(phi.coeffs[: T.shape[1]]):  # sum_j Q_(j+k)* C_k Q_j
+        if not C.any():  # a zero term, such as the constant term of the shift, adds nothing
+            continue
         CQ = (C @ T[:, : T.shape[1] - k].reshape(b, -1)).reshape(-1, m)  # (coordinate, degree) rows
         out += np.conj(T[:, k:], order="C").reshape(-1, m).T @ CQ  # in the same row order
         del CQ  # a term holds at most two temporaries of Q's size: C_k Q_j, then conj(Q)

@@ -74,11 +74,11 @@ def rank_flush(w, tol: Tolerance = DEFAULT_TOL):
     zeros, flushed is the largest |eigenvalue| so zeroed, and one below -cut
     raises IndefiniteInput.  A stack (m, n) is treated row by row.
     """
-    cut = tol.rank_tol * np.maximum(1.0, np.max(np.abs(w), axis=-1, initial=0.0))[..., None]
-    if np.any(w < -cut):
+    cut = tol.rank_tol * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))[..., None]
+    if (w < -cut).any():
         raise IndefiniteInput(f"eigenvalue {w.min():.3e} below -rank_tol*||M||")
     small = w < cut
-    return np.where(small, 0.0, w), np.max(np.abs(w) * small, axis=-1, initial=0.0)
+    return np.where(small, 0.0, w), (np.abs(w) * small).max(axis=-1, initial=0.0)
 
 
 def psd_sqrt(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -104,7 +104,7 @@ def _fix_phases(Q: np.ndarray) -> np.ndarray:
     if Q.size == 0:
         return Q.copy()
     a = Q[np.argmax(np.abs(Q), axis=0), np.arange(Q.shape[1])]  # unit columns: a != 0
-    return Q * np.array([np.conj(x) / abs(x) for x in a], dtype=complex)
+    return Q * (np.conj(a) / np.hypot(a.real, a.imag))  # bit for bit the scalar conj(a) / abs(a)
 
 
 def range_basis(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -1,16 +1,21 @@
-"""Numerical radius with two-sided bounds.
+"""Numerical radius with two-sided bounds, and the decision w(A) <= level.
 
 w(A) is the maximum over theta of f(theta), the top eigenvalue of
 Re(e^{i theta} A) = (e^{i theta} A + e^{-i theta} A*) / 2.
 
-A coarse grid of angles, evaluated as one stacked eigensolve, already
-brackets w(A) within a factor sec(pi / START_ANGLES) (`grid_bounds`), which
-decides w(A) <= r for any r outside that band.  It also picks a starting
-angle, and a safeguarded Newton ascent of f raises the lower bound
-to the local maximum near it.  The upper bound comes from the level-set
-method of Mengi & Overton ("Algorithms for the computation of the
-pseudospectral radius and the numerical radius of a matrix", IMA J. Numer.
-Anal. 2005).  For r just above the lower bound, the angles where r is an
+`decide_wr` answers w(A) <= level by the first of these steps that decides,
+named in `decided_by`: "closed form" for n <= 1; "grid", a coarse grid of
+angles, evaluated as one stacked eigensolve, which brackets w(A) within a
+factor sec(pi / START_ANGLES) (`grid_bounds`); "norm", w(A) <= ||A||, equal
+for normal A (Gustafson & Rao, Numerical Range, 1997); then "ascent" and
+"level set", which stop at the first lower bound above level.
+`numerical_radius` runs them at level = infinity, so it never stops early.
+
+The grid also picks a starting angle, and a safeguarded Newton ascent of f
+raises the lower bound to the local maximum near it.  The upper bound comes
+from the level-set method of Mengi & Overton ("Algorithms for the
+computation of the pseudospectral radius and the numerical radius of a
+matrix", IMA J. Numer. Anal. 2005).  For r just above the lower bound, the angles where r is an
 eigenvalue of Re(e^{i theta} A) are the unimodular roots z = e^{i theta} of
 det(z^2 A - 2 r z I + A*) = 0.  f - r keeps one sign between neighbouring
 roots, so if f <= r at every midpoint then w(A) <= r is certified;
@@ -49,6 +54,12 @@ class NumRadResult:
     argmax_angle: float
     upper: float
     steps: int = 0  # level-set iterations; the closed forms for n <= 1 take none
+    decided_by: str = "grid"  # "closed form", "grid", "norm", "ascent" or "level set"
+
+
+def _rounding(A: np.ndarray) -> float:
+    """8 n eps ||A||_F, the allowance for rounding in an eigvalsh or SVD of n x n A."""
+    return 8 * len(A) * np.finfo(float).eps * float(np.linalg.norm(A))
 
 
 def _top_eigs(A: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -67,12 +78,10 @@ def grid_bounds(A: np.ndarray) -> tuple[NumRadResult, float]:
     maximum for the eigvalsh rounding, as ||A||_F >= ||A||.  Also returns
     the angle of the grid minimum, the level set's Cayley pole.
     """
-    n = A.shape[0]
     thetas = 2 * np.pi * np.arange(START_ANGLES) / START_ANGLES
     f = _top_eigs(A, thetas)
     k = int(np.argmax(f))
-    rounding = 8 * n * np.finfo(float).eps * np.linalg.norm(A)
-    upper = (f[k] + rounding) / np.cos(np.pi / START_ANGLES)
+    upper = (f[k] + _rounding(A)) / np.cos(np.pi / START_ANGLES)
     return NumRadResult(float(f[k]), float(thetas[k]), float(upper)), float(thetas[np.argmin(f)])
 
 
@@ -136,48 +145,63 @@ def _level_set_angles(A: np.ndarray, r: float, pole: float) -> np.ndarray:
     return (np.angle(z) + pole - np.pi) % (2 * np.pi)
 
 
-def numerical_radius(A) -> NumRadResult:
-    """Two-sided bounds on w(A).
+def decide_wr(A, level: float) -> NumRadResult:
+    """Bounds value <= w(A) <= upper, from the steps of the module docstring.
 
-    upper - value <= CONVERGENCE_TOL * max(1, value), unless the level-set
-    step has not certified r after MAX_LEVEL_SETS steps; upper is then ||A||.
-    An entry above HUGE scales A by an exact power of two; ProblemTooLarge if w(A) overflows.
-    """
+    upper <= level passes, value > level fails, and otherwise the bounds straddle level within
+    CONVERGENCE_TOL * max(1, value).  An entry above HUGE scales A and level by an exact power
+    of two; ProblemTooLarge if the bound on w(A) overflows."""
     A = as_matrix(A)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError("numerical radius needs a square matrix")
     if n == 0:
-        return NumRadResult(0.0, 0.0, 0.0)
+        return NumRadResult(0.0, 0.0, 0.0, 0, "closed form")
     big = max(abs(A.real).max(), abs(A.imag).max())
     scale = 2.0 ** int(2 - np.frexp(big)[1]) if big > HUGE else 1.0  # max entry in [2, 4)
+    A, level = A * scale, level * scale
     if n == 1:
-        a = A[0, 0] * scale
-        res = NumRadResult(float(abs(a)), float(-np.angle(a) % (2 * np.pi)), float(abs(a)))
+        a, w = A[0, 0], float(abs(A[0, 0]))
+        res = NumRadResult(w, float(-np.angle(a) % (2 * np.pi)), w, 0, "closed form")
     else:
-        res = _level_set(A * scale, *grid_bounds(A * scale))
+        grid, pole = grid_bounds(A)
+        if grid.value > level or grid.upper <= level < np.inf:
+            res = grid
+        elif level < np.inf and (norm := opnorm(A) + _rounding(A)) <= level:
+            res = replace(grid, upper=norm, decided_by="norm")
+        else:
+            res = _level_set(A, grid, pole, level)
     if not np.isfinite(res.upper / scale):
         raise ProblemTooLarge("the bound on w(A) exceeds the float range")
     return res if scale == 1.0 else replace(res, value=res.value / scale, upper=res.upper / scale)
 
 
-def _level_set(A: np.ndarray, grid: NumRadResult, pole: float) -> NumRadResult:
+def numerical_radius(A) -> NumRadResult:
+    """Bounds on w(A) within CONVERGENCE_TOL * max(1, value): `decide_wr` at level infinity;
+    upper is ||A|| (decided_by "norm") when MAX_LEVEL_SETS level-set steps do not certify."""
+    return decide_wr(A, np.inf)
+
+
+def _level_set(A: np.ndarray, grid: NumRadResult, pole: float, level: float) -> NumRadResult:
     """Two-sided bounds on w(A), n >= 2, from grid_bounds(A) = (grid, pole).
 
     The ascent starts at the grid maximum; the Cayley pole at the smallest
-    f keeps the Cholesky factor far from singular.
+    f keeps the Cholesky factor far from singular.  A lower bound above
+    level, an ascent's or f at a midpoint, returns at once with grid.upper.
     """
-    theta, lower = _ascend(A, grid.argmax_angle)
-    for steps in range(1, MAX_LEVEL_SETS + 1):
+    (theta, lower), steps = _ascend(A, grid.argmax_angle), 0
+    while lower <= level and steps < MAX_LEVEL_SETS:
+        steps += 1
         r = lower + CONVERGENCE_TOL * max(1.0, lower)
         cuts = np.sort(np.append(_level_set_angles(A, r, pole), pole))
         mids = 0.5 * (cuts + np.append(cuts[1:], cuts[0] + 2 * np.pi)) % (2 * np.pi)
         fm = _top_eigs(A, mids)
         k = int(np.argmax(fm))
+        if fm[k] > level:
+            return NumRadResult(float(fm[k]), float(mids[k]), grid.upper, steps, "level set")
         if fm[k] <= r:
-            upper = r
-            break
+            return NumRadResult(lower, float(theta), float(r), steps, "level set")
         theta, lower = _ascend(A, mids[k])
-    else:
-        steps, upper = MAX_LEVEL_SETS, max(lower, opnorm(A))  # w(A) <= ||A|| always holds
-    return NumRadResult(lower, float(theta), float(upper), steps)
+    if lower > level:
+        return NumRadResult(lower, float(theta), grid.upper, steps, "ascent")
+    return NumRadResult(lower, float(theta), max(lower, opnorm(A)), steps, "norm")  # w(A) <= ||A||

@@ -107,15 +107,15 @@ def test_off_grid_numerical_radius_peak_answers_not_gamma():
     ids=["pass", "straddle", "fail"],
 )
 def test_numerical_radius_gate(monkeypatch, value, upper, kind):
-    # the bounds are injected at both sources the decision reads: the angle
-    # grid, and the level set that runs on it when the grid bounds straddle
-    bounds = NumRadResult(value, 0.0, upper)
-    monkeypatch.setattr(classify, "grid_bounds", lambda A: (bounds, 0.0))
-    monkeypatch.setattr(classify, "_level_set", lambda A, grid, pole: bounds)
+    # the bounds are injected at the one source the decision reads, asked at 1 + WR_SLACK
+    bounds = NumRadResult(value, 0.0, upper, 1, "level set")
+    levels = []
+    monkeypatch.setattr(classify, "decide_wr", lambda A, level: levels.append(level) or bounds)
     pair = random_gamma_contraction(np.random.default_rng(6))
     rep = is_gamma_contraction(pair)
+    assert levels == [1 + WR_SLACK]
     assert rep.kind == kind
-    assert (rep.wA, rep.wA_upper) == (value, upper)
+    assert (rep.wA, rep.wA_upper, rep.wA_decided_by) == (value, upper, "level set")
     assert ("w(A) <= 1", kind == GAMMA_CONTRACTION, max(0.0, upper - 1)) in rep.checks
 
 
@@ -130,6 +130,25 @@ def test_grid_decides_a_generated_pair_without_the_level_set(monkeypatch):
     assert rep.wA <= numerical_radius(rep.fundamental_op).value <= rep.wA_upper <= 1 + WR_SLACK
 
 
+def test_classification_takes_no_norm_of_s_minus_s_star_p_unless_p_is_isometric(monkeypatch):
+    # ||S - S*P|| enters only the unitary and isometric verdicts, both of
+    # which need P isometric; the isometry check still records it
+    pair = random_gamma_contraction(np.random.default_rng(6))
+    _ = pair.svd_P, pair.norm_S
+    norms = []
+    monkeypatch.setattr(classify, "opnorm", lambda M: norms.append(M.shape) or opnorm(M))
+    assert is_gamma_contraction(pair).kind == GAMMA_CONTRACTION
+    assert norms == []
+    ok, rep = is_gamma_isometry(pair)
+    residual = opnorm(pair.S - adj(pair.S) @ pair.P)
+    assert not ok and ("S = S*P", residual <= DEFAULT_TOL.residual_tol, residual) in rep.checks
+    assert norms == [pair.S.shape]
+    unitary = gamma_unitary_synth(*random_commuting_unitaries(np.random.default_rng(7), 3))
+    _ = unitary.svd_P, unitary.norm_S
+    assert is_gamma_contraction(unitary).kind == GAMMA_UNITARY
+    assert norms == [pair.S.shape, unitary.S.shape]
+
+
 def test_grid_maximum_above_one_answers_not_gamma(monkeypatch):
     # with P = 0 the fundamental operator is S, and f(0) = 1.2 on the grid
     pair = make_pair(np.diag([1.2, 0.0]), np.zeros((2, 2)))
@@ -142,7 +161,9 @@ def test_grid_maximum_above_one_answers_not_gamma(monkeypatch):
 
 @pytest.mark.parametrize("outside", [True, False], ids=["outside", "inside"])
 def test_knife_edge_pair_falls_back_to_the_level_set(monkeypatch, outside):
-    # w(S) = 1 +/- 1e-6 lies in the band the grid cannot decide
+    # w(S) = 1 +/- 1e-6 lies in the band the grid cannot decide.  Outside,
+    # the ascent's lower bound already exceeds 1 + WR_SLACK; inside, S is
+    # normal, so ||S|| = w(S) passes: neither needs a level-set eigvals
     rng = np.random.default_rng(16)
     eigs = np.exp(2j * np.pi * rng.random(4))
     eigs[0] *= 1 + 1e-6 if outside else 1 - 1e-6
@@ -150,10 +171,15 @@ def test_knife_edge_pair_falls_back_to_the_level_set(monkeypatch, outside):
     pair = make_pair((U * eigs) @ adj(U), np.zeros((4, 4)))
     count = _LinalgCounter(monkeypatch, ("eigh", "eigvals"))
     rep = is_gamma_contraction(pair)
-    assert count.calls["eigvals"] >= 1
+    assert count.calls["eigvals"] == 0 and (count.calls["eigh"] > 0) == outside
     assert rep.kind == (NOT_GAMMA if outside else GAMMA_CONTRACTION)
+    assert rep.wA_decided_by == ("ascent" if outside else "norm")
+    w = max(abs(eigs))  # S is normal
+    assert rep.wA <= w <= rep.wA_upper
+    grid, _ = grid_bounds(rep.fundamental_op)
+    assert rep.wA_upper == (grid.upper if outside else pytest.approx(w, abs=1e-13))
     res = numerical_radius(rep.fundamental_op)
-    assert (rep.wA, rep.wA_upper) == (res.value, res.upper)
+    assert rep.wA <= res.upper and res.value <= rep.wA_upper
 
 
 @pytest.mark.parametrize("outside", [True, False], ids=["outside", "inside"])
@@ -529,6 +555,22 @@ def test_von_neumann_margin_over_budget_trials_is_refused_before_anything_is_all
     try:
         with pytest.raises(ProblemTooLarge, match="von Neumann candidate stacks"):
             von_neumann_margin(pair, trials=10**6, seed=12345)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert classify._vn_family.cache_info() == before
+
+
+def test_von_neumann_margin_over_budget_grid_is_refused_before_anything_is_allocated():
+    # a block of 16 candidates on a 2^14 x 2^14 torus grid would ask about 96 GiB
+    pair = random_gamma_contraction(np.random.default_rng(34))
+    _ = pair.svd_P, pair.norm_S, pair.commutator_norm
+    before = classify._vn_family.cache_info()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProblemTooLarge, match="von Neumann torus grid"):
+            von_neumann_margin(pair, grid=2**14, seed=12345)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -189,6 +189,16 @@ def test_model_space_samples_no_boundary_defect(monkeypatch):
     assert calls == []
 
 
+def test_accepted_model_space_takes_no_eigensolve_until_its_margin_is_read(monkeypatch):
+    P = random_strict_contraction(np.random.default_rng(7), 3, 0.8, rho_max=0.5)
+    dd, margin = defect_data(P), 1 - spectral_radius(P)
+    count = _LinalgCounter(monkeypatch, ("eigvals",))
+    ms = build_model_space(dd, 32)
+    assert count.calls == {"eigvals": 0} and ms.defect is dd
+    assert ms.cnu_margin == margin and ms.cnu_margin == margin  # the spectrum is taken once
+    assert count.calls == {"eigvals": 1}
+
+
 def test_model_space_rejects_insufficient_truncation():
     with pytest.raises(TruncationTooSmall):
         build_model_space(defect_data(np.diag([0.9, 0.1])), 8)

@@ -148,3 +148,24 @@ def test_compress_mult_needs_whole_blocks_and_truncates_short_bases():
     # at N = 0 < deg(phi) the truncation keeps C_0 alone
     Q = np.array([[0.6], [0.8]])
     assert np.allclose(compress_mult(phi, Q), [[1.0]])
+
+
+def _compress_mult_every_term(phi, Q):
+    """compress_mult's block sum with every term added, zero coefficients included."""
+    (rows, m), b = Q.shape, phi.dom_dim
+    T = Q.reshape(rows // b, b, m).transpose(1, 0, 2)
+    out = np.zeros((m, m), complex)
+    for k, C in enumerate(phi.coeffs[: T.shape[1]]):
+        CQ = (C @ T[:, : T.shape[1] - k].reshape(b, -1)).reshape(-1, m)
+        out += np.conj(T[:, k:], order="C").reshape(-1, m).T @ CQ
+    return out
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_compress_mult_skips_zero_coefficients_exactly(b):
+    # the shift symbol [0, I] of the functional model, and a zero middle term
+    rng = np.random.default_rng(b)
+    C = rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
+    Q = np.linalg.qr(rng.standard_normal((8 * b, 5)) + 1j * rng.standard_normal((8 * b, 5)))[0]
+    for phi in (SymbolPoly([np.zeros((b, b)), np.eye(b)]), SymbolPoly([C, 0 * C, C.T])):
+        assert np.array_equal(compress_mult(phi, Q), _compress_mult_every_term(phi, Q))

@@ -5,6 +5,7 @@ import scipy.linalg
 from symbidisc.errors import IndefiniteInput, NonFiniteInput, NotHermitian, SymbidiscError
 from symbidisc.linalg import (
     Tolerance,
+    _fix_phases,
     adj,
     as_matrix,
     opnorm,
@@ -132,3 +133,14 @@ def test_sandwich_solve_inconsistent_reports_residual():
 
 def test_opnorm_empty():
     assert opnorm(np.zeros((0, 0))) == 0.0
+
+
+def test_fix_phases_is_bit_identical_to_the_scalar_loop():
+    # the unit factor conj(a) / hypot(a) matches conj(x) / abs(x) taken one
+    # scalar at a time, bit for bit; np.abs on the array does not
+    rng = np.random.default_rng(17)
+    m = 10**5
+    a = 10.0 ** rng.uniform(-5, 5, m) * np.exp(2j * np.pi * rng.random(m))
+    Q = np.stack([a, 0.5 * a * np.exp(2j * np.pi * rng.random(m))])
+    reference = Q * np.array([np.conj(x) / abs(x) for x in a], dtype=complex)
+    assert np.array_equal(_fix_phases(Q), reference)

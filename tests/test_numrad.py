@@ -8,7 +8,7 @@ from symbidisc.classify import is_gamma_contraction
 from symbidisc.errors import ProblemTooLarge
 from symbidisc.generate import random_gamma_contraction, random_unitary
 from symbidisc.linalg import adj, opnorm
-from symbidisc.numrad import numerical_radius
+from symbidisc.numrad import WR_SLACK, decide_wr, numerical_radius
 
 EPS = np.finfo(float).eps
 
@@ -291,3 +291,94 @@ def test_huge_entries_are_scaled_exactly_or_rejected():
 def test_ascent_stops_on_nan():
     A = np.array([[np.nan, 1.0], [0.0, 0.0]], dtype=complex)
     assert np.isnan(numrad._ascend(A, 0.3)[1])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 8),
+    st.sampled_from(["generic", "upper-triangular", "normal", "jordan", "weighted-shift", "near-normal"]),
+)
+def test_decision_agrees_with_the_numerical_radius(seed, n, kind):
+    # at levels w (1 +/- 10^-k), well outside CONVERGENCE_TOL of w, decide_wr
+    # passes exactly when numerical_radius's upper bound does and otherwise
+    # fails with a lower bound above the level; its bounds bracket w(A)
+    A = _matrix_of_kind(np.random.default_rng(seed), n, kind)
+    ref = numerical_radius(A)
+    rounding = 8 * n * EPS * np.linalg.norm(A)
+    for k in range(2, 10):
+        for level in (ref.value * (1 + 10.0**-k), ref.value * (1 - 10.0**-k)):
+            res = decide_wr(A, level)
+            assert (res.upper <= level) == (ref.upper <= level) != (res.value > level)
+            assert res.value <= ref.upper + rounding and ref.value <= res.upper + rounding
+            assert res.decided_by in ("grid", "norm", "ascent", "level set")
+
+
+def test_numerical_radius_runs_to_convergence_without_the_norm():
+    # for normal A the norm would decide any level above w(A); at level
+    # infinity nothing is decided early, so the level set certifies
+    rng = np.random.default_rng(3)
+    A = _normal(rng, np.exp(2j * np.pi * rng.random(5)))
+    res = numerical_radius(A)
+    assert res.decided_by == "level set" and res.steps >= 1
+    assert res.upper - res.value <= numrad.CONVERGENCE_TOL * max(1.0, res.value) + 4 * EPS
+    assert decide_wr(A, 1 + WR_SLACK).decided_by == "norm"
+
+
+def test_decide_empty_and_scalar():
+    for level, passes in ((0.0, True), (-1.0, False)):
+        res = decide_wr(np.zeros((0, 0)), level)
+        assert (res.value, res.upper, res.decided_by) == (0.0, 0.0, "closed form")
+        assert (res.upper <= level) == passes
+    for level, passes in ((1.0, True), (1 - 1e-15, False)):
+        res = decide_wr([[0.6 + 0.8j]], level)
+        assert res.decided_by == "closed form" and res.value == res.upper == pytest.approx(1.0, abs=EPS)
+        assert (res.upper <= level) == passes != (res.value > level)
+
+
+def test_decide_zero_matrix_on_the_grid():
+    Z = np.zeros((3, 3))
+    for level in (0.0, 1.0):
+        assert decide_wr(Z, level) == numrad.NumRadResult(0.0, 0.0, 0.0, 0, "grid")
+    res = decide_wr(Z, -1e-300)
+    assert res.value > -1e-300 and res.decided_by == "grid"
+
+
+def test_decide_jordan_block_with_flat_f():
+    # W(2 J_2) is the unit disk: f = 1 at every angle, and ||2 J_2|| = 2
+    J = np.array([[0.0, 2.0], [0.0, 0.0]])
+    passed = decide_wr(J, 1 + WR_SLACK)
+    assert passed.decided_by == "level set" and passed.value - 4 * EPS <= 1 <= passed.upper <= 1 + WR_SLACK
+    failed = decide_wr(J, 1 - 1e-9)
+    assert failed.decided_by == "grid" and failed.value > 1 - 1e-9
+    level = 1 + numrad.CONVERGENCE_TOL / 2  # within CONVERGENCE_TOL of w: neither certified
+    straddle = decide_wr(J, level)
+    assert straddle.decided_by == "level set"
+    assert straddle.value <= level < straddle.upper <= 1 + 2 * numrad.CONVERGENCE_TOL
+
+
+def test_decide_normal_matrix_with_w_exactly_one():
+    rng = np.random.default_rng(21)
+    A = _normal(rng, [1.0, 0.5j, -0.3, 0.2 + 0.7j])
+    passed = decide_wr(A, 1 + WR_SLACK)
+    assert passed.decided_by == "norm" and passed.value - 4 * EPS <= 1 <= passed.upper <= 1 + 1e-13
+    assert passed.upper >= opnorm(A)
+    at_one = decide_wr(A, 1.0)  # the norm plus its rounding allowance exceeds 1
+    assert at_one.decided_by != "norm" and 1.0 < at_one.upper
+    failed = decide_wr(A, 1 - 1e-9)
+    assert failed.value > 1 - 1e-9 and failed.decided_by in ("grid", "ascent", "level set")
+
+
+def test_decide_scales_entries_above_huge():
+    v = 2.0**1000
+    J = np.array([[0, v], [0, 0]])  # w = v / 2
+    for level, decided_by, passes in ((0.6 * v, "grid", True), (0.4 * v, "grid", False),
+                                      (0.5 * v * (1 + 1e-9), "level set", True)):
+        res = decide_wr(J, level)
+        assert res.decided_by == decided_by and (res.upper <= level) == passes
+        assert res.value * (1 - 4 * EPS) <= v / 2 <= res.upper
+        small = decide_wr(2 * J / v, 2 * level / v)  # the same matrix scaled to the entry 2
+        assert (res.value, res.upper) == (small.value * v / 2, small.upper * v / 2)
+    assert decide_wr([[-1.7e308]], 1.0).value == 1.7e308
+    with pytest.raises(ProblemTooLarge):
+        decide_wr(np.full((2, 2), 1e308), 1.0)
