@@ -244,25 +244,22 @@ def _torus_sup(E: np.ndarray, grid: int) -> np.ndarray:
     return sup
 
 
-def _torus_coeffs(cands: np.ndarray) -> np.ndarray:
-    """A stack of (s, p) coefficient arrays as polynomials in (z1, z2), for _torus_sup."""
-    return (cands.reshape(len(cands), -1) @ _torus_map(cands.shape[-1] - 1)).reshape(cands.shape)
-
-
 @functools.lru_cache(maxsize=64)  # candidate families kept per process
 def _vn_family(degree: int, trials: int, grid: int, seed: int):
-    """(cands, coarse, sup): coefficients on s^a p^b, max |p| on every (grid // 8)-th torus angle
-    (both read-only) and the torus sups, NaN until first refined by any call: all refine alike."""
+    """(cands, E, coarse, sup): coefficients on s^a p^b and on z1^i z2^j and max |p| on every
+    (grid // 8)-th torus angle, all three read-only, and the torus sups, NaN until first
+    refined by any call: all refine alike."""
     # (a, b) with a + b <= degree in row-major order, the order the coefficients are drawn in
     a, b = np.nonzero(np.add.outer(np.arange(degree + 1), np.arange(degree + 1)) <= degree)
     draws = np.random.default_rng(seed).uniform(-1, 1, size=(trials, a.size, 2))
     cands = np.zeros((trials + 2, degree + 1, degree + 1), dtype=complex)
     cands[0, 1, 0] = cands[1, 0, 1] = 1.0
     cands[2:, a, b] = draws[..., 0] + 1j * draws[..., 1]
+    E = (cands.reshape(len(cands), -1) @ _torus_map(degree)).reshape(cands.shape)
     Zc = _grid_table(grid, degree + 1, max(1, grid // 8))
-    coarse = np.abs(_torus_coeffs(cands).reshape(len(cands), -1) @ np.kron(Zc, Zc).T).max(axis=1)
-    cands.flags.writeable = coarse.flags.writeable = False
-    return cands, coarse, np.full(trials + 2, np.nan)
+    coarse = np.abs(Zc @ E @ Zc.T).reshape(len(cands), -1).max(axis=1)
+    cands.flags.writeable = E.flags.writeable = coarse.flags.writeable = False
+    return cands, E, coarse, np.full(trials + 2, np.nan)
 
 
 def von_neumann_margin(
@@ -299,7 +296,7 @@ def von_neumann_margin(
     # a block of the torus grid stage holds grid x grid values and their moduli, 1.5 complex entries
     check_budget("von Neumann candidate stacks", trials + 2, 3 * S.size + 3 * 17 * 17)
     check_budget("von Neumann torus grid", min(_VN_BLOCK, trials + 2), 3 * grid * grid // 2)
-    cands, coarse, sup = _vn_family(degree, trials, grid, operator.index(seed))
+    cands, E, coarse, sup = _vn_family(degree, trials, grid, operator.index(seed))
 
     words = np.zeros(cands.shape[1:] + S.shape, dtype=complex)  # S^a P^b, 0 for a + b > degree
     words[0, 0], words[1, 0], words[0, 1] = np.eye(len(S)), S, P
@@ -316,12 +313,12 @@ def von_neumann_margin(
     floors = np.where(np.isnan(sup), coarse, sup) - s4
     c = int(np.argmin(floors))
     if np.isnan(sup[c]):
-        sup[c] = _torus_sup(_torus_coeffs(cands[c : c + 1]), grid)[0]
+        sup[c] = _torus_sup(E[c : c + 1], grid)[0]
     ceiling = sup[c] - opnorm(ops[c])
     live = floors <= ceiling + 1e-12 * (abs(ceiling) + coarse + s4)
     todo = np.flatnonzero(live & np.isnan(sup))
     if todo.size:
-        sup[todo] = _torus_sup(_torus_coeffs(cands[todo]), grid)
+        sup[todo] = _torus_sup(E[todo], grid)
     margins = np.full(len(sup), np.inf)
     margins[live] = sup[live] - opnorm(ops[live])
     k = int(np.argmin(margins))

@@ -8,12 +8,12 @@ D_P* = (I - PP*)^(1/2); the characteristic function is
 stored in orthonormal defect-space bases.  A finite c.n.u. matrix has
 spectral radius < 1, so Theta is inner, the boundary defect vanishes, and
 the model space reduces to the orthogonal complement of Theta * H^2 inside
-the truncated H^2 over the D_P* defect space.  The model basis is the polar
-factor, the nearest isometry (Higham 1986), of the minimal-dilation embedding
+the truncated H^2 over the D_P* defect space.  The model basis is the
+minimal-dilation embedding itself,
 
     Pi:  h  ->  sum_k z^k (D_P* P*^k h),
 
-whose range spans that complement up to the measured truncation tail ||P^(N+1)||.
+whose range spans that complement; Pi* Pi = I - P^(N+1) P*^(N+1) is I up to the measured tail.
 Both defect operators come from one SVD P = U diag(s) V*: D_P = V diag(r) V*
 and D_P* = U diag(r) U* with r = (1 - s^2)^(1/2), which is P D_P = D_P* P.
 The routines that need the defect spaces take the DefectData record of P,
@@ -81,11 +81,10 @@ class DefectData:
 
 @dataclass(frozen=True)
 class ModelSpace:
-    """Orthonormal basis of the truncated model space of a c.n.u. matrix, the range
-    of the truncated minimal-dilation embedding, and the DefectData it came from."""
+    """The truncated minimal-dilation embedding Pi of a c.n.u. matrix, an orthonormal
+    basis of its truncated model space, and the DefectData it came from."""
 
     basis: np.ndarray
-    embedding: np.ndarray
     trunc_error: float
     defect: DefectData
     # 1 - spectral radius, the margin that licenses dropping Delta, read on first use
@@ -206,16 +205,17 @@ def pi_nf_matrix(dd: DefectData, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_model_space(dd: DefectData, N: int) -> ModelSpace:
-    """Orthonormal basis of the truncated model space of dd.P.
+    """Orthonormal basis of the truncated model space of dd.P: the embedding Pi.
 
     A matrix that passes `cnu_check` has spectral radius < 1, so it is of
     class C_00: Theta is inner and the boundary defect vanishes (Sz.-Nagy
     and Foias, ch. VI), which licenses dropping the boundary summand of
     the ambient space without sampling it.  N is accepted when the measured
-    tail ||P^(N+1)|| is at most MODEL_TAIL; then sigma_min(Pi)^2 = 1 -
-    ||P^(N+1)||^2 rounds to 1, so Pi has full rank and the basis is its polar factor.
-    ProblemTooLarge, before Pi is allocated, when the model path's peak of 4 Pi is over budget.
+    tail ||P^(N+1)|| is at most MODEL_TAIL; then Pi* Pi = I - P^(N+1) P*^(N+1)
+    is I to within the squared tail, 1e-16, and rounding, so Pi is the basis.
+    ProblemTooLarge, before Pi is allocated, when four arrays of Pi's size are over budget.
     """
+    # the path peaks at 3.0-3.13 Pi (tracemalloc): Pi and a compress_mult term's two temporaries
     check_budget("model space", 4 * (N + 1) * dd.rank_dPstar, len(dd.P))
     Pi, tail = pi_nf_matrix(dd, N)
     trunc_error = opnorm(tail)
@@ -226,5 +226,4 @@ def build_model_space(dd: DefectData, N: int) -> ModelSpace:
             f"||P^(N+1)|| = {trunc_error:.3e} exceeds {MODEL_TAIL:.0e} at N = {N} "
             f"(spectral radius {rho:.4f} needs N >= {need}, a lower bound)"
         )
-    U, _, Vh = np.linalg.svd(Pi, full_matrices=False)
-    return ModelSpace(U @ Vh, Pi, trunc_error, dd)
+    return ModelSpace(Pi, trunc_error, dd)

@@ -6,7 +6,7 @@ Schaffer pair: on the space H + truncated H^2 over the D_P defect space,
 
 with the embedding h -> h + 0 intertwining the adjoints exactly.  The
 model builder compresses (M_{A + A*z}, M_z) block by block to the truncated
-model space, in a basis that keeps the input's coordinates, and certifies
+model space, in the basis Pi that keeps the input's coordinates, and certifies
 the model against the input pair; the compressed scalar
 X = P_Q (I tensor A)|_Q realizes S = X + P X*.
 """
@@ -37,7 +37,7 @@ from .errors import (
 from .hardy import SymbolPoly, build_mult_op, compress_mult, symbol_a_plus_astar_z
 from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, check_budget, opnorm
 from .numrad import numerical_radius
-from .pair import OperatorPair, make_pair
+from .pair import OperatorPair, degree_mask, make_pair
 
 _PASSING = (GAMMA_CONTRACTION, GAMMA_ISOMETRY, GAMMA_UNITARY)
 FACTOR_DEPTH = 8  # stages of the minimal dilation that factorization_check pins down
@@ -123,9 +123,7 @@ def schaffer_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> 
     embed = np.zeros((dim, n), dtype=complex)
     embed[:n, :n] = np.eye(n)
 
-    window = np.concatenate(
-        [np.ones(n, dtype=bool), (np.arange(hardy_dim) // max(r, 1)) <= N - 1]
-    )
+    window = np.concatenate([np.ones(n, dtype=bool), degree_mask(hardy_dim, r, N - 1)])
     return SchafferPair(V, W, embed, window)
 
 
@@ -137,8 +135,8 @@ def nf_ay_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> NfA
     The model operators compress the pure model pair M to the range of the
     embedding Pi, with Pi* M = S Pi*, Pi* M_z = P Pi* and Pi isometric up
     to the tail ||P^(N+1)|| <= MODEL_TAIL that `build_model_space` gates on,
-    so the model has the input's dimension.  The basis Q is the polar factor
-    of Pi, so the unitary that certifies the model, the polar factor of Pi* Q, is I.
+    so the model has the input's dimension.  The basis is Pi itself, so the
+    model is in the input's coordinates and its intertwiner is I.
     """
     dd = _require_gamma(pair, tol).defect
     symbol_A = adj(fundamental_op(adj(pair.S), dd.adjoint())[0])

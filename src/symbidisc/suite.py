@@ -242,18 +242,17 @@ def criterion_nf_model(cfg: RunConfig) -> CriterionResult:
         P = random_strict_contraction(rng, dim, 0.9, rho_max=RHO_CAP)
         dd = defect_data(P, cfg.tol)
         ms = build_model_space(dd, cfg.N)
-        Mz = shift_op(dd.rank_dPstar, cfg.N)
-        P_model = compress(Mz, ms.basis)
+        Mz, Pi = shift_op(dd.rank_dPstar, cfg.N), ms.basis
+        P_model = compress(Mz, Pi)
         tol2 = Tolerance(
             rank_tol=cfg.rank_tol,
             residual_tol=max(cfg.residual_tol, ms.trunc_error),
         )
         if not joint_unitary_equiv([P_model], [P], tol=tol2):
             bad_equiv += 1
-        Pi = ms.embedding
         worst_id = max(
             worst_id,
-            opnorm(adj(Pi) @ Mz @ Pi - P),
+            opnorm(P_model - P),
             opnorm(adj(Mz) @ Pi - Pi @ adj(P)),
             opnorm(adj(Pi) @ Pi - np.eye(dim)),
         )

@@ -490,7 +490,7 @@ def test_a_recurring_family_refines_no_candidate_twice(monkeypatch):
     for pair in pairs[1:]:
         von_neumann_margin(pair, seed=4)
     # each refinement fills a sup that was unknown, so the refined count is the total
-    sup = classify._vn_family(3, 100, 64, 4)[2]
+    sup = classify._vn_family(3, 100, 64, 4)[3]
     assert sum(sizes) == np.count_nonzero(~np.isnan(sup)) <= 102
 
 
@@ -501,8 +501,18 @@ def test_a_returned_witness_is_a_copy():
     witness[...] = 7.0
     margin2, witness2 = von_neumann_margin(pair, trials=20, seed=6)
     assert margin2 == margin and np.array_equal(witness2, kept)
-    cands, coarse, _ = classify._vn_family(3, 20, 64, 6)
-    assert not (cands.flags.writeable or coarse.flags.writeable)
+    cands, E, coarse, _ = classify._vn_family(3, 20, 64, 6)
+    assert not (cands.flags.writeable or E.flags.writeable or coarse.flags.writeable)
+
+
+def test_a_new_family_is_evaluated_on_the_torus_without_a_kronecker_table(monkeypatch):
+    # the coarse grid and the refinements share the separable |Z E Z^T| of _torus_sup
+    pair = random_gamma_contraction(np.random.default_rng(37))
+    classify._vn_family.cache_clear()
+    built = []
+    monkeypatch.setattr(np, "kron", lambda *a: built.append("kron"))
+    margin, _ = von_neumann_margin(pair, seed=8)
+    assert built == [] and np.isfinite(margin)
 
 
 def test_threads_sharing_a_family_get_the_serial_answers():

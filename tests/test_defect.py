@@ -259,7 +259,7 @@ def test_negative_truncations_are_rejected():
 
 def test_empty_model_space():
     ms = build_model_space(defect_data(np.zeros((0, 0))), 32)
-    assert ms.dim == 0 and ms.basis.shape == ms.embedding.shape == (0, 0)
+    assert ms.dim == 0 and ms.basis.shape == (0, 0)
     assert ms.trunc_error == 0.0 and ms.cnu_margin == 1.0
 
 
@@ -294,12 +294,12 @@ def test_defect_data_takes_one_svd_and_reading_either_side_adds_none(monkeypatch
     assert count.calls == {"eigh": 0, "svd": 1, "pinv": 0}
 
 
-def test_model_space_takes_one_svd_with_vectors_and_no_matrix_power(monkeypatch):
-    # the tail is read off the embedding's doubling, and its norm is the one other SVD
+def test_model_space_takes_no_svd_with_vectors_and_no_matrix_power(monkeypatch):
+    # the tail is read off the embedding's doubling, and its norm is the one SVD
     dd = defect_data(random_gamma_contraction(np.random.default_rng(10)).P)
     count = _LinalgCounter(monkeypatch, names=("svd", "matrix_power"))
     build_model_space(dd, 32)
-    assert count.calls == {"svd": 1, "matrix_power": 0} and count.norms == 1
+    assert count.calls == {"svd": 0, "matrix_power": 0} and count.norms == 1
 
 
 def test_classification_takes_one_svd_with_vectors(monkeypatch):

@@ -467,6 +467,19 @@ def test_nf_ay_model_is_gated_on_the_measured_tail(lam, n, short):
     assert max(m.residual_S, m.residual_P) <= 1e-8
 
 
+def test_model_basis_is_pi_and_isometric_to_within_rounding():
+    # Pi* Pi = I - P^(N+1) P*^(N+1), and the gate puts the tail at or under 1e-8
+    rng = np.random.default_rng(23)
+    cases = [(random_gamma_contraction(rng), N) for _ in range(30)]
+    cases += [(_transient_pair(0.5, 10), 104), (_transient_pair(0.3, 16), 104)]
+    cases += [(make_pair(np.zeros((40, 40)), np.diag(np.ones(39), -1)), 39)]
+    for pair, n_trunc in cases:
+        dd = defect_data(pair.P)
+        basis = build_model_space(dd, n_trunc).basis
+        assert np.array_equal(basis, pi_nf_matrix(dd, n_trunc)[0])
+        assert opnorm(adj(basis) @ basis - np.eye(pair.dim)) <= 1e-13
+
+
 def test_empty_pair_has_an_empty_model():
     m = nf_ay_build(make_pair(np.zeros((0, 0)), np.zeros((0, 0))), N)
     assert m.model_space.dim == 0 and m.S_model.shape == m.P_model.shape == (0, 0)
@@ -497,7 +510,7 @@ def test_nf_ay_round_trip_with_non_nilpotent_p():
 
 def test_model_basis_is_continuous_in_pi_and_needs_no_rotation(monkeypatch):
     # Pi is isometric up to the truncation tail, so its singular values cluster at 1 and
-    # its singular vectors jump under rounding-size changes; its polar factor does not
+    # its singular vectors jump under rounding-size changes; Pi itself, the basis, does not
     rng = np.random.default_rng(21)
     exact = defect.pi_nf_matrix
     for _ in range(10):
@@ -509,7 +522,7 @@ def test_model_basis_is_continuous_in_pi_and_needs_no_rotation(monkeypatch):
         basis = build_model_space(dd, N).basis
         monkeypatch.setattr(defect, "pi_nf_matrix", lambda d, n: (exact(d, n)[0] + E, tail))
         perturbed = build_model_space(dd, N)
-        assert np.array_equal(perturbed.embedding, Pi + E)  # the patch reaches the model
+        assert np.array_equal(perturbed.basis, Pi + E)  # the patch reaches the model
         assert opnorm(perturbed.basis - basis) <= 1e-12
         monkeypatch.undo()
 
@@ -518,13 +531,13 @@ def test_model_basis_is_continuous_in_pi_and_needs_no_rotation(monkeypatch):
         assert max(m.residual_S, m.residual_P) <= m.tolerance_bound
         assert m.residual_S == pytest.approx(opnorm(m.S_model - pair.S), rel=1e-12)
         assert m.residual_P == pytest.approx(opnorm(m.P_model - pair.P), rel=1e-12)
-        # the unitary that certifies the model, the polar factor of Pi* Q, is I
-        W, _, Vh = np.linalg.svd(adj(m.model_space.embedding) @ m.model_space.basis)
+        # the unitary that certifies the model, the polar factor of Pi* Pi, is I
+        W, _, Vh = np.linalg.svd(adj(m.model_space.basis) @ m.model_space.basis)
         assert opnorm(W @ Vh - np.eye(pair.dim)) < 1e-12
 
 
 def test_model_and_compressed_scalar_build_no_ambient_operator(monkeypatch):
-    # one SVD with vectors, that of Pi: the pair's SVD of P is taken before counting
+    # no SVD with vectors: the pair's SVD of P is taken before counting
     pair = random_gamma_contraction(np.random.default_rng(22))
     _ = pair.svd_P
     built = []
@@ -533,7 +546,7 @@ def test_model_and_compressed_scalar_build_no_ambient_operator(monkeypatch):
     monkeypatch.setattr(np, "kron", lambda *a: built.append("kron"))
     count = _LinalgCounter(monkeypatch)
     compressed_scalar(nf_ay_build(pair, N))
-    assert built == [] and count.calls["svd"] == 1
+    assert built == [] and count.calls["svd"] == 0
 
 
 @pytest.mark.parametrize(
@@ -581,7 +594,8 @@ def test_model_path_is_refused_when_its_peak_is_over_budget_though_pi_is_not():
 )
 def test_model_path_peak_is_within_the_budgeted_four_arrays_of_pi(pair, N_big):
     # Pi is about 1 MB here, so a fifth array of its size would show over the slack;
-    # rank D_P* is 1, 3 and 3, and a rank of 2 or more takes compress_mult's copies
+    # rank D_P* is 1, 3 and 3, and a rank of 2 or more takes compress_mult's copies.
+    # The path holds Pi and a compress_mult term's two temporaries, 3.0-3.13 Pi
     _ = pair.svd_P, pair.norm_S
     tracemalloc.start()
     try:
@@ -590,6 +604,6 @@ def test_model_path_peak_is_within_the_budgeted_four_arrays_of_pi(pair, N_big):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    pi_bytes = model.model_space.embedding.nbytes
+    pi_bytes = model.model_space.basis.nbytes
     assert pi_bytes >= 2**19
     assert peak <= 4 * pi_bytes + 2**18
