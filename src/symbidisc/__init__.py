@@ -83,7 +83,6 @@ from .hardy import (
     SymbolPoly,
     build_mult_op,
     compress,
-    compress_mult,
     gamma_isometry_model,
     shift_op,
     symbol_a_plus_astar_z,

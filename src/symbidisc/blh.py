@@ -5,7 +5,7 @@ with (A + A*z) Theta(z) = Theta(z) (B + B*z).  Matching coefficients of
 z^k gives a real-linear system in (Re B, Im B) because B and its adjoint
 are not independent complex unknowns.  The companion check tests directly
 whether Theta's range is invariant under the truncated symbol operator,
-applied by its symbol.  The inner residual and w(B) wait for a first read.
+applied by `hardy.blockwise`.  The inner residual and w(B) wait for a first read.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TruncationTooSmall
-from .hardy import SymbolPoly, build_mult_op
+from .hardy import SymbolPoly, blockwise, build_mult_op
 from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm, range_basis
 from .numrad import numerical_radius
 
@@ -145,7 +145,7 @@ def invariance_check(A, theta: SymbolPoly, N: int, tol: Tolerance = DEFAULT_TOL)
     The range is sampled through domain degrees <= N - deg - 1; the image
     under A + A* M_z is compared against the range through domain degrees
     <= N - deg, so no truncation edge enters the residual.  A + A* M_z is
-    applied by its symbol: degree j of the image is A Q_j + A* Q_(j-1).
+    applied block by block with `hardy.blockwise`, M_z moving the blocks down one degree.
     """
     A = _symbol_on(A, theta)
     d = theta.degree
@@ -156,9 +156,8 @@ def invariance_check(A, theta: SymbolPoly, N: int, tol: Tolerance = DEFAULT_TOL)
     dom_cols = (N - d) * e
     Q_small = range_basis(T_theta[:, :dom_cols], tol)
     Q_big = range_basis(T_theta[:, : dom_cols + e], tol)
-    Qj = Q_small.reshape(N + 1, len(A), -1)  # the degree blocks Q_j
-    img = A @ Qj
-    img[1:] += adj(A) @ Qj[:-1]
-    img = img.reshape(Q_small.shape)
+    c = len(A)  # the block size: degree j of the image is A Q_j + A* Q_(j-1)
+    img = blockwise(A, Q_small)
+    img[c:] += blockwise(adj(A), Q_small[: len(Q_small) - c])
     residual = float(opnorm(img - Q_big @ (adj(Q_big) @ img)))
     return residual <= tol.residual_tol * max(1.0, opnorm(A)), residual

@@ -43,7 +43,7 @@ class ClassificationReport:
     wA_decided_by: Optional[str] = None  # the `decide_wr` step that decided w(A) <= 1 + WR_SLACK
     checks: list = field(default_factory=list)
     defect: Optional[DefectData] = None
-    flushed_max: float = 0.0  # largest |eigenvalue| of I - P*P cut to zero
+    flushed_max = property(lambda self: self.defect.flushed_max if self.defect else 0.0)
 
     def add(self, name: str, ok: bool, residual: float):
         self.checks.append((name, bool(ok), float(residual)))
@@ -137,7 +137,7 @@ def is_gamma_contraction(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL) -> Cl
     except NotAContraction:
         dd = None
     t = tol.residual_tol
-    rep = ClassificationReport(INCONCLUSIVE, defect=dd, flushed_max=dd.flushed_max if dd else 0.0)
+    rep = ClassificationReport(INCONCLUSIVE, defect=dd)
     rep.add("||P|| <= 1", dd is not None, max(0.0, float(np.max(s, initial=0.0)) - 1))
     rep.add("||S|| <= 2", *algebra["||S|| <= 2"])
     if rep.failed():

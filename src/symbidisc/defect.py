@@ -213,10 +213,10 @@ def build_model_space(dd: DefectData, N: int) -> ModelSpace:
     the ambient space without sampling it.  N is accepted when the measured
     tail ||P^(N+1)|| is at most MODEL_TAIL; then Pi* Pi = I - P^(N+1) P*^(N+1)
     is I to within the squared tail, 1e-16, and rounding, so Pi is the basis.
-    ProblemTooLarge, before Pi is allocated, when four arrays of Pi's size are over budget.
+    ProblemTooLarge, before Pi is allocated, when three arrays of Pi's size are over budget.
     """
-    # the path peaks at 3.0-3.13 Pi (tracemalloc): Pi and a compress_mult term's two temporaries
-    check_budget("model space", 4 * (N + 1) * dd.rank_dPstar, len(dd.P))
+    # the path holds Pi, a block product and a conjugate copy: 3.004-3.008 Pi (tracemalloc)
+    check_budget("model space", 3 * (N + 1) * dd.rank_dPstar, len(dd.P))
     Pi, tail = pi_nf_matrix(dd, N)
     trunc_error = opnorm(tail)
     if trunc_error > MODEL_TAIL:  # spectral_radius^(N+1) <= ||P^(N+1)||, exact for normal P

@@ -5,10 +5,10 @@ Schaffer pair: on the space H + truncated H^2 over the D_P defect space,
     V = [[P, 0], [row(D_P), M_z]],   W = [[S, 0], [row(A* D_P), A + A* M_z]],
 
 with the embedding h -> h + 0 intertwining the adjoints exactly.  The
-model builder compresses (M_{A + A*z}, M_z) block by block to the truncated
-model space, in the basis Pi that keeps the input's coordinates, and certifies
-the model against the input pair; the compressed scalar
-X = P_Q (I tensor A)|_Q realizes S = X + P X*.
+model builder compresses (M_{A + A*z}, M_z) to the truncated model space in
+the basis Pi, as Pi* times row slices of Pi and of (I tensor A) Pi
+(`hardy.blockwise`), and certifies the model against the input pair; the
+compressed scalar X = Pi* (I tensor A) Pi realizes S = X + P X*.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
     ResidualTooLarge,
     TruncationTooSmall,
 )
-from .hardy import SymbolPoly, build_mult_op, compress_mult, symbol_a_plus_astar_z
+from .hardy import SymbolPoly, blockwise, build_mult_op, symbol_a_plus_astar_z
 from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, check_budget, opnorm
 from .numrad import numerical_radius
 from .pair import OperatorPair, degree_mask, make_pair
@@ -142,9 +142,10 @@ def nf_ay_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> NfA
     symbol_A = adj(fundamental_op(adj(pair.S), dd.adjoint())[0])
 
     model = build_model_space(dd, N)
-    rs = dd.rank_dPstar
-    S_model = compress_mult(symbol_a_plus_astar_z(symbol_A), model.basis)
-    P_model = compress_mult(SymbolPoly([0 * np.eye(rs), np.eye(rs)]), model.basis)
+    Pi, rs = model.basis, dd.rank_dPstar
+    head = Pi[: len(Pi) - rs]  # the blocks that M_z moves down one degree, into Pi[rs:]
+    S_model = adj(Pi) @ blockwise(symbol_A, Pi) + adj(Pi[rs:]) @ blockwise(adj(symbol_A), head)
+    P_model = adj(Pi[rs:]) @ head
 
     res = opnorm(np.stack([S_model - pair.S, P_model - pair.P]))
     return NfAyModel(model, symbol_A, S_model, P_model, *map(float, res), np.eye(pair.dim))
@@ -154,7 +155,7 @@ def compressed_scalar(model: NfAyModel) -> CompressedScalar:
     """Compression of the constant symbol operator; satisfies S = X + P X*.
 
     w(symbol_A) waits for the first read of `decompressed_wr`."""
-    X = compress_mult(SymbolPoly([model.symbol_A]), model.model_space.basis)
+    X = adj(model.model_space.basis) @ blockwise(model.symbol_A, model.model_space.basis)
     defect = opnorm(model.S_model - (X + model.P_model @ adj(X)))
     if defect > model.tolerance_bound:
         raise ResidualTooLarge(

@@ -4,7 +4,9 @@ Operators on polynomials of degree 0..N with values in C^b are stored as
 block matrices in the degree-major basis (degree first, coordinate within
 block second).  Multiplication by an analytic matrix polynomial becomes a
 lower-block-triangular block-Toeplitz matrix; identities that hold on the
-infinite space survive truncation on an interior degree window.
+infinite space survive truncation on an interior degree window.  A constant
+symbol acts on each degree block alone (`blockwise`) and M_z moves the blocks
+down by one, so M_{A + A*z} Q is blockwise(A, Q) plus blockwise(A*, Q) one block lower.
 """
 
 from __future__ import annotations
@@ -114,15 +116,11 @@ def compress(op, basis) -> np.ndarray:
     return adj(Q) @ M @ Q
 
 
-def compress_mult(phi: SymbolPoly, Q: np.ndarray) -> np.ndarray:
-    """Q* T_phi Q for the truncated T_phi of `build_mult_op`, summed block by block."""
-    (rows, m), b = Q.shape, phi.dom_dim
-    T = Q.reshape(rows // max(b, 1), b, m).transpose(1, 0, 2)  # T[:, j] is the degree-j block Q_j
-    out = np.zeros((m, m), complex)  # the compression to a 0-dimensional defect space
-    for k, C in enumerate(phi.coeffs[: T.shape[1]]):  # sum_j Q_(j+k)* C_k Q_j
-        if not C.any():  # a zero term, such as the constant term of the shift, adds nothing
-            continue
-        CQ = (C @ T[:, : T.shape[1] - k].reshape(b, -1)).reshape(-1, m)  # (coordinate, degree) rows
-        out += np.conj(T[:, k:], order="C").reshape(-1, m).T @ CQ  # in the same row order
-        del CQ  # a term holds at most two temporaries of Q's size: C_k Q_j, then conj(Q)
-    return out
+def blockwise(C: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """(I tensor C) Q on degree-major rows: C times each degree block of Q, in one batched
+    product.  ValueError unless Q's rows are whole blocks of C's width (none for width 0)."""
+    (rows, m), (b_r, b) = Q.shape, C.shape
+    blocks = rows // b if b else 0
+    if blocks * b != rows:
+        raise ValueError(f"{rows} rows are not whole blocks of {b}")
+    return (C @ Q.reshape(blocks, b, m)).reshape(blocks * b_r, m)

@@ -8,7 +8,8 @@ named in `decided_by`: "closed form" for n <= 1; "grid", a coarse grid of
 angles, evaluated as one stacked eigensolve, which brackets w(A) within a
 factor sec(pi / START_ANGLES) (`grid_bounds`); "norm", w(A) <= ||A||, equal
 for normal A (Gustafson & Rao, Numerical Range, 1997); then "ascent" and
-"level set", which stop at the first lower bound above level.
+"level set", which stop at the first lower bound above level.  Every failure
+needs a lower bound (a computed eigenvalue) past level + 8 n eps ||A||_F, upper's allowance.
 `numerical_radius` runs them at level = infinity, so it never stops early.
 
 The grid also picks a starting angle, and a safeguarded Newton ascent of f
@@ -148,9 +149,9 @@ def _level_set_angles(A: np.ndarray, r: float, pole: float) -> np.ndarray:
 def decide_wr(A, level: float) -> NumRadResult:
     """Bounds value <= w(A) <= upper, from the steps of the module docstring.
 
-    upper <= level passes, value > level fails, and otherwise the bounds straddle level within
-    CONVERGENCE_TOL * max(1, value).  An entry above HUGE scales A and level by an exact power
-    of two; ProblemTooLarge if the bound on w(A) overflows."""
+    upper <= level passes, value > level + 8 n eps ||A||_F fails, and otherwise the bounds
+    straddle level within CONVERGENCE_TOL * max(1, value) or that allowance.  An entry above
+    HUGE scales A and level by an exact power of two; ProblemTooLarge if w(A)'s bound overflows."""
     A = as_matrix(A)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
@@ -164,13 +165,13 @@ def decide_wr(A, level: float) -> NumRadResult:
         a, w = A[0, 0], float(abs(A[0, 0]))
         res = NumRadResult(w, float(-np.angle(a) % (2 * np.pi)), w, 0, "closed form")
     else:
-        grid, pole = grid_bounds(A)
-        if grid.value > level or grid.upper <= level < np.inf:
+        grid, pole = grid_bounds(A)  # a grid pass needs no allowance, so it is tested first
+        if grid.upper <= level < np.inf or grid.value > level + (rounding := _rounding(A)):
             res = grid
-        elif level < np.inf and (norm := opnorm(A) + _rounding(A)) <= level:
+        elif level < np.inf and (norm := opnorm(A) + rounding) <= level:
             res = replace(grid, upper=norm, decided_by="norm")
         else:
-            res = _level_set(A, grid, pole, level)
+            res = _level_set(A, grid, pole, level + rounding)
     if not np.isfinite(res.upper / scale):
         raise ProblemTooLarge("the bound on w(A) exceeds the float range")
     return res if scale == 1.0 else replace(res, value=res.value / scale, upper=res.upper / scale)
@@ -186,8 +187,8 @@ def _level_set(A: np.ndarray, grid: NumRadResult, pole: float, level: float) -> 
     """Two-sided bounds on w(A), n >= 2, from grid_bounds(A) = (grid, pole).
 
     The ascent starts at the grid maximum; the Cayley pole at the smallest
-    f keeps the Cholesky factor far from singular.  A lower bound above
-    level, an ascent's or f at a midpoint, returns at once with grid.upper.
+    f keeps the Cholesky factor far from singular.  A lower bound above the
+    failure threshold level, an ascent's or f at a midpoint, returns at once with grid.upper.
     """
     (theta, lower), steps = _ascend(A, grid.argmax_angle), 0
     while lower <= level and steps < MAX_LEVEL_SETS:

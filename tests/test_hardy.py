@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 from symbidisc.classify import is_gamma_isometry
+from symbidisc.dilation import nf_ay_build
 from symbidisc.errors import DimensionMismatch, ProblemTooLarge, TruncationTooSmall
 from symbidisc.hardy import (
     SymbolPoly,
+    blockwise,
     build_mult_op,
     compress,
-    compress_mult,
     gamma_isometry_model,
     shift_op,
     symbol_a_plus_astar_z,
 )
 from symbidisc.linalg import adj, opnorm
-from symbidisc.pair import restrict
+from symbidisc.pair import make_pair, restrict
 
 
 def test_symbol_poly_eval():
@@ -130,42 +131,34 @@ def test_compress_projects():
 
 
 @pytest.mark.parametrize("b", [1, 2, 3])
-@pytest.mark.parametrize("degree", [0, 1, 2, 3])
-def test_compress_mult_matches_the_dense_compression(degree, b):
-    rng = np.random.default_rng(10 * degree + b)
-    phi = SymbolPoly([rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
-                      for _ in range(degree + 1)])
-    for N in (degree, degree + 1, 9):
-        Q = np.linalg.qr(rng.standard_normal(((N + 1) * b, 4)) + 0j)[0]  # orthonormal columns
-        dense = compress(build_mult_op(phi, N), Q)
-        assert np.allclose(compress_mult(phi, Q), dense, rtol=0, atol=1e-13)
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+def test_compress_mult_matches_the_dense_compression(N, b):
+    # the compression of a multiplication operator: blockwise(C, Q) is (I tensor C) Q,
+    # the dense constant symbol times Q, and Q* blockwise(C, Q) is its compression
+    rng = np.random.default_rng(10 * N + b)
+    C = rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
+    Q = np.linalg.qr(rng.standard_normal(((N + 1) * b, 4)) + 0j)[0]  # orthonormal columns
+    dense = build_mult_op(SymbolPoly([C]), N)
+    assert np.allclose(blockwise(C, Q), dense @ Q, rtol=0, atol=1e-13)
+    assert np.allclose(adj(Q) @ blockwise(C, Q), compress(dense, Q), rtol=0, atol=1e-13)
 
 
-def test_compress_mult_needs_whole_blocks_and_truncates_short_bases():
-    phi = SymbolPoly([np.eye(2), 3 * np.eye(2)])
+def test_blockwise_needs_whole_blocks_and_keeps_empty_shapes():
     with pytest.raises(ValueError):  # not whole blocks of 2
-        compress_mult(phi, np.ones((5, 1)))
-    # at N = 0 < deg(phi) the truncation keeps C_0 alone
-    Q = np.array([[0.6], [0.8]])
-    assert np.allclose(compress_mult(phi, Q), [[1.0]])
-
-
-def _compress_mult_every_term(phi, Q):
-    """compress_mult's block sum with every term added, zero coefficients included."""
-    (rows, m), b = Q.shape, phi.dom_dim
-    T = Q.reshape(rows // b, b, m).transpose(1, 0, 2)
-    out = np.zeros((m, m), complex)
-    for k, C in enumerate(phi.coeffs[: T.shape[1]]):
-        CQ = (C @ T[:, : T.shape[1] - k].reshape(b, -1)).reshape(-1, m)
-        out += np.conj(T[:, k:], order="C").reshape(-1, m).T @ CQ
-    return out
+        blockwise(np.eye(2), np.ones((5, 1)))
+    with pytest.raises(ValueError):  # a width of 0 has no rows to take
+        blockwise(np.zeros((0, 0)), np.ones((2, 3)))
+    assert blockwise(np.zeros((0, 0)), np.zeros((0, 3))).shape == (0, 3)  # b = 0
+    assert blockwise(np.eye(2), np.zeros((6, 0))).shape == (6, 0)  # zero columns
+    assert blockwise(np.ones((3, 2)), np.ones((4, 1))).shape == (6, 1)  # b_r = 3 rows per block
 
 
 @pytest.mark.parametrize("b", [1, 3])
 def test_compress_mult_skips_zero_coefficients_exactly(b):
-    # the shift symbol [0, I] of the functional model, and a zero middle term
-    rng = np.random.default_rng(b)
-    C = rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
-    Q = np.linalg.qr(rng.standard_normal((8 * b, 5)) + 1j * rng.standard_normal((8 * b, 5)))[0]
-    for phi in (SymbolPoly([np.zeros((b, b)), np.eye(b)]), SymbolPoly([C, 0 * C, C.T])):
-        assert np.array_equal(compress_mult(phi, Q), _compress_mult_every_term(phi, Q))
+    # the shift symbol [0, I] has a zero constant term, and the model's P is a row slice
+    # of Pi times another, with no zero term: it equals the dense compression of M_z
+    pair = make_pair(np.diag([1.2, 0.5, 0.1][:b]), np.diag([0.5, 0.3, -0.2][:b]))
+    model = nf_ay_build(pair, 40)
+    assert model.model_space.defect.rank_dPstar == b
+    dense = compress(shift_op(b, 40), model.model_space.basis)
+    assert np.allclose(model.P_model, dense, rtol=0, atol=1e-14)

@@ -357,6 +357,19 @@ def test_decide_jordan_block_with_flat_f():
     assert straddle.value <= level < straddle.upper <= 1 + 2 * numrad.CONVERGENCE_TOL
 
 
+def test_a_failure_needs_a_lower_bound_past_its_rounding_allowance():
+    # f = 1 at every angle of 2 J_2, but the computed grid maximum reads 1 + 2^-52:
+    # within 8 n eps ||A||_F of level 1 that is no failure, and the level set straddles
+    J = np.array([[0.0, 2.0], [0.0, 0.0]])
+    allowance = 8 * 2 * EPS * np.linalg.norm(J)
+    at_one = decide_wr(J, 1.0)
+    assert at_one.decided_by == "level set" and 1.0 < at_one.upper
+    assert at_one.value <= 1.0 + allowance
+    # w = 1 + 1e-9 is far past the allowance: the grid still fails it
+    failed = decide_wr((1 + 1e-9) * J, 1.0)
+    assert failed.decided_by == "grid" and failed.value > 1.0 + allowance
+
+
 def test_decide_normal_matrix_with_w_exactly_one():
     rng = np.random.default_rng(21)
     A = _normal(rng, [1.0, 0.5j, -0.3, 0.2 + 0.7j])
