@@ -23,7 +23,7 @@ import numpy as np
 
 from .defect import DefectData, _defect_record
 from .errors import DimensionMismatch, NotAContraction, NotCommuting, NotPureModelForm
-from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, check_budget, opnorm
+from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, check_budget, opnorm, screened_opnorm
 from .numrad import WR_SLACK, decide_wr
 from .pair import OperatorPair, restrict
 
@@ -57,7 +57,11 @@ _ISOMETRY_CHECKS = ("P isometric", "S = S*P", "||S|| <= 2")
 
 
 def _commutator_gate(pair: OperatorPair, tol: Tolerance):
-    """NotCommuting unless ||SP - PS|| <= residual_tol * max(1, ||S|| ||P||)."""
+    """NotCommuting unless ||SP - PS|| <= residual_tol * max(1, ||S|| ||P||).
+
+    A Frobenius norm within residual_tol passes with no norm taken."""
+    if pair.commutator_fro <= tol.residual_tol:
+        return
     norm_P = float(np.max(pair.svd_P[1], initial=0.0))
     if pair.commutator_norm > tol.residual_tol * max(1.0, pair.norm_S * norm_P):
         raise NotCommuting(
@@ -345,22 +349,34 @@ def _accept_threshold(tol: Tolerance) -> float:
     return max(tol.residual_tol * 100, 1e-7)
 
 
-def _intertwiner_space(ops1, ops2, scale: float, tol: Tolerance, rng):
-    """Null space of the intertwining equations on the spectral blocks.
-
-    Returns (V1, V2, I, J, basis): the intertwiners are V2 D V1* with D_IJ
-    in the span of the columns of basis and D zero elsewhere.  None when
-    the spectra or an empty null space rule out an intertwiner.
-    """
-    k = 2 * len(ops1)
-    c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    d = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+@functools.lru_cache(maxsize=16)  # one entry per letter count
+def _h_coefficients(k: int):
+    """(c, d, state): H's read-only coefficients on k letters and their adjoints, from
+    INTERTWINER_SEED, and the generator state that the polar draws continue from."""
+    rng = np.random.default_rng(INTERTWINER_SEED)
+    c = rng.standard_normal(2 * k) + 1j * rng.standard_normal(2 * k)
+    d = rng.standard_normal((2 * k, 2 * k)) + 1j * rng.standard_normal((2 * k, 2 * k))
     # H = sum c_i L_i + sum d_ij L_i L_j + h.c. on letters of norm <= 1; with
     # sum|c| + 2 sum|d| = 1 an accepted certificate t moves H, and so each
     # sorted eigenvalue (Weyl), by at most 2 t.  The slack doubles that.
     w = np.sum(abs(c)) + 2 * np.sum(abs(d))
-    L = np.stack([ops + [adj(T) for T in ops] for ops in (ops1, ops2)]) / scale
-    M = np.einsum("i,tiab->tab", c / w, L) + (L @ np.einsum("ij,tjab->tiab", d / w, L)).sum(1)
+    c, d = c / w, d / w
+    c.flags.writeable = d.flags.writeable = False
+    return c, d, rng.bit_generator.state
+
+
+def _intertwiner_space(L: np.ndarray, scale: float, tol: Tolerance):
+    """Null space of the intertwining equations on the spectral blocks.
+
+    L stacks the two tuples' letters, shape (2, k, n, n).  Returns (V1, V2,
+    I, J, basis): the intertwiners are V2 D V1* with D_IJ in the span of the
+    columns of basis and D zero elsewhere; I = J = arange(n) for a simple
+    spectrum, where D is diagonal.  None when the spectra or an empty null
+    space rule out an intertwiner.
+    """
+    c, d, _ = _h_coefficients(L.shape[1])
+    Lh = np.concatenate([L, adj(L)], axis=1) / scale
+    M = np.einsum("i,tiab->tab", c, Lh) + (Lh @ np.einsum("ij,tjab->tiab", d, Lh)).sum(1)
     lam, V = np.linalg.eigh(M + adj(M))
     slack = 4 * _accept_threshold(tol)
     if np.any(abs(lam[0] - lam[1]) > slack):
@@ -370,25 +386,48 @@ def _intertwiner_space(ops1, ops2, scale: float, tol: Tolerance, rng):
     # lose a true intertwiner.
     gap = max(_MERGE_GAP * np.max(abs(lam[0])), 2 * slack)
     cluster = np.concatenate(([0], np.cumsum(np.diff(lam).min(0) > gap)))
-    I, J = np.nonzero(cluster[:, None] == cluster)
+    n = len(cluster)
+    simple = cluster[-1] == n - 1
+    I, J = (np.arange(n),) * 2 if simple else np.nonzero(cluster[:, None] == cluster)
     check_budget("intertwiner Gram operator", I.size, I.size)
+    A, B = adj(V)[:, None] @ L @ V[:, None]
 
     # Gram operator G = sum K^H K of the Sylvester maps X -> B X - X A over the
     # letter pairs (T, T') and (T*, T'*), at the entries X_IJ:
     #   G_(ij),(kl) = d_jl (sum B^H B)_ik + (sum A A^H)^T_jl d_ik
     #                 - sum conj(A)_jl B_ik - sum A^T_jl B^H_ik.
     # Both letter pairs give the same cross terms, the second term being the
-    # adjoint of the first.
-    A, B = adj(V)[:, None] @ np.stack([ops1, ops2]) @ V[:, None]
-    AA, BB = (A @ adj(A) + adj(A) @ A).sum(0), (B @ adj(B) + adj(B) @ B).sum(0)
-    ii, jj = np.ix_(I, I), np.ix_(J, J)
-    G = (J[:, None] == J) * BB[ii] + (I[:, None] == I) * AA.T[jj]
-    for Ak, Bk in zip(A, B):
-        C = Ak.conj()[jj] * Bk[ii]
-        G -= 2 * (C + adj(C))
+    # adjoint of the first.  On a simple spectrum the unknowns are X_ii, and
+    # the diagonals of sum A A^H + A^H A are row and column sums of |A|^2.
+    if simple:
+        sq = (abs(A) ** 2 + abs(B) ** 2).sum(0)
+        C = (A.conj() * B).sum(0)
+        G = np.diag(sq.sum(0) + sq.sum(1)) - 2 * (C + adj(C))
+    else:
+        AA, BB = (A @ adj(A) + adj(A) @ A).sum(0), (B @ adj(B) + adj(B) @ B).sum(0)
+        ii, jj = np.ix_(I, I), np.ix_(J, J)
+        G = (J[:, None] == J) * BB[ii] + (I[:, None] == I) * AA.T[jj]
+        for Ak, Bk in zip(A, B):
+            C = Ak.conj()[jj] * Bk[ii]
+            G -= 2 * (C + adj(C))
     evals, evecs = np.linalg.eigh(G)
     n_null = int(np.sum(evals <= (NULL_TOL * scale) ** 2))
     return (V[0], V[1], I, J, evecs[:, :n_null]) if n_null else None
+
+
+def _polar_factor(x: np.ndarray, V1, V2, I, J) -> np.ndarray:
+    """The unitary V2 W V1* with W the polar factor of D, D_IJ = x and 0 elsewhere.
+
+    A diagonal D (I = J = arange(n)) has the polar factor diag(x / |x|), 1
+    where x is 0; a block-diagonal D takes an SVD."""
+    n = len(V1)
+    if I.size == n:
+        r = abs(x)
+        return (V2 * np.divide(x, r, out=np.ones(n, dtype=complex), where=r > 0)) @ adj(V1)
+    D = np.zeros((n, n), dtype=complex)
+    D[I, J] = x
+    W, _, Zh = np.linalg.svd(D)
+    return V2 @ W @ Zh @ adj(V1)
 
 
 def find_unitary_intertwiner(
@@ -402,9 +441,10 @@ def find_unitary_intertwiner(
     matrices of one size; otherwise DimensionMismatch.  Returns (U,
     certificate), the certificate being max ||U T - T' U|| / max(1, ||T||)
     over the letters, or (None, inf): always for lists of different sizes,
-    and the empty U with certificate 0 for 0 x 0 lists.  Three checks come
-    first and only reject, each because it implies a certificate above
-    _accept_threshold(tol):
+    and the empty U with certificate 0 for 0 x 0 lists.  Each norm is
+    `screened_opnorm` at _accept_threshold(tol): an upper bound, exact
+    above the threshold.  Three checks come first and only reject, each
+    because it implies a certificate above the threshold:
     - a letter's singular values or trace differ by more than that
       threshold times max(1, ||T||), as max_k |s_k(T) - s_k(T')| <=
       ||U T U* - T'|| (Mirsky) and |tr T - tr T'| <= n ||U T U* - T'||;
@@ -413,12 +453,14 @@ def find_unitary_intertwiner(
     - the Gram null space below is empty.
     In the eigenbases of H the Gram operator of the joint Sylvester system
     is solved on the sum m_k^2 block-diagonal unknowns of the eigenvalue
-    clusters, n for a simple spectrum.  Its null space is spanned by the
-    eigenvectors with eigenvalues at most (NULL_TOL*scale)^2, and a unitary
-    is extracted by polar decomposition of a random element, the best of 8,
-    or of one on a one-dimensional null space: its elements c D_0 all have
-    the polar factor (c/|c|) polar(D_0) and one certificate.  Raises
-    ProblemTooLarge when the Gram operator would exceed GRAM_BUDGET_BYTES.
+    clusters; a simple spectrum takes the diagonal path, n unknowns and a
+    polar factor that is the phase of D, with no SVD.  The null space is
+    spanned by the eigenvectors with eigenvalues at most (NULL_TOL*scale)^2,
+    and a unitary is extracted by polar decomposition of a random element,
+    the best of 8, or of D_0 on a one-dimensional null space, with no draw:
+    its elements c D_0 all have the polar factor (c/|c|) polar(D_0) and one
+    certificate.  Raises ProblemTooLarge when the Gram operator would
+    exceed GRAM_BUDGET_BYTES.
     """
     ops1 = [as_matrix(T) for T in ops1]
     ops2 = [as_matrix(T) for T in ops2]
@@ -437,25 +479,28 @@ def find_unitary_intertwiner(
     s, tr = np.linalg.svd(L, compute_uv=False), np.trace(L, axis1=-2, axis2=-1)
     norms1 = np.maximum(1.0, s[0, :, 0])
     scale = max(norms1.max(), s[1, :, 0].max())
-    bound = _accept_threshold(tol) * norms1
+    threshold = _accept_threshold(tol)
+    bound = threshold * norms1
     if np.any(abs(s[0] - s[1]).max(-1) > bound) or np.any(abs(tr[0] - tr[1]) / n > bound):
         return None, np.inf
-    rng = np.random.default_rng(INTERTWINER_SEED)
-    space = _intertwiner_space(ops1, ops2, scale, tol, rng)
+    space = _intertwiner_space(L, scale, tol)
     if space is None:
         return None, np.inf
     V1, V2, I, J, basis = space
+    if basis.shape[1] == 1:
+        draws = [basis[:, 0]]
+    else:  # 8 draws, continuing the stream of H's coefficients
+        rng = np.random.default_rng(INTERTWINER_SEED)
+        rng.bit_generator.state = _h_coefficients(len(ops1))[2]
+        draws = [basis @ (z[0] + 1j * z[1]) for z in rng.standard_normal((8, 2, basis.shape[1]))]
     best_U, best_res = None, np.inf
-    D = np.zeros((n, n), dtype=complex)
-    for _ in range(1 if basis.shape[1] == 1 else 8):
-        z = rng.standard_normal((2, basis.shape[1]))
-        D[I, J] = basis @ (z[0] + 1j * z[1])
-        W, _, Zh = np.linalg.svd(D)
-        U = V2 @ W @ Zh @ adj(V1)
-        res = max(opnorm(U @ T1 - T2 @ U) / m for T1, T2, m in zip(ops1, ops2, norms1))
+    for x in draws:
+        U = _polar_factor(x, V1, V2, I, J)
+        R = (U @ L[0] - L[1] @ U) / norms1[:, None, None]
+        res = float(np.max(screened_opnorm(R, threshold)))
         if res < best_res:
             best_U, best_res = U, res
-    return best_U, float(best_res)
+    return best_U, best_res
 
 
 def joint_unitary_equiv(
@@ -467,7 +512,10 @@ def joint_unitary_equiv(
 
     True exactly when find_unitary_intertwiner's certificate is at most
     _accept_threshold(tol) = max(100 residual_tol, 1e-7); the checks that
-    reject before it is computed are each implied by it.  0 x 0 lists are
-    equivalent.  Raises ProblemTooLarge as find_unitary_intertwiner does.
+    reject before it is computed are each implied by it.  The certificate
+    bounds the spectral one above and is exact past the threshold, so the
+    verdict is the spectral norm's; a simple spectrum of H takes the
+    diagonal path, with no SVD after the singular-value screen.  0 x 0
+    lists are equivalent.  Raises ProblemTooLarge as find_unitary_intertwiner does.
     """
     return find_unitary_intertwiner(ops1, ops2, tol)[1] <= _accept_threshold(tol)

@@ -35,7 +35,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .hardy import SymbolPoly, blockwise, build_mult_op, symbol_a_plus_astar_z
-from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, check_budget, opnorm
+from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, check_budget, opnorm, screened_opnorm
 from .numrad import numerical_radius
 from .pair import OperatorPair, degree_mask, make_pair
 
@@ -65,6 +65,7 @@ class NfAyModel:
     residual_S: float
     residual_P: float
     intertwiner: np.ndarray
+    X: np.ndarray  # Pi* (I tensor A) Pi: S_model's first term, the compressed scalar
 
     @property
     def tolerance_bound(self) -> float:
@@ -144,23 +145,21 @@ def nf_ay_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> NfA
     model = build_model_space(dd, N)
     Pi, rs = model.basis, dd.rank_dPstar
     head = Pi[: len(Pi) - rs]  # the blocks that M_z moves down one degree, into Pi[rs:]
-    S_model = adj(Pi) @ blockwise(symbol_A, Pi) + adj(Pi[rs:]) @ blockwise(adj(symbol_A), head)
+    X = adj(Pi) @ blockwise(symbol_A, Pi)
+    S_model = X + adj(Pi[rs:]) @ blockwise(adj(symbol_A), head)
     P_model = adj(Pi[rs:]) @ head
 
     res = opnorm(np.stack([S_model - pair.S, P_model - pair.P]))
-    return NfAyModel(model, symbol_A, S_model, P_model, *map(float, res), np.eye(pair.dim))
+    return NfAyModel(model, symbol_A, S_model, P_model, *map(float, res), np.eye(pair.dim), X)
 
 
 def compressed_scalar(model: NfAyModel) -> CompressedScalar:
-    """Compression of the constant symbol operator; satisfies S = X + P X*.
-
-    w(symbol_A) waits for the first read of `decompressed_wr`."""
-    X = adj(model.model_space.basis) @ blockwise(model.symbol_A, model.model_space.basis)
-    defect = opnorm(model.S_model - (X + model.P_model @ adj(X)))
-    if defect > model.tolerance_bound:
-        raise ResidualTooLarge(
-            f"S = X + P X* fails by {defect:.3e} (bound {model.tolerance_bound:.3e})"
-        )
+    """The model's X, the compression of the constant symbol operator; S = X + P X* is
+    checked by `screened_opnorm`.  w(symbol_A) waits for the first read of `decompressed_wr`."""
+    X, bound = model.X, model.tolerance_bound
+    defect = screened_opnorm(model.S_model - (X + model.P_model @ adj(X)), bound)
+    if defect > bound:
+        raise ResidualTooLarge(f"S = X + P X* fails by {defect:.3e} (bound {bound:.3e})")
     return CompressedScalar(X, model.symbol_A)
 
 
@@ -205,8 +204,9 @@ def factorization_check(
     V, embed = map(as_matrix, other_dilation)
     P, n = pair.P, pair.dim
 
-    d_res = opnorm(adj(V) @ embed - embed @ adj(P))
-    if d_res > max(tol.residual_tol, 1e-10) * 100:
+    bound = max(tol.residual_tol, 1e-10) * 100
+    d_res = screened_opnorm(adj(V) @ embed - embed @ adj(P), bound)
+    if d_res > bound:
         raise NotADilation(f"adjoint intertwining fails by {d_res:.3e}")
 
     if N < 1:

@@ -62,6 +62,20 @@ def opnorm(M):
     return float(norms) if M.ndim == 2 else norms
 
 
+def screened_opnorm(M, bound):
+    """||M||_F where that is at most bound, else the spectral norm: one per matrix of a stack.
+
+    As ||M||_2 <= ||M||_F, the result bounds ||M||_2 above, is exact above
+    bound, and is at most bound exactly when ||M||_2 is; only matrices whose
+    Frobenius norm exceeds bound take an SVD."""
+    M = np.asarray(M)
+    norms = np.linalg.norm(M, axis=(-2, -1))
+    over = norms > bound
+    if np.any(over):
+        norms = np.where(over, opnorm(M), norms)
+    return float(norms) if M.ndim == 2 else norms
+
+
 def adj(M: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return M.conj().swapaxes(-1, -2)
@@ -91,8 +105,7 @@ def psd_sqrt(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         return M.copy()
     w, V = np.linalg.eigh(0.5 * (M + adj(M)))
     bound = tol.rank_tol * np.maximum(1.0, np.max(np.abs(w), axis=-1, initial=0.0)) * 10
-    skew = M - adj(M)
-    if np.any(np.linalg.norm(skew, axis=(-2, -1)) > bound) and np.any(opnorm(skew) > bound):
+    if np.any(screened_opnorm(M - adj(M), bound) > bound):
         raise NotHermitian("matrix is not hermitian within tolerance")
     w, _ = rank_flush(w, tol)
     R = (V * np.sqrt(w)[..., None, :]) @ adj(V)

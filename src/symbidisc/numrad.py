@@ -69,7 +69,7 @@ def _top_eigs(A: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (z * A + np.conj(z) * adj(A)))[:, -1]
 
 
-def grid_bounds(A: np.ndarray) -> tuple[NumRadResult, float]:
+def grid_bounds(A: np.ndarray) -> tuple[NumRadResult, float, float]:
     """Bounds on w(A), n >= 2, from f on the START_ANGLES grid alone.
 
     value is the grid maximum.  Some grid angle lies within pi / m of the
@@ -77,13 +77,16 @@ def grid_bounds(A: np.ndarray) -> tuple[NumRadResult, float]:
     sec(pi / m) max_k f(theta_k) (the support-line polygon of C. R. Johnson,
     SIAM J. Numer. Anal. 15, 1978); upper adds 8 n eps ||A||_F to the grid
     maximum for the eigvalsh rounding, as ||A||_F >= ||A||.  Also returns
-    the angle of the grid minimum, the level set's Cayley pole.
+    the angle of the grid minimum, the level set's Cayley pole, and that
+    rounding allowance.
     """
     thetas = 2 * np.pi * np.arange(START_ANGLES) / START_ANGLES
     f = _top_eigs(A, thetas)
     k = int(np.argmax(f))
-    upper = (f[k] + _rounding(A)) / np.cos(np.pi / START_ANGLES)
-    return NumRadResult(float(f[k]), float(thetas[k]), float(upper)), float(thetas[np.argmin(f)])
+    rounding = _rounding(A)
+    upper = (f[k] + rounding) / np.cos(np.pi / START_ANGLES)
+    grid = NumRadResult(float(f[k]), float(thetas[k]), float(upper))
+    return grid, float(thetas[np.argmin(f)]), rounding
 
 
 def _ascend(A: np.ndarray, theta: float) -> tuple[float, float]:
@@ -165,8 +168,8 @@ def decide_wr(A, level: float) -> NumRadResult:
         a, w = A[0, 0], float(abs(A[0, 0]))
         res = NumRadResult(w, float(-np.angle(a) % (2 * np.pi)), w, 0, "closed form")
     else:
-        grid, pole = grid_bounds(A)  # a grid pass needs no allowance, so it is tested first
-        if grid.upper <= level < np.inf or grid.value > level + (rounding := _rounding(A)):
+        grid, pole, rounding = grid_bounds(A)
+        if grid.upper <= level < np.inf or grid.value > level + rounding:
             res = grid
         elif level < np.inf and (norm := opnorm(A) + rounding) <= level:
             res = replace(grid, upper=norm, decided_by="norm")
@@ -184,7 +187,7 @@ def numerical_radius(A) -> NumRadResult:
 
 
 def _level_set(A: np.ndarray, grid: NumRadResult, pole: float, level: float) -> NumRadResult:
-    """Two-sided bounds on w(A), n >= 2, from grid_bounds(A) = (grid, pole).
+    """Two-sided bounds on w(A), n >= 2, from grid_bounds(A) = (grid, pole, _).
 
     The ascent starts at the grid maximum; the Cayley pole at the smallest
     f keeps the Cholesky factor far from singular.  A lower bound above the

@@ -20,11 +20,14 @@ def restrict(M: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """A commuting pair (S, P) with its commutator norm.
+    """A commuting pair (S, P) with the Frobenius norm of its commutator.
 
-    `svd_P` = np.linalg.svd(P) as (U, s, Vh) and `norm_S` = ||S|| are taken
-    on first read and kept: every check on the pair reads them, so P is
-    factored once.
+    `svd_P` = np.linalg.svd(P) as (U, s, Vh), `norm_S` = ||S|| and the
+    spectral `commutator_norm` = ||SP - PS|| are taken on first read and
+    kept: every check on the pair reads the first two, so P is factored
+    once.  `commutator_fro` >= `commutator_norm` is taken with the pair and
+    takes no SVD, so the commutator gate reads the exact norm only when
+    the Frobenius norm exceeds residual_tol.
 
     For pairs living on a truncated Hardy space, `window` is the boolean
     coordinate mask of the degrees on which operator identities are exact
@@ -33,7 +36,7 @@ class OperatorPair:
 
     S: np.ndarray
     P: np.ndarray
-    commutator_norm: float
+    commutator_fro: float
     window: Optional[np.ndarray] = None
 
     @property
@@ -48,6 +51,10 @@ class OperatorPair:
     def norm_S(self) -> float:
         return opnorm(self.S)
 
+    @cached_property
+    def commutator_norm(self) -> float:
+        return opnorm(restrict(self.S @ self.P - self.P @ self.S, self.window))
+
 
 def degree_mask(dim: int, block_size: int, degree_hi: int) -> np.ndarray:
     """Boolean mask keeping coordinates of degree <= degree_hi."""
@@ -60,4 +67,4 @@ def make_pair(S, P, window: Optional[np.ndarray] = None) -> OperatorPair:
     if S.shape != P.shape or S.shape[0] != S.shape[1]:
         raise ValueError("S and P must be square matrices of the same size")
     comm = restrict(S @ P - P @ S, window)
-    return OperatorPair(S, P, opnorm(comm), window)
+    return OperatorPair(S, P, float(np.linalg.norm(comm)), window)

@@ -58,6 +58,33 @@ def test_commutator_gate():
         is_gamma_contraction(make_pair(S, P))
 
 
+def test_make_pair_takes_no_svd(monkeypatch):
+    pair = random_gamma_contraction(np.random.default_rng(15))
+    count = _LinalgCounter(monkeypatch, names=("svd",))
+    make_pair(pair.S, pair.P)
+    make_pair(pair.S, pair.P, window=np.arange(pair.dim) < 2)
+    assert count.calls == {"svd": 0} and count.norms == 0
+
+
+@pytest.mark.parametrize("delta, passes", [(0.9e-8, True), (1.1e-8, False)])
+def test_commutator_gate_decides_on_the_spectral_norm(delta, passes):
+    # SP - PS is delta [[0, -1], [0, 0]] twice: spectral norm delta, Frobenius
+    # norm delta sqrt(2) > residual_tol, and the gate's bound is residual_tol
+    # as ||S|| ||P|| = 0.45
+    P = np.diag([0.5, -0.5, 0.5, -0.5])
+    X = np.zeros((4, 4))
+    X[0, 1] = X[2, 3] = delta
+    pair = make_pair(0.9 * np.eye(4) + X, P)
+    assert pair.commutator_fro > DEFAULT_TOL.residual_tol
+    assert pair.commutator_norm == opnorm(pair.S @ pair.P - pair.P @ pair.S)
+    assert pair.commutator_norm == pytest.approx(delta, rel=1e-12)
+    if passes:
+        classify._commutator_gate(pair, DEFAULT_TOL)
+    else:
+        with pytest.raises(NotCommuting):
+            classify._commutator_gate(pair, DEFAULT_TOL)
+
+
 def test_scalar_fundamental_operator():
     # (s, p) = (1.2, 0.5): A = (s - s*p) / (1 - p^2) = 0.8
     pair = make_pair([[1.2]], [[0.5]])
@@ -125,7 +152,7 @@ def test_grid_decides_a_generated_pair_without_the_level_set(monkeypatch):
     rep = is_gamma_contraction(pair)
     assert count.calls == {"eigh": 0, "eigvals": 0}
     assert rep.kind == GAMMA_CONTRACTION and rep.fundamental_op.shape == (2, 2)
-    grid, _ = grid_bounds(rep.fundamental_op)
+    grid, _, _ = grid_bounds(rep.fundamental_op)
     assert (rep.wA, rep.wA_upper) == (grid.value, grid.upper)
     assert rep.wA <= numerical_radius(rep.fundamental_op).value <= rep.wA_upper <= 1 + WR_SLACK
 
@@ -176,7 +203,7 @@ def test_knife_edge_pair_falls_back_to_the_level_set(monkeypatch, outside):
     assert rep.wA_decided_by == ("ascent" if outside else "norm")
     w = max(abs(eigs))  # S is normal
     assert rep.wA <= w <= rep.wA_upper
-    grid, _ = grid_bounds(rep.fundamental_op)
+    grid, _, _ = grid_bounds(rep.fundamental_op)
     assert rep.wA_upper == (grid.upper if outside else pytest.approx(w, abs=1e-13))
     res = numerical_radius(rep.fundamental_op)
     assert rep.wA <= res.upper and res.value <= rep.wA_upper
@@ -882,7 +909,7 @@ def test_block_null_space_matches_full_gram(case):
         opnorm(W @ Zh @ T1 - T2 @ W @ Zh) / nrm for T1, T2, nrm in zip(ops1, ops2, norms1)
     )
 
-    space = classify._intertwiner_space(ops1, ops2, scale, DEFAULT_TOL, rng)
+    space = classify._intertwiner_space(np.stack([ops1, ops2]), scale, DEFAULT_TOL)
     assert space is not None
     assert space[-1].shape[1] == ref_dim
     _, res = find_unitary_intertwiner(ops1, ops2)
@@ -1010,7 +1037,7 @@ def _best_of_eight(ops1, ops2, seed=0):
     norms1 = [max(1.0, opnorm(T)) for T in ops1]
     scale = max(norms1 + [opnorm(T) for T in ops2])
     rng = np.random.default_rng(seed)
-    space = classify._intertwiner_space(ops1, ops2, scale, DEFAULT_TOL, rng)
+    space = classify._intertwiner_space(np.stack([ops1, ops2]), scale, DEFAULT_TOL)
     if space is None:
         return None, np.inf, 0
     V1, V2, I, J, basis = space
@@ -1054,13 +1081,13 @@ def test_polar_draws_follow_the_null_space_dimension(monkeypatch):
     pair = random_gamma_contraction(rng)
     irreducible = [pair.S, pair.P]
     wide = [block_diag(T, T) for T in _model_ops(rng, 1, 2)]
-    svd, calls = np.linalg.svd, {"polar": 0}
+    polar, calls = classify._polar_factor, {"polar": 0}
 
-    def counted_svd(a, *args, compute_uv=True, **kwargs):
-        calls["polar"] += compute_uv  # opnorm takes singular values only
-        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+    def counted_polar(*args):
+        calls["polar"] += 1
+        return polar(*args)
 
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(classify, "_polar_factor", counted_polar)
     for ops, dim, draws in ((irreducible, 1, 1), (wide, 4, 8)):
         conj = _haar(rng, ops)
         _, ref_res, ref_dim = _best_of_eight(ops, conj)
@@ -1068,6 +1095,37 @@ def test_polar_draws_follow_the_null_space_dimension(monkeypatch):
         _, res = find_unitary_intertwiner(ops, conj)
         assert (ref_dim, calls["polar"]) == (dim, draws)
         assert res == pytest.approx(ref_res, abs=1e-12) and res < 1e-12
+
+
+def test_simple_spectrum_conjugate_takes_one_svd_and_two_eighs(monkeypatch):
+    # the shape of the benchmark's n = 28 pairs: the singular-value screen is
+    # the one SVD, H and the Gram operator the two eighs; the polar factor of
+    # the diagonal D and the Frobenius certificate take none
+    rng = np.random.default_rng(16)
+    ops = _model_ops(rng, 2, 13)
+    conj = _haar(rng, ops)
+    scale = max([1.0] + [opnorm(T) for T in ops + conj])
+    V1, _, I, J, basis = classify._intertwiner_space(np.stack([ops, conj]), scale, DEFAULT_TOL)
+    assert I.size == J.size == len(V1) == 28 and basis.shape[1] == 1
+    count = _LinalgCounter(monkeypatch, names=("svd", "eigh"))
+    U, res = find_unitary_intertwiner(ops, conj)
+    assert count.calls == {"svd": 0, "eigh": 2} and count.norms == 1
+    assert res < 1e-12
+
+
+def test_certificate_above_the_threshold_is_the_spectral_norm():
+    # a perturbed conjugate that keeps a one-dimensional null space; each
+    # letter's Frobenius residual is above the threshold, so both are exact
+    rng, ops1, (S2, P2) = _conjugated_model_pair(3)
+    E = rng.standard_normal(S2.shape) + 1j * rng.standard_normal(S2.shape)
+    ops2 = [S2 + 5e-7 * E / opnorm(E), P2]
+    U, res = find_unitary_intertwiner(ops1, ops2)
+    R = [(U @ T1 - T2 @ U) / max(1.0, opnorm(T1)) for T1, T2 in zip(ops1, ops2)]
+    accept = classify._accept_threshold(DEFAULT_TOL)
+    assert min(np.linalg.norm(r) for r in R) > accept
+    assert res > accept
+    assert res == pytest.approx(max(opnorm(r) for r in R), rel=1e-12)
+    assert res < max(np.linalg.norm(r) for r in R) / 1.2
 
 
 def _equivalence_input(rng, variant):

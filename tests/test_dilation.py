@@ -173,6 +173,18 @@ def test_compressed_scalar_identity():
     assert defect <= m.tolerance_bound
 
 
+def test_compressed_scalar_is_the_first_term_of_the_model(monkeypatch):
+    # X = Pi* (I tensor A) Pi is formed once, by nf_ay_build; the scalar's
+    # S = X + P X* gate takes no block product and, within its bound, no SVD
+    m = nf_ay_build(random_gamma_contraction(np.random.default_rng(3)), N)
+    Pi = m.model_space.basis
+    assert np.array_equal(m.X, adj(Pi) @ hardy.blockwise(m.symbol_A, Pi))
+    monkeypatch.setattr(dilation, "blockwise", lambda *a: pytest.fail("block product"))
+    count = _LinalgCounter(monkeypatch, names=("svd",))
+    cs = compressed_scalar(m)
+    assert cs.X is m.X and count.calls == {"svd": 0} and count.norms == 0
+
+
 def test_model_operators_equal_the_dense_compressions():
     # the block products of the model against Pi* T Pi with the dense Toeplitz T
     rng = np.random.default_rng(3)

@@ -12,6 +12,7 @@ from symbidisc.linalg import (
     psd_sqrt,
     range_basis,
     sandwich_solve,
+    screened_opnorm,
 )
 
 
@@ -76,6 +77,33 @@ def test_psd_sqrt_stack_matches_matrix_by_matrix():
         assert np.allclose(R, psd_sqrt(M), rtol=0, atol=1e-14)
     assert np.allclose(opnorm(stack), [opnorm(M) for M in stack], rtol=0, atol=1e-14)
     assert np.array_equal(adj(stack)[2], adj(stack[2]))
+
+
+def test_screened_opnorm_is_frobenius_within_the_bound_and_spectral_above():
+    # two equal singular values: ||M||_F = sqrt(2) ||M||_2
+    M = np.diag([3.0, 3.0, 0.0])
+    fro, spec = np.linalg.norm(M), opnorm(M)
+    assert screened_opnorm(M, fro) == fro and screened_opnorm(M, 2 * fro) == fro
+    assert screened_opnorm(M, 0.5 * (spec + fro)) == spec
+    assert screened_opnorm(M, 0.5 * spec) == spec
+    stack = np.stack([M, 1e-3 * M, np.zeros((3, 3))])
+    assert np.array_equal(screened_opnorm(stack, 1.0), [spec, 1e-3 * fro, 0.0])
+    assert screened_opnorm(np.zeros((0, 0)), 0.0) == 0.0
+
+
+@pytest.mark.parametrize("delta, hermitian", [(0.45e-9, True), (0.55e-9, False)])
+def test_psd_sqrt_decides_on_the_spectral_norm_of_the_skew_part(delta, hermitian):
+    # M - M* = 2 delta (E_01 - E_10 + E_23 - E_32): spectral norm 2 delta, Frobenius
+    # norm 4 delta, against the bound 10 rank_tol max(1, ||M||) = 1e-9
+    M = np.eye(4)
+    M[0, 1] = M[2, 3] = delta
+    M[1, 0] = M[3, 2] = -delta
+    assert np.linalg.norm(M - adj(M)) > 1e-9
+    if hermitian:
+        assert np.allclose(psd_sqrt(M), np.eye(4), rtol=0, atol=1e-9)
+    else:
+        with pytest.raises(NotHermitian):
+            psd_sqrt(M)
 
 
 def test_psd_sqrt_stack_rejects_one_bad_matrix():

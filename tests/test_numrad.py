@@ -197,7 +197,7 @@ def test_ascent_agrees_with_the_grid_start_reference(seed, n, kind):
 )
 def test_grid_bounds_bracket_the_level_set_bounds(seed, n, kind):
     A = _matrix_of_kind(np.random.default_rng(seed), n, kind)
-    grid, pole = numrad.grid_bounds(A)
+    grid, pole, _ = numrad.grid_bounds(A)
     res = numerical_radius(A)
     rounding = 8 * n * EPS * np.linalg.norm(A)
     assert grid.value <= res.value + rounding and grid.upper >= res.upper
@@ -368,6 +368,20 @@ def test_a_failure_needs_a_lower_bound_past_its_rounding_allowance():
     # w = 1 + 1e-9 is far past the allowance: the grid still fails it
     failed = decide_wr((1 + 1e-9) * J, 1.0)
     assert failed.decided_by == "grid" and failed.value > 1.0 + allowance
+
+
+@pytest.mark.parametrize("scale, level, step", [
+    (1.0, 2.0, "grid"),
+    (1.0, 1.0, "level set"),
+    (1 + 1e-9, 1.0, "grid"),
+    (0.5, np.inf, "level set"),
+])
+def test_decide_wr_takes_the_rounding_allowance_once(monkeypatch, scale, level, step):
+    # grid_bounds hands decide_wr the allowance it took for its upper bound
+    calls, rounding = [], numrad._rounding
+    monkeypatch.setattr(numrad, "_rounding", lambda A: calls.append(1) or rounding(A))
+    res = decide_wr(scale * np.array([[0.0, 2.0], [0.0, 0.0]]), level)
+    assert res.decided_by == step and len(calls) == 1
 
 
 def test_decide_normal_matrix_with_w_exactly_one():
