@@ -337,8 +337,8 @@ def von_neumann_margin(
 # norm share a cluster: a split at gap g turns an input perturbation e into a
 # certificate of about e / g, so only wide gaps split.  A reduced Gram
 # operator over linalg.GRAM_BUDGET_BYTES (4096 unknowns, one cluster of size 64)
-# raises ProblemTooLarge.  The Gram null space is cut at (NULL_TOL*scale)^2,
-# and INTERTWINER_SEED draws the Hermitian element and the trial unitaries.
+# raises ProblemTooLarge.  The Gram null space is cut at (NULL_TOL*scale)^2, and
+# INTERTWINER_SEED draws the Hermitian element and one element of a wider null space.
 _MERGE_GAP = 1e-3
 NULL_TOL = 1e-6
 INTERTWINER_SEED = 0
@@ -351,8 +351,7 @@ def _accept_threshold(tol: Tolerance) -> float:
 
 @functools.lru_cache(maxsize=16)  # one entry per letter count
 def _h_coefficients(k: int):
-    """(c, d, state): H's read-only coefficients on k letters and their adjoints, from
-    INTERTWINER_SEED, and the generator state that the polar draws continue from."""
+    """(c, d): H's read-only coefficients on k letters and their adjoints, from INTERTWINER_SEED."""
     rng = np.random.default_rng(INTERTWINER_SEED)
     c = rng.standard_normal(2 * k) + 1j * rng.standard_normal(2 * k)
     d = rng.standard_normal((2 * k, 2 * k)) + 1j * rng.standard_normal((2 * k, 2 * k))
@@ -362,7 +361,7 @@ def _h_coefficients(k: int):
     w = np.sum(abs(c)) + 2 * np.sum(abs(d))
     c, d = c / w, d / w
     c.flags.writeable = d.flags.writeable = False
-    return c, d, rng.bit_generator.state
+    return c, d
 
 
 def _intertwiner_space(L: np.ndarray, scale: float, tol: Tolerance):
@@ -374,7 +373,7 @@ def _intertwiner_space(L: np.ndarray, scale: float, tol: Tolerance):
     spectrum, where D is diagonal.  None when the spectra or an empty null
     space rule out an intertwiner.
     """
-    c, d, _ = _h_coefficients(L.shape[1])
+    c, d = _h_coefficients(L.shape[1])
     Lh = np.concatenate([L, adj(L)], axis=1) / scale
     M = np.einsum("i,tiab->tab", c, Lh) + (Lh @ np.einsum("ij,tjab->tiab", d, Lh)).sum(1)
     lam, V = np.linalg.eigh(M + adj(M))
@@ -456,11 +455,12 @@ def find_unitary_intertwiner(
     clusters; a simple spectrum takes the diagonal path, n unknowns and a
     polar factor that is the phase of D, with no SVD.  The null space is
     spanned by the eigenvectors with eigenvalues at most (NULL_TOL*scale)^2,
-    and a unitary is extracted by polar decomposition of a random element,
-    the best of 8, or of D_0 on a one-dimensional null space, with no draw:
-    its elements c D_0 all have the polar factor (c/|c|) polar(D_0) and one
-    certificate.  Raises ProblemTooLarge when the Gram operator would
-    exceed GRAM_BUDGET_BYTES.
+    and U is the polar factor of one element: on a line, as for every
+    irreducible pair (Schur's lemma), the null vector D_0 with no draw, its
+    multiples c D_0 sharing one certificate; on a wider space one element
+    seeded from INTERTWINER_SEED, invertible whenever some element is, and
+    the polar factor of an invertible intertwiner is a unitary one.  Raises
+    ProblemTooLarge when the Gram operator would exceed GRAM_BUDGET_BYTES.
     """
     ops1 = [as_matrix(T) for T in ops1]
     ops2 = [as_matrix(T) for T in ops2]
@@ -487,20 +487,13 @@ def find_unitary_intertwiner(
     if space is None:
         return None, np.inf
     V1, V2, I, J, basis = space
-    if basis.shape[1] == 1:
-        draws = [basis[:, 0]]
-    else:  # 8 draws, continuing the stream of H's coefficients
-        rng = np.random.default_rng(INTERTWINER_SEED)
-        rng.bit_generator.state = _h_coefficients(len(ops1))[2]
-        draws = [basis @ (z[0] + 1j * z[1]) for z in rng.standard_normal((8, 2, basis.shape[1]))]
-    best_U, best_res = None, np.inf
-    for x in draws:
-        U = _polar_factor(x, V1, V2, I, J)
-        R = (U @ L[0] - L[1] @ U) / norms1[:, None, None]
-        res = float(np.max(screened_opnorm(R, threshold)))
-        if res < best_res:
-            best_U, best_res = U, res
-    return best_U, best_res
+    x = basis[:, 0]
+    if basis.shape[1] > 1:
+        z = np.random.default_rng([INTERTWINER_SEED, 1]).standard_normal((2, basis.shape[1]))
+        x = basis @ (z[0] + 1j * z[1])
+    U = _polar_factor(x, V1, V2, I, J)
+    R = (U @ L[0] - L[1] @ U) / norms1[:, None, None]
+    return U, float(np.max(screened_opnorm(R, threshold)))
 
 
 def joint_unitary_equiv(
@@ -512,10 +505,13 @@ def joint_unitary_equiv(
 
     True exactly when find_unitary_intertwiner's certificate is at most
     _accept_threshold(tol) = max(100 residual_tol, 1e-7); the checks that
-    reject before it is computed are each implied by it.  The certificate
-    bounds the spectral one above and is exact past the threshold, so the
-    verdict is the spectral norm's; a simple spectrum of H takes the
-    diagonal path, with no SVD after the singular-value screen.  0 x 0
-    lists are equivalent.  Raises ProblemTooLarge as find_unitary_intertwiner does.
+    reject before it is computed are each implied by it.  The certificate is
+    that of one polar factor: of the null vector on a line (irreducible
+    pairs), with no draw, else of one seeded element, invertible when an
+    intertwiner exists; it bounds the spectral one above and is exact past
+    the threshold, so the verdict is the spectral norm's; a simple spectrum
+    of H takes the diagonal path, with no SVD after the singular-value
+    screen.  0 x 0 lists are equivalent.  Raises ProblemTooLarge as
+    find_unitary_intertwiner does.
     """
     return find_unitary_intertwiner(ops1, ops2, tol)[1] <= _accept_threshold(tol)

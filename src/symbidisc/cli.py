@@ -145,6 +145,7 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
         "kind": rep.kind,
         "wA": rep.wA,
         "wA_upper": rep.wA_upper,
+        "wA_decided_by": rep.wA_decided_by,
     }
     if rep.fundamental_op is not None:
         out["fundamental_op"] = matrix_to_json(rep.fundamental_op)

@@ -111,15 +111,13 @@ def schaffer_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> 
 
     V = np.zeros((dim, dim), dtype=complex)
     V[:n, :n] = P
-    if r:
-        V[n : n + r, :n] = row
-        build_mult_op(SymbolPoly([np.zeros((r, r)), np.eye(r)]), N, out=V[n:, n:])
+    V[n : n + r, :n] = row
+    build_mult_op(SymbolPoly([np.zeros((r, r)), np.eye(r)]), N, out=V[n:, n:])
 
     W = np.zeros((dim, dim), dtype=complex)
     W[:n, :n] = S
-    if r:
-        W[n : n + r, :n] = adj(F) @ row
-        build_mult_op(symbol_a_plus_astar_z(F), N, out=W[n:, n:])
+    W[n : n + r, :n] = adj(F) @ row
+    build_mult_op(symbol_a_plus_astar_z(F), N, out=W[n:, n:])
 
     embed = np.zeros((dim, n), dtype=complex)
     embed[:n, :n] = np.eye(n)

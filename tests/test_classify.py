@@ -1075,8 +1075,9 @@ def test_one_polar_draw_matches_the_best_of_eight(seed):
 
 
 def test_polar_draws_follow_the_null_space_dimension(monkeypatch):
-    # an irreducible pair has a one-dimensional space and takes one draw;
-    # T + T, whose commutant widens every null space, keeps all 8
+    # an irreducible pair has a one-dimensional space and takes its null
+    # vector; T + T, whose commutant widens every null space, takes one
+    # seeded element; either way one polar factor, as good as the best of 8
     rng = np.random.default_rng(14)
     pair = random_gamma_contraction(rng)
     irreducible = [pair.S, pair.P]
@@ -1088,13 +1089,30 @@ def test_polar_draws_follow_the_null_space_dimension(monkeypatch):
         return polar(*args)
 
     monkeypatch.setattr(classify, "_polar_factor", counted_polar)
-    for ops, dim, draws in ((irreducible, 1, 1), (wide, 4, 8)):
+    for ops, dim, draws in ((irreducible, 1, 1), (wide, 4, 1)):
         conj = _haar(rng, ops)
         _, ref_res, ref_dim = _best_of_eight(ops, conj)
         calls["polar"] = 0
         _, res = find_unitary_intertwiner(ops, conj)
         assert (ref_dim, calls["polar"]) == (dim, draws)
         assert res == pytest.approx(ref_res, abs=1e-12) and res < 1e-12
+
+
+def test_irreducible_conjugate_builds_no_generator(monkeypatch):
+    # H's coefficients are cached per letter count and a line of intertwiners
+    # takes its null vector, so the call draws nothing
+    _, ops, conj = _conjugated_model_pair(5)
+    classify._h_coefficients(len(ops))
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted_rng(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    U, res = find_unitary_intertwiner(ops, conj)
+    assert built == [] and U is not None and res < 1e-12
 
 
 def test_simple_spectrum_conjugate_takes_one_svd_and_two_eighs(monkeypatch):
@@ -1130,11 +1148,13 @@ def test_certificate_above_the_threshold_is_the_spectral_norm():
 
 def _equivalence_input(rng, variant):
     """A conjugate, a conjugate perturbed by eps I (1e-9 <= eps <= 1e-5), a
-    stranger of the same size, or a conjugate of T + T."""
+    stranger of the same size, or a conjugate of T + T or of T + T + T."""
     pair = random_gamma_contraction(rng)
     ops1 = [pair.S, pair.P]
     if variant == "direct-sum":
         ops1 = [block_diag(T, T) for T in ops1]
+    if variant == "triple-sum":
+        ops1 = [block_diag(T, T, T) for T in ops1]
     ops2 = _haar(rng, ops1)
     if variant == "perturbed":
         ops2[0] = ops2[0] + 10 ** rng.uniform(-9, -5) * np.eye(pair.dim)
@@ -1147,7 +1167,7 @@ def _equivalence_input(rng, variant):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(_SEEDS, st.sampled_from(["conjugate", "perturbed", "stranger", "direct-sum"]))
+@given(_SEEDS, st.sampled_from(["conjugate", "perturbed", "stranger", "direct-sum", "triple-sum"]))
 def test_equivalence_is_the_certificate_of_every_polar_draw(seed, variant):
     # _best_of_eight reaches the Gram null space without the early
     # rejections, so they may only reject what its certificate rejects

@@ -79,6 +79,7 @@ def test_classify_command(capsys, tmp_path):
     assert obj["wA"] <= obj["wA_upper"]
     assert 1.0 <= obj["wA_upper"] <= 1 + 1e-8
     assert obj["wA"] == pytest.approx(1.0, abs=1e-8)
+    assert obj["wA_decided_by"] == "level set"
     assert obj["flushed_max"] == 0.0
 
 
@@ -95,6 +96,18 @@ def test_classify_reports_the_grid_bounds_that_decided(capsys, tmp_path):
     value = numerical_radius(S).value
     assert obj["wA"] <= value <= obj["wA_upper"]
     assert obj["wA_upper"] - obj["wA"] > 1e-6  # grid bounds, not the level-set ones
+    assert obj["wA_decided_by"] == "grid"
+
+
+def test_classify_reports_no_w_a_step_on_an_early_rejection(capsys, tmp_path):
+    # ||S|| > 2 answers NotGamma before the fundamental operator is solved
+    s_path = write_matrix(tmp_path / "S.json", np.array([[2.2]]))
+    p_path = write_matrix(tmp_path / "P.json", np.array([[1.0]]))
+    code, out, _ = run(capsys, ["classify", "--S", s_path, "--P", p_path])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["kind"] == "NotGamma"
+    assert obj["wA_decided_by"] is None
 
 
 def test_classify_reports_flushed_max(capsys, tmp_path):

@@ -61,6 +61,14 @@ def test_schaffer_compression_recovers_pair():
     assert np.allclose(adj(sp.embed) @ sp.W @ sp.embed, pair.S)
 
 
+def test_schaffer_dilation_of_a_gamma_unitary_is_the_pair():
+    # D_P = 0: the defect row and the Hardy blocks are empty, so V = P and W = S
+    pair = gamma_unitary_synth(*random_commuting_unitaries(np.random.default_rng(3), 3))
+    sp = schaffer_build(pair, N)
+    assert np.array_equal(sp.V, pair.P) and np.array_equal(sp.W, pair.S)
+    assert np.array_equal(sp.embed, np.eye(3)) and sp.window.all()
+
+
 def test_schaffer_rejects_non_gamma():
     with pytest.raises(ClassificationFailed):
         schaffer_build(make_pair([[2.2]], [[1.0]]), N)
