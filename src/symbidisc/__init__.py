@@ -88,8 +88,8 @@ from .hardy import (
     symbol_a_plus_astar_z,
 )
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
+    RANK_TOL,
+    RESIDUAL_TOL,
     adj,
     opnorm,
     psd_sqrt,

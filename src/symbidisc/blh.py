@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import TruncationTooSmall
 from .hardy import SymbolPoly, blockwise, build_mult_op
-from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm, range_basis
+from .linalg import RANK_TOL, RESIDUAL_TOL, adj, as_matrix, opnorm, range_basis
 from .numrad import numerical_radius
 
 INNER_GRID = 128
@@ -110,7 +110,7 @@ def _real_lstsq(f, n: int, rhs, rcond):
     return (sol[: n * n] + 1j * sol[n * n :]).reshape(n, n), int(rank)
 
 
-def blh_solve(prob: BlhProblem, tol: Tolerance = DEFAULT_TOL):
+def blh_solve(prob: BlhProblem):
     """Solve the coefficient-matching system for B.
 
     Returns a BlhSolution on success or a NoSolution value carrying the
@@ -122,11 +122,11 @@ def blh_solve(prob: BlhProblem, tol: Tolerance = DEFAULT_TOL):
     e = theta.dom_dim
     theta_symbol, symbol_theta = _coefficient_maps(theta)
     rhs = symbol_theta(A)
-    B, rank = _real_lstsq(theta_symbol, e, rhs, tol.rank_tol)
+    B, rank = _real_lstsq(theta_symbol, e, rhs, RANK_TOL)
     kernel_dim = 2 * e * e - rank
 
     residual = float(np.max(opnorm(theta_symbol(B) - rhs)))
-    if residual > tol.residual_tol * max(1.0, opnorm(A)):
+    if residual > RESIDUAL_TOL * max(1.0, opnorm(A)):
         return NoSolution(B, residual)
     return BlhSolution(B, residual, kernel_dim)
 
@@ -139,7 +139,7 @@ def mirror_solve(B, theta: SymbolPoly) -> np.ndarray:
     return A
 
 
-def invariance_check(A, theta: SymbolPoly, N: int, tol: Tolerance = DEFAULT_TOL):
+def invariance_check(A, theta: SymbolPoly, N: int):
     """Is the range of Theta invariant under the truncated symbol operator?
 
     The range is sampled through domain degrees <= N - deg - 1; the image
@@ -154,10 +154,10 @@ def invariance_check(A, theta: SymbolPoly, N: int, tol: Tolerance = DEFAULT_TOL)
     e = theta.dom_dim
     T_theta = build_mult_op(theta, N)
     dom_cols = (N - d) * e
-    Q_small = range_basis(T_theta[:, :dom_cols], tol)
-    Q_big = range_basis(T_theta[:, : dom_cols + e], tol)
+    Q_small = range_basis(T_theta[:, :dom_cols])
+    Q_big = range_basis(T_theta[:, : dom_cols + e])
     c = len(A)  # the block size: degree j of the image is A Q_j + A* Q_(j-1)
     img = blockwise(A, Q_small)
     img[c:] += blockwise(adj(A), Q_small[: len(Q_small) - c])
     residual = float(opnorm(img - Q_big @ (adj(Q_big) @ img)))
-    return residual <= tol.residual_tol * max(1.0, opnorm(A)), residual
+    return residual <= RESIDUAL_TOL * max(1.0, opnorm(A)), residual

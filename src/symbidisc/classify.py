@@ -23,7 +23,7 @@ import numpy as np
 
 from .defect import DefectData, _defect_record
 from .errors import DimensionMismatch, NotAContraction, NotCommuting, NotPureModelForm
-from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, check_budget, opnorm, screened_opnorm
+from .linalg import RESIDUAL_TOL, adj, as_matrix, check_budget, opnorm, screened_opnorm
 from .numrad import WR_SLACK, decide_wr
 from .pair import OperatorPair, restrict
 
@@ -32,6 +32,7 @@ GAMMA_ISOMETRY = "GammaIsometry"
 GAMMA_CONTRACTION = "GammaContraction"
 NOT_GAMMA = "NotGamma"
 INCONCLUSIVE = "Inconclusive"
+PURE_FORM_TOL = 1e-10  # bound on S* - S P* off its symbol block, relative to max(1, ||A||)
 
 @dataclass
 class ClassificationReport:
@@ -56,20 +57,20 @@ _UNITARY_CHECKS = ("P isometric", "P co-isometric", "S = S*P", "||S|| <= 2")
 _ISOMETRY_CHECKS = ("P isometric", "S = S*P", "||S|| <= 2")
 
 
-def _commutator_gate(pair: OperatorPair, tol: Tolerance):
-    """NotCommuting unless ||SP - PS|| <= residual_tol * max(1, ||S|| ||P||).
+def _commutator_gate(pair: OperatorPair):
+    """NotCommuting unless ||SP - PS|| <= RESIDUAL_TOL * max(1, ||S|| ||P||).
 
-    A Frobenius norm within residual_tol passes with no norm taken."""
-    if pair.commutator_fro <= tol.residual_tol:
+    A Frobenius norm within RESIDUAL_TOL passes with no norm taken."""
+    if pair.commutator_fro <= RESIDUAL_TOL:
         return
     norm_P = float(np.max(pair.svd_P[1], initial=0.0))
-    if pair.commutator_norm > tol.residual_tol * max(1.0, pair.norm_S * norm_P):
+    if pair.commutator_norm > RESIDUAL_TOL * max(1.0, pair.norm_S * norm_P):
         raise NotCommuting(
             f"commutator norm {pair.commutator_norm:.3e} exceeds tolerance"
         )
 
 
-def _algebra_checks(pair: OperatorPair, tol: Tolerance, record_all: bool = True) -> dict:
+def _algebra_checks(pair: OperatorPair, record_all: bool = True) -> dict:
     """Check name -> (ok, residual) for the unitary and isometric cases.
 
     Residuals are restricted to the pair's window; without one both
@@ -77,7 +78,7 @@ def _algebra_checks(pair: OperatorPair, tol: Tolerance, record_all: bool = True)
     Unless record_all, ||S - S*P|| reads inf when P is not isometric: no verdict then reads it.
     """
     S, P, w, s, norm_S = pair.S, pair.P, pair.window, pair.svd_P[1], pair.norm_S
-    t = tol.residual_tol
+    t = RESIDUAL_TOL
     if w is None:
         r_iso = r_coiso = float(np.max(np.abs((1 - s) * (1 + s)), initial=0.0))
     else:
@@ -96,9 +97,9 @@ def _passes(checks: dict, names) -> bool:
     return all(checks[name][0] for name in names)
 
 
-def is_gamma_isometry(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL):
-    _commutator_gate(pair, tol)
-    checks = _algebra_checks(pair, tol)
+def is_gamma_isometry(pair: OperatorPair):
+    _commutator_gate(pair)
+    checks = _algebra_checks(pair)
     ok = _passes(checks, _ISOMETRY_CHECKS)
     rep = ClassificationReport(kind=GAMMA_ISOMETRY if ok else NOT_GAMMA)
     for name in _ISOMETRY_CHECKS:
@@ -119,7 +120,7 @@ def fundamental_op(S, dd: DefectData):
     return inv[:, None] * B * inv, float(np.linalg.norm(Q @ B @ adj(Q) - C))
 
 
-def is_gamma_contraction(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:
+def is_gamma_contraction(pair: OperatorPair) -> ClassificationReport:
     """Full classification of a commuting pair.
 
     Produces the strongest applicable kind; every sub-check is recorded in
@@ -134,13 +135,13 @@ def is_gamma_contraction(pair: OperatorPair, tol: Tolerance = DEFAULT_TOL) -> Cl
     """
     S, P = pair.S, pair.P
     U, s, Vh = pair.svd_P
-    _commutator_gate(pair, tol)
-    algebra = _algebra_checks(pair, tol, record_all=False)
+    _commutator_gate(pair)
+    algebra = _algebra_checks(pair, record_all=False)
     try:
-        dd = _defect_record(P, U, s, Vh, tol)
+        dd = _defect_record(P, U, s, Vh)
     except NotAContraction:
         dd = None
-    t = tol.residual_tol
+    t = RESIDUAL_TOL
     rep = ClassificationReport(INCONCLUSIVE, defect=dd)
     rep.add("||P|| <= 1", dd is not None, max(0.0, float(np.max(s, initial=0.0)) - 1))
     rep.add("||S|| <= 2", *algebra["||S|| <= 2"])
@@ -184,7 +185,7 @@ def recover_pure_symbol(pair: OperatorPair, N: int) -> np.ndarray:
     blocks = E[: N * b, : N * b].reshape(N, b, N, b).swapaxes(1, 2).copy()
     blocks[:1, :1] = 0
     worst = float(np.max(opnorm(blocks), initial=0.0))
-    if worst > 1e-10 * scale:
+    if worst > PURE_FORM_TOL * scale:
         raise NotPureModelForm(
             f"off-block residual {worst:.3e} too large for a pure model pair"
         )
@@ -272,7 +273,6 @@ def von_neumann_margin(
     trials: int = 100,
     grid: int = 64,
     seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
 ):
     """Minimum of sup-norm-on-boundary minus ||p(S, P)|| over sampled polynomials.
 
@@ -292,10 +292,14 @@ def von_neumann_margin(
     grid angle) minus the Schatten 4-norm of p(S, P); the margin of the
     candidate of lowest floor caps the minimum.  Floors above that ceiling,
     with relative slack 1e-12, are dropped.  ProblemTooLarge before the
-    family is drawn when the candidate stacks are over budget.
+    family is drawn when the candidate stacks are over budget; ValueError
+    before that when degree < 1, trials < 0 or grid < 1.
     """
+    for name, value, least in (("degree", degree, 1), ("trials", trials, 0), ("grid", grid, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
     S, P = pair.S, pair.P
-    _commutator_gate(pair, tol)
+    _commutator_gate(pair)
     # the peak per candidate: p(S, P) and two copies (adjoint and Gram, or the SVD's), and patches;
     # a block of the torus grid stage holds grid x grid values and their moduli, 1.5 complex entries
     check_budget("von Neumann candidate stacks", trials + 2, 3 * S.size + 3 * 17 * 17)
@@ -342,11 +346,9 @@ def von_neumann_margin(
 _MERGE_GAP = 1e-3
 NULL_TOL = 1e-6
 INTERTWINER_SEED = 0
-
-
-def _accept_threshold(tol: Tolerance) -> float:
-    """Largest certificate ||U T - T' U|| / max(1, ||T||) that counts as equivalence."""
-    return max(tol.residual_tol * 100, 1e-7)
+# The largest intertwining residual that counts as an identity: the equivalence
+# certificate ||U T - T' U|| / max(1, ||T||), and a dilation's ||V* E - E P*||.
+ACCEPT_THRESHOLD = 100 * RESIDUAL_TOL
 
 
 @functools.lru_cache(maxsize=16)  # one entry per letter count
@@ -364,7 +366,7 @@ def _h_coefficients(k: int):
     return c, d
 
 
-def _intertwiner_space(L: np.ndarray, scale: float, tol: Tolerance):
+def _intertwiner_space(L: np.ndarray, scale: float):
     """Null space of the intertwining equations on the spectral blocks.
 
     L stacks the two tuples' letters, shape (2, k, n, n).  Returns (V1, V2,
@@ -377,7 +379,7 @@ def _intertwiner_space(L: np.ndarray, scale: float, tol: Tolerance):
     Lh = np.concatenate([L, adj(L)], axis=1) / scale
     M = np.einsum("i,tiab->tab", c, Lh) + (Lh @ np.einsum("ij,tjab->tiab", d, Lh)).sum(1)
     lam, V = np.linalg.eigh(M + adj(M))
-    slack = 4 * _accept_threshold(tol)
+    slack = 4 * ACCEPT_THRESHOLD
     if np.any(abs(lam[0] - lam[1]) > slack):
         return None
     # An intertwiner maps each eigenspace of H_1 onto that of H_2.  Merge
@@ -429,11 +431,7 @@ def _polar_factor(x: np.ndarray, V1, V2, I, J) -> np.ndarray:
     return V2 @ W @ Zh @ adj(V1)
 
 
-def find_unitary_intertwiner(
-    ops1,
-    ops2,
-    tol: Tolerance = DEFAULT_TOL,
-):
+def find_unitary_intertwiner(ops1, ops2):
     """Search for a unitary U with U T = T' U for every listed operator.
 
     Both lists must be non-empty, of equal length and each of square
@@ -441,9 +439,9 @@ def find_unitary_intertwiner(
     certificate), the certificate being max ||U T - T' U|| / max(1, ||T||)
     over the letters, or (None, inf): always for lists of different sizes,
     and the empty U with certificate 0 for 0 x 0 lists.  Each norm is
-    `screened_opnorm` at _accept_threshold(tol): an upper bound, exact
-    above the threshold.  Three checks come first and only reject, each
-    because it implies a certificate above the threshold:
+    `screened_opnorm` at ACCEPT_THRESHOLD: an upper bound, exact above the
+    threshold.  Three checks come first and only reject, each because it
+    implies a certificate above the threshold:
     - a letter's singular values or trace differ by more than that
       threshold times max(1, ||T||), as max_k |s_k(T) - s_k(T')| <=
       ||U T U* - T'|| (Mirsky) and |tr T - tr T'| <= n ||U T U* - T'||;
@@ -479,11 +477,10 @@ def find_unitary_intertwiner(
     s, tr = np.linalg.svd(L, compute_uv=False), np.trace(L, axis1=-2, axis2=-1)
     norms1 = np.maximum(1.0, s[0, :, 0])
     scale = max(norms1.max(), s[1, :, 0].max())
-    threshold = _accept_threshold(tol)
-    bound = threshold * norms1
+    bound = ACCEPT_THRESHOLD * norms1
     if np.any(abs(s[0] - s[1]).max(-1) > bound) or np.any(abs(tr[0] - tr[1]) / n > bound):
         return None, np.inf
-    space = _intertwiner_space(L, scale, tol)
+    space = _intertwiner_space(L, scale)
     if space is None:
         return None, np.inf
     V1, V2, I, J, basis = space
@@ -493,25 +490,21 @@ def find_unitary_intertwiner(
         x = basis @ (z[0] + 1j * z[1])
     U = _polar_factor(x, V1, V2, I, J)
     R = (U @ L[0] - L[1] @ U) / norms1[:, None, None]
-    return U, float(np.max(screened_opnorm(R, threshold)))
+    return U, float(np.max(screened_opnorm(R, ACCEPT_THRESHOLD)))
 
 
-def joint_unitary_equiv(
-    ops1,
-    ops2,
-    tol: Tolerance = DEFAULT_TOL,
-) -> bool:
+def joint_unitary_equiv(ops1, ops2) -> bool:
     """Joint unitary equivalence of two operator tuples.
 
     True exactly when find_unitary_intertwiner's certificate is at most
-    _accept_threshold(tol) = max(100 residual_tol, 1e-7); the checks that
-    reject before it is computed are each implied by it.  The certificate is
-    that of one polar factor: of the null vector on a line (irreducible
-    pairs), with no draw, else of one seeded element, invertible when an
-    intertwiner exists; it bounds the spectral one above and is exact past
-    the threshold, so the verdict is the spectral norm's; a simple spectrum
-    of H takes the diagonal path, with no SVD after the singular-value
-    screen.  0 x 0 lists are equivalent.  Raises ProblemTooLarge as
+    ACCEPT_THRESHOLD = 100 RESIDUAL_TOL; the checks that reject before it is
+    computed are each implied by it.  The certificate is that of one polar
+    factor: of the null vector on a line (irreducible pairs), with no draw,
+    else of one seeded element, invertible when an intertwiner exists; it
+    bounds the spectral one above and is exact past the threshold, so the
+    verdict is the spectral norm's; a simple spectrum of H takes the
+    diagonal path, with no SVD after the singular-value screen.  0 x 0
+    lists are equivalent.  Raises ProblemTooLarge as
     find_unitary_intertwiner does.
     """
-    return find_unitary_intertwiner(ops1, ops2, tol)[1] <= _accept_threshold(tol)
+    return find_unitary_intertwiner(ops1, ops2)[1] <= ACCEPT_THRESHOLD

@@ -137,7 +137,7 @@ def _load_pair(args):
 
 
 def _cmd_classify(args, cfg: RunConfig) -> int:
-    rep = is_gamma_contraction(_load_pair(args), cfg.tol)
+    rep = is_gamma_contraction(_load_pair(args))
     out = {
         "checks": [[name, ok, res] for name, ok, res in rep.checks],
         "flushed_max": rep.flushed_max,
@@ -155,7 +155,7 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
 
 def _cmd_fundamental(args, cfg: RunConfig) -> int:
     pair = _load_pair(args)
-    F, residual = fundamental_op(pair.S, defect_data(pair.P, cfg.tol))
+    F, residual = fundamental_op(pair.S, defect_data(pair.P))
     _emit(
         {
             "A": matrix_to_json(F),
@@ -176,7 +176,7 @@ def _cmd_dilate(args, cfg: RunConfig) -> int:
     N = args.N if args.N is not None else cfg.N
     prefix = args.out_prefix
     if args.schaffer:
-        sp = schaffer_build(pair, N, cfg.tol)
+        sp = schaffer_build(pair, N)
         outputs = [("V", sp.V), ("W", sp.W), ("embed", sp.embed)]
         report = {
             "intertwining_residual_P": opnorm(adj(sp.V) @ sp.embed - sp.embed @ adj(pair.P)),
@@ -184,7 +184,7 @@ def _cmd_dilate(args, cfg: RunConfig) -> int:
             "kind": "schaffer",
         }
     else:
-        m = nf_ay_build(pair, N, cfg.tol)
+        m = nf_ay_build(pair, N)
         outputs = [
             ("S_model", m.S_model),
             ("P_model", m.P_model),
@@ -210,7 +210,7 @@ def _cmd_blh(args, cfg: RunConfig) -> int:
     theta = load_symbol_poly(args.theta)
     if args.blh_action == "solve":
         prob = make_problem(A, theta)
-        sol = blh_solve(prob, cfg.tol)
+        sol = blh_solve(prob)
         if isinstance(sol, BlhSolution):
             _emit(
                 {
@@ -233,7 +233,7 @@ def _cmd_blh(args, cfg: RunConfig) -> int:
             )
     else:
         N = args.N if args.N is not None else max(8, theta.degree + 2)
-        invariant, residual = invariance_check(A, theta, N, cfg.tol)
+        invariant, residual = invariance_check(A, theta, N)
         _emit({"N": N, "invariant": invariant, "residual": residual})
     return 0
 

@@ -16,8 +16,8 @@ minimal-dilation embedding itself,
 whose range spans that complement; Pi* Pi = I - P^(N+1) P*^(N+1) is I up to the measured tail.
 Both defect operators come from one SVD P = U diag(s) V*: D_P = V diag(r) V*
 and D_P* = U diag(r) U* with r = (1 - s^2)^(1/2), which is P D_P = D_P* P.
-The routines that need the defect spaces take the DefectData record of P,
-built once by `defect_data`, instead of P itself.
+The routines that need the defect spaces take the DefectData record of P
+instead of P, built once per pair by `_defect_record` from its SVD of P.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .hardy import SymbolPoly
-from .linalg import DEFAULT_TOL, Tolerance, _fix_phases, adj, as_matrix, check_budget, opnorm
+from .linalg import _fix_phases, adj, as_matrix, check_budget, opnorm
 from .linalg import psd_sqrt, rank_flush
 
 CNU_MARGIN = 1e-8
@@ -48,8 +48,8 @@ DELTA_GRID = 256  # boundary angles at which the defect of Theta is sampled
 class DefectData:
     """A contraction P with the range bases of its defect operators.
 
-    Built once per P by `defect_data` and handed on to every routine that
-    needs the defect spaces.  D_P Q_dP = Q_dP diag(root) and D_P* Q_dPstar
+    Built once per pair by `_defect_record` from its SVD of P and handed
+    on to every routine that needs the defect spaces.  D_P Q_dP = Q_dP diag(root) and D_P* Q_dPstar
     = Q_dPstar diag(root): both sides share the kept singular values of P,
     so they have one rank, and D_P and D_P* are built from them on each
     read.  flushed_max is the largest |1 - s^2| over the singular values s
@@ -108,7 +108,7 @@ def cnu_check(dd: DefectData) -> None:
         raise NotCnu("P has a (numerically) unimodular eigenvalue; split the unitary part first")
 
 
-def defect_data(P, tol: Tolerance = DEFAULT_TOL) -> DefectData:
+def defect_data(P) -> DefectData:
     """Defect data of P from one SVD P = U diag(s) V*.
 
     I - P*P = V diag(1 - s^2) V* and I - PP* = U diag(1 - s^2) U*, so the
@@ -121,13 +121,13 @@ def defect_data(P, tol: Tolerance = DEFAULT_TOL) -> DefectData:
     P = as_matrix(P)
     if P.shape[0] != P.shape[1]:
         raise DimensionMismatch(f"P must be square, got shape {P.shape}")
-    return _defect_record(P, *np.linalg.svd(P), tol)
+    return _defect_record(P, *np.linalg.svd(P))
 
 
-def _defect_record(P, U, s, Vh, tol: Tolerance) -> DefectData:
+def _defect_record(P, U, s, Vh) -> DefectData:
     """The DefectData of square P from its SVD factors P = U diag(s) Vh."""
     try:
-        w, flushed = rank_flush((1 - s) * (1 + s), tol)
+        w, flushed = rank_flush((1 - s) * (1 + s))
     except IndefiniteInput:
         raise NotAContraction(f"||P|| = {s[0]:.6f} exceeds 1") from None
     kept = np.flatnonzero(w)[::-1]  # descending root
@@ -168,13 +168,13 @@ def theta_eval(dd: DefectData, z) -> np.ndarray:
     return adj(dd.Q_dPstar) @ core @ dd.Q_dP
 
 
-def delta_eval(dd: DefectData, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def delta_eval(dd: DefectData, t) -> np.ndarray:
     """Boundary defect [I - Theta(e^it)* Theta(e^it)]^(1/2) on the D_P basis.
 
     An array of angles gives the stack of defects, one per angle.
     """
     th = theta_eval(dd, np.exp(1j * np.asarray(t)))
-    return psd_sqrt(np.eye(th.shape[-1]) - adj(th) @ th, tol)
+    return psd_sqrt(np.eye(th.shape[-1]) - adj(th) @ th)
 
 
 def pi_nf_matrix(dd: DefectData, N: int) -> tuple[np.ndarray, np.ndarray]:

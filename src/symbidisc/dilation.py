@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .classify import (
+    ACCEPT_THRESHOLD,
     GAMMA_CONTRACTION,
     GAMMA_ISOMETRY,
     GAMMA_UNITARY,
@@ -35,12 +36,13 @@ from .errors import (
     TruncationTooSmall,
 )
 from .hardy import SymbolPoly, blockwise, build_mult_op, symbol_a_plus_astar_z
-from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, check_budget, opnorm, screened_opnorm
+from .linalg import RANK_TOL, RESIDUAL_TOL, adj, as_matrix, check_budget, opnorm, screened_opnorm
 from .numrad import numerical_radius
 from .pair import OperatorPair, degree_mask, make_pair
 
 _PASSING = (GAMMA_CONTRACTION, GAMMA_ISOMETRY, GAMMA_UNITARY)
 FACTOR_DEPTH = 8  # stages of the minimal dilation that factorization_check pins down
+MODEL_RESIDUAL_FLOOR = 1e-8  # least bound on a model identity's residual (tolerance_bound)
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class NfAyModel:
 
     @property
     def tolerance_bound(self) -> float:
-        return max(1e-8, 10 * self.model_space.trunc_error)
+        return max(MODEL_RESIDUAL_FLOOR, 10 * self.model_space.trunc_error)
 
 
 @dataclass(frozen=True)
@@ -82,15 +84,15 @@ class CompressedScalar:
         return numerical_radius(self.source_A).value
 
 
-def _require_gamma(pair: OperatorPair, tol: Tolerance):
+def _require_gamma(pair: OperatorPair):
     """Classification report of a passing pair; it carries the DefectData of P."""
-    report = is_gamma_contraction(pair, tol)
+    report = is_gamma_contraction(pair)
     if report.kind not in _PASSING:
         raise ClassificationFailed(f"pair classified {report.kind}: {report.failed()}")
     return report
 
 
-def schaffer_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> SchafferPair:
+def schaffer_build(pair: OperatorPair, N: int) -> SchafferPair:
     """Explicit isometric dilation pair (W, V) on H + truncated Hardy space.
 
     The adjoint intertwinings with the embedding are exact: no truncation
@@ -98,7 +100,7 @@ def schaffer_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> 
     classification report.  The Hardy blocks are written into V and W, so the
     call holds V, W and the embedding, which `check_budget` bounds before they are allocated.
     """
-    report = _require_gamma(pair, tol)
+    report = _require_gamma(pair)
     S, P, dd = pair.S, pair.P, report.defect
     n = S.shape[0]
     F = report.fundamental_op
@@ -126,7 +128,7 @@ def schaffer_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> 
     return SchafferPair(V, W, embed, window)
 
 
-def nf_ay_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> NfAyModel:
+def nf_ay_build(pair: OperatorPair, N: int) -> NfAyModel:
     """Functional model of a c.n.u. pair on the truncated model space.
 
     The symbol is the adjoint of the fundamental operator of (S*, P*),
@@ -137,7 +139,7 @@ def nf_ay_build(pair: OperatorPair, N: int, tol: Tolerance = DEFAULT_TOL) -> NfA
     so the model has the input's dimension.  The basis is Pi itself, so the
     model is in the input's coordinates and its intertwiner is I.
     """
-    dd = _require_gamma(pair, tol).defect
+    dd = _require_gamma(pair).defect
     symbol_A = adj(fundamental_op(adj(pair.S), dd.adjoint())[0])
 
     model = build_model_space(dd, N)
@@ -161,11 +163,11 @@ def compressed_scalar(model: NfAyModel) -> CompressedScalar:
     return CompressedScalar(X, model.symbol_A)
 
 
-def gamma_unitary_synth(U1, U2, tol: Tolerance = DEFAULT_TOL) -> OperatorPair:
+def gamma_unitary_synth(U1, U2) -> OperatorPair:
     """Pair (U1 + U2, U1 U2) from commuting unitaries; always classifies unitary."""
     U1, U2 = as_matrix(U1), as_matrix(U2)
     eye = np.eye(U1.shape[0])
-    t = tol.residual_tol
+    t = RESIDUAL_TOL
     for name, U in (("U1", U1), ("U2", U2)):
         if opnorm(adj(U) @ U - eye) > t or opnorm(U @ adj(U) - eye) > t:
             raise NotUnitary(f"{name} is not unitary within tolerance")
@@ -174,12 +176,7 @@ def gamma_unitary_synth(U1, U2, tol: Tolerance = DEFAULT_TOL) -> OperatorPair:
     return make_pair(U1 + U2, U1 @ U2)
 
 
-def factorization_check(
-    pair: OperatorPair,
-    other_dilation,
-    N: int,
-    tol: Tolerance = DEFAULT_TOL,
-):
+def factorization_check(pair: OperatorPair, other_dilation, N: int):
     """Factor another isometric dilation (V, E) through the minimal one.
 
     The factor map Phi sends the stages M_z^j Pi of the minimal dilation to
@@ -189,7 +186,7 @@ def factorization_check(
     record of P built from the pair's SVD of P.  On that orthonormal
     basis B, degree-j coordinates go to V^j w, w = (E - V E P*) Q / root on
     the D_P* basis Q, and z^d U goes to V^d E Vh*/s from one thin SVD
-    U s Vh of Pi_{<=N-d}, cut by pinv's rule (rank_tol times the largest s).
+    U s Vh of Pi_{<=N-d}, cut by pinv's rule (RANK_TOL times the largest s).
 
     Returns (Phi, isometry residual, well-definedness residual): Phi is
     (Phi B) B*, and ||(Phi B)*(Phi B) - I|| does not depend on the basis.
@@ -202,17 +199,16 @@ def factorization_check(
     V, embed = map(as_matrix, other_dilation)
     P, n = pair.P, pair.dim
 
-    bound = max(tol.residual_tol, 1e-10) * 100
-    d_res = screened_opnorm(adj(V) @ embed - embed @ adj(P), bound)
-    if d_res > bound:
+    d_res = screened_opnorm(adj(V) @ embed - embed @ adj(P), ACCEPT_THRESHOLD)
+    if d_res > ACCEPT_THRESHOLD:
         raise NotADilation(f"adjoint intertwining fails by {d_res:.3e}")
 
     if N < 1:
         raise TruncationTooSmall(f"need N >= 1, got {N}")
-    dd = _defect_record(P, *pair.svd_P, tol)
+    dd = _defect_record(P, *pair.svd_P)
     depth = min(FACTOR_DEPTH, N - 1)
     U, s, Vh = np.linalg.svd(pi_nf_matrix(dd, N - depth)[0], full_matrices=False)
-    keep = s > tol.rank_tol * s.max(initial=0.0)
+    keep = s > RANK_TOL * s.max(initial=0.0)
     U, s, Vh = U[:, keep], s[keep], Vh[keep]
 
     wander = embed - V @ embed @ adj(P)  # |(E - V E P*) h| = |D_P* h| if V is isometric

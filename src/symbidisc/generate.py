@@ -15,7 +15,7 @@ import numpy as np
 
 from .defect import spectral_radius
 from .hardy import SymbolPoly, gamma_isometry_model
-from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, opnorm, range_basis
+from .linalg import adj, as_matrix, opnorm, range_basis
 from .numrad import numerical_radius
 from .pair import OperatorPair, make_pair
 
@@ -44,8 +44,7 @@ def random_symbol(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random matrix rescaled so its numerical radius is at most a target in [0.4, 1).
 
     The rescaling divides by the certified upper bound on w(A), so the
-    bound is proven, not estimated.  The draws are bit-identical to those
-    of the former `wr_max` parameter at its only value, 1.0.
+    bound is proven, not estimated.
     """
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     w = numerical_radius(A).upper
@@ -67,22 +66,20 @@ def random_strict_contraction(
     raise RuntimeError("could not hit the requested spectral radius cap")
 
 
-def coinvariant_closure(S, P, seeds, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def coinvariant_closure(S, P, seeds) -> np.ndarray:
     """Orthonormal basis of the smallest S*,P*-invariant span of the seeds."""
     S, P = as_matrix(S), as_matrix(P)
     seeds = np.asarray(seeds, dtype=complex)
-    B = range_basis(seeds[:, None] if seeds.ndim == 1 else seeds, tol)  # 1-D: one column
+    B = range_basis(seeds[:, None] if seeds.ndim == 1 else seeds)  # 1-D: one column
     for _ in range(S.shape[0] + 1):
-        grown = range_basis(np.hstack([B, adj(S) @ B, adj(P) @ B]), tol)
+        grown = range_basis(np.hstack([B, adj(S) @ B, adj(P) @ B]))
         if grown.shape[1] == B.shape[1]:
             return B
         B = grown
     return B
 
 
-def random_gamma_contraction(
-    rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL
-) -> OperatorPair:
+def random_gamma_contraction(rng: np.random.Generator) -> OperatorPair:
     """Random pair satisfying the defining identities to machine precision."""
     b = int(rng.integers(1, BLOCK_MAX + 1))
     d = int(rng.integers(1, DEGREE_MAX + 1))
@@ -93,7 +90,7 @@ def random_gamma_contraction(
     seeds = rng.standard_normal((dim, n_seeds)) + 1j * rng.standard_normal((dim, n_seeds))
     # weight low degrees so the closure is often a proper subspace
     w = np.repeat(np.exp(-np.arange(d + 2, dtype=float)), b)
-    Q = coinvariant_closure(model.S, model.P, seeds * w[:, None], tol)
+    Q = coinvariant_closure(model.S, model.P, seeds * w[:, None])
     S_c = adj(Q) @ model.S @ Q
     P_c = adj(Q) @ model.P @ Q
     U = random_unitary(rng, Q.shape[1])

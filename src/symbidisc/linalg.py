@@ -8,34 +8,15 @@ so the rank/phase conventions are fixed in one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import IndefiniteInput, NonFiniteInput, NotHermitian, ProblemTooLarge
 
 GRAM_BUDGET_BYTES = 2**28  # the largest dense complex array a routine may allocate
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """The two tolerances a user sets: the rank cut and the residual bound.
-
-    rank_tol is relative to the largest singular value; residual_tol is
-    absolute up to a max(1, scale) factor.
-    """
-
-    rank_tol: float = 1e-10
-    residual_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not (self.rank_tol > 0 and self.residual_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
-        if self.rank_tol >= 1:
-            raise ValueError("rank_tol must be < 1")
-
-
-DEFAULT_TOL = Tolerance()
+# The rank cut, relative to the largest singular value or eigenvalue, and the
+# residual bound, absolute up to a max(1, scale) factor: every identity is checked at one of them.
+RANK_TOL = 1e-10
+RESIDUAL_TOL = 1e-8
 
 
 def check_budget(what: str, rows: int, cols: int) -> None:
@@ -81,21 +62,21 @@ def adj(M: np.ndarray) -> np.ndarray:
     return M.conj().swapaxes(-1, -2)
 
 
-def rank_flush(w, tol: Tolerance = DEFAULT_TOL):
+def rank_flush(w):
     """(w, flushed): the eigenvalues w of a Hermitian PSD matrix, rank-flushed.
 
-    Eigenvalues within cut = rank_tol*max(1, max|w|) of zero become exact
+    Eigenvalues within cut = RANK_TOL*max(1, max|w|) of zero become exact
     zeros, flushed is the largest |eigenvalue| so zeroed, and one below -cut
     raises IndefiniteInput.  A stack (m, n) is treated row by row.
     """
-    cut = tol.rank_tol * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))[..., None]
+    cut = RANK_TOL * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))[..., None]
     if (w < -cut).any():
-        raise IndefiniteInput(f"eigenvalue {w.min():.3e} below -rank_tol*||M||")
+        raise IndefiniteInput(f"eigenvalue {w.min():.3e} below -RANK_TOL*||M||")
     small = w < cut
     return np.where(small, 0.0, w), (np.abs(w) * small).max(axis=-1, initial=0.0)
 
 
-def psd_sqrt(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def psd_sqrt(M) -> np.ndarray:
     """Hermitian PSD square root of M, or of each matrix in a stack.
 
     ||M - M*|| is screened in the Frobenius norm before any SVD; the flush
@@ -104,10 +85,10 @@ def psd_sqrt(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if M.size == 0:
         return M.copy()
     w, V = np.linalg.eigh(0.5 * (M + adj(M)))
-    bound = tol.rank_tol * np.maximum(1.0, np.max(np.abs(w), axis=-1, initial=0.0)) * 10
+    bound = RANK_TOL * np.maximum(1.0, np.max(np.abs(w), axis=-1, initial=0.0)) * 10
     if np.any(screened_opnorm(M - adj(M), bound) > bound):
         raise NotHermitian("matrix is not hermitian within tolerance")
-    w, _ = rank_flush(w, tol)
+    w, _ = rank_flush(w)
     R = (V * np.sqrt(w)[..., None, :]) @ adj(V)
     return 0.5 * (R + adj(R))
 
@@ -120,10 +101,10 @@ def _fix_phases(Q: np.ndarray) -> np.ndarray:
     return Q * (np.conj(a) / np.hypot(a.real, a.imag))  # bit for bit the scalar conj(a) / abs(a)
 
 
-def range_basis(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def range_basis(M) -> np.ndarray:
     """Orthonormal basis of the column space of M.
 
-    Singular values <= rank_tol * sigma_max are treated as zero.  The zero
+    Singular values <= RANK_TOL * sigma_max are treated as zero.  The zero
     matrix yields a basis with 0 columns.  Columns follow a deterministic
     phase convention (largest entry real positive).
     """
@@ -131,19 +112,19 @@ def range_basis(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if M.size == 0:
         return np.zeros((M.shape[0], 0), dtype=complex)
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    r = int(np.sum(s > tol.rank_tol * s[0]))
+    r = int(np.sum(s > RANK_TOL * s[0]))
     return _fix_phases(U[:, :r])
 
 
-def sandwich_solve(L, R, C, tol: Tolerance = DEFAULT_TOL):
+def sandwich_solve(L, R, C):
     """Minimal-Frobenius-norm solution X of L X R = C.
 
     Returns (X, residual) where residual = ||L X R - C||_F.  Inconsistent
     systems are not an error; the caller interprets the residual.
     """
     L, R, C = as_matrix(L), as_matrix(R), as_matrix(C)
-    Lp = np.linalg.pinv(L, rcond=tol.rank_tol)
-    Rp = np.linalg.pinv(R, rcond=tol.rank_tol)
+    Lp = np.linalg.pinv(L, rcond=RANK_TOL)
+    Rp = np.linalg.pinv(R, rcond=RANK_TOL)
     X = Lp @ C @ Rp
     residual = float(np.linalg.norm(L @ X @ R - C))
     return X, residual

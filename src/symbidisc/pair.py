@@ -27,7 +27,7 @@ class OperatorPair:
     kept: every check on the pair reads the first two, so P is factored
     once.  `commutator_fro` >= `commutator_norm` is taken with the pair and
     takes no SVD, so the commutator gate reads the exact norm only when
-    the Frobenius norm exceeds residual_tol.
+    the Frobenius norm exceeds RESIDUAL_TOL.
 
     For pairs living on a truncated Hardy space, `window` is the boolean
     coordinate mask of the degrees on which operator identities are exact

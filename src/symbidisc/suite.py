@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, List
 
 import numpy as np
@@ -51,7 +50,7 @@ from .generate import (
     random_unitary,
 )
 from .hardy import SymbolPoly, compress, gamma_isometry_model, shift_op
-from .linalg import DEFAULT_TOL, Tolerance, adj, opnorm
+from .linalg import adj, opnorm
 from .numrad import numerical_radius
 from .pair import make_pair
 
@@ -60,28 +59,20 @@ RHO_CAP = 0.53  # keeps the geometric tail under the model-space gate at N = 32
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by the suite and the CLI."""
+    """The suite's truncation degree N and seed; `dilate` also takes its default N from here."""
 
-    rank_tol: float = DEFAULT_TOL.rank_tol
-    residual_tol: float = DEFAULT_TOL.residual_tol
     N: int = 32
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("rank_tol", "residual_tol", "N", "seed"):
+        for name in ("N", "seed"):
             v = getattr(self, name)
-            kinds = (int,) if name in ("N", "seed") else (int, float)
-            if isinstance(v, bool) or not isinstance(v, kinds) or not abs(v) <= sys.float_info.max:
-                raise ValueError(f"{name} must be a finite {kinds[-1].__name__}, got {v!r}")
+            if isinstance(v, bool) or not isinstance(v, int) or not abs(v) <= sys.float_info.max:
+                raise ValueError(f"{name} must be a finite int, got {v!r}")
         if self.N < 2:
             raise ValueError("truncation N must be >= 2")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        self.tol  # builds the Tolerance, which checks rank_tol and residual_tol
-
-    @cached_property
-    def tol(self) -> Tolerance:
-        return Tolerance(rank_tol=self.rank_tol, residual_tol=self.residual_tol)
 
 
 DEFAULT_CONFIG = RunConfig()
@@ -132,11 +123,11 @@ def criterion_gamma_unitary(cfg: RunConfig) -> CriterionResult:
     for _ in range(100):
         dim = int(rng.integers(1, 5))
         U1, U2 = random_commuting_unitaries(rng, dim)
-        pair = gamma_unitary_synth(U1, U2, cfg.tol)
-        if is_gamma_contraction(pair, cfg.tol).kind != GAMMA_UNITARY:
+        pair = gamma_unitary_synth(U1, U2)
+        if is_gamma_contraction(pair).kind != GAMMA_UNITARY:
             bad_pos += 1
         shrunk = make_pair(pair.S, 0.99 * pair.P)
-        if is_gamma_contraction(shrunk, cfg.tol).kind == GAMMA_UNITARY:
+        if is_gamma_contraction(shrunk).kind == GAMMA_UNITARY:
             bad_neg += 1
     ok = bad_pos == 0 and bad_neg == 0
     return CriterionResult(
@@ -166,15 +157,15 @@ def criterion_fundamental_equation(cfg: RunConfig) -> CriterionResult:
     worst_res = worst_w = worst_w_upper = 0.0
     bad = 0
     for _ in range(100):
-        pair = random_gamma_contraction(rng, tol=cfg.tol)
-        rep = is_gamma_contraction(pair, cfg.tol)
+        pair = random_gamma_contraction(rng)
+        rep = is_gamma_contraction(pair)
         if rep.kind != GAMMA_CONTRACTION:
             bad += 1
         worst_res = max(worst_res, rep.fundamental_residual)
         worst_w = max(worst_w, rep.wA)
         worst_w_upper = max(worst_w_upper, rep.wA_upper)
-    neg1 = is_gamma_contraction(make_pair(np.diag([1.2, 0.0]), np.zeros((2, 2))), cfg.tol)
-    neg2 = is_gamma_contraction(make_pair([[2.2]], [[1.0]]), cfg.tol)
+    neg1 = is_gamma_contraction(make_pair(np.diag([1.2, 0.0]), np.zeros((2, 2))))
+    neg2 = is_gamma_contraction(make_pair([[2.2]], [[1.0]]))
     ok = (
         bad == 0
         and worst_res <= 1e-10
@@ -194,9 +185,9 @@ def criterion_von_neumann(cfg: RunConfig) -> CriterionResult:
     rng = _rng(cfg, 4)  # same draw as criterion 4 on purpose
     worst = np.inf
     for i in range(100):
-        pair = random_gamma_contraction(rng, tol=cfg.tol)
+        pair = random_gamma_contraction(rng)
         margin, _ = von_neumann_margin(
-            pair, degree=3, trials=100, seed=cfg.seed + i, tol=cfg.tol
+            pair, degree=3, trials=100, seed=cfg.seed + i
         )
         worst = min(worst, margin)
     bad_margin, _ = von_neumann_margin(
@@ -212,7 +203,7 @@ def criterion_char_fn(cfg: RunConfig) -> CriterionResult:
     rng = _rng(cfg, 6)
     worst_coeff = 0.0
     for c in (0.3, 0.5, 0.9):
-        taylor = theta_taylor(defect_data([[c]], cfg.tol), 20)
+        taylor = theta_taylor(defect_data([[c]]), 20)
         expect = [-c] + [(1 - c * c) * c ** (k - 1) for k in range(1, 21)]
         got = [taylor.coeffs[k][0, 0] for k in range(21)]
         worst_coeff = max(worst_coeff, max(abs(g - e) for g, e in zip(got, expect)))
@@ -221,9 +212,9 @@ def criterion_char_fn(cfg: RunConfig) -> CriterionResult:
     for _ in range(20):
         dim = int(rng.integers(2, 5))
         P = random_strict_contraction(rng, dim, 0.9)
-        dd = defect_data(P, cfg.tol)
+        dd = defect_data(P)
         worst_norm = max(worst_norm, np.max(opnorm(theta_eval(dd, np.exp(1j * ts)))))
-        worst_delta = max(worst_delta, np.max(opnorm(delta_eval(dd, ts, cfg.tol))))
+        worst_delta = max(worst_delta, np.max(opnorm(delta_eval(dd, ts))))
     ok = worst_coeff <= 1e-12 and worst_norm <= 1 + 1e-9 and worst_delta <= 1e-7
     detail = (
         f"Moebius error {worst_coeff:.3e}; max boundary norm {worst_norm:.12f}; "
@@ -240,15 +231,11 @@ def criterion_nf_model(cfg: RunConfig) -> CriterionResult:
     for _ in range(20):
         dim = int(rng.integers(1, 4))
         P = random_strict_contraction(rng, dim, 0.9, rho_max=RHO_CAP)
-        dd = defect_data(P, cfg.tol)
+        dd = defect_data(P)
         ms = build_model_space(dd, cfg.N)
         Mz, Pi = shift_op(dd.rank_dPstar, cfg.N), ms.basis
         P_model = compress(Mz, Pi)
-        tol2 = Tolerance(
-            rank_tol=cfg.rank_tol,
-            residual_tol=max(cfg.residual_tol, ms.trunc_error),
-        )
-        if not joint_unitary_equiv([P_model], [P], tol=tol2):
+        if not joint_unitary_equiv([P_model], [P]):
             bad_equiv += 1
         worst_id = max(
             worst_id,
@@ -270,13 +257,13 @@ def criterion_nf_ay_model(cfg: RunConfig) -> CriterionResult:
     bad = 0
     worst = 0.0
     for _ in range(20):
-        pair = random_gamma_contraction(rng, tol=cfg.tol)
-        m = nf_ay_build(pair, cfg.N, cfg.tol)
+        pair = random_gamma_contraction(rng)
+        m = nf_ay_build(pair, cfg.N)
         res = max(m.residual_S, m.residual_P)
         worst = max(worst, res)
         if res > m.tolerance_bound:
             bad += 1
-    m = nf_ay_build(make_pair([[1.2]], [[0.5]]), cfg.N, cfg.tol)
+    m = nf_ay_build(make_pair([[1.2]], [[0.5]]), cfg.N)
     s_err = abs(m.S_model[0, 0] - 1.2)
     x_err = abs(compressed_scalar(m).X[0, 0] - 0.8)
     ok = bad == 0 and s_err <= 1e-6 and x_err <= 1e-6
@@ -293,14 +280,14 @@ def criterion_schaffer(cfg: RunConfig) -> CriterionResult:
     worst = 0.0
     bad_iso = 0
     for _ in range(20):
-        pair = random_gamma_contraction(rng, tol=cfg.tol)
-        sp = schaffer_build(pair, cfg.N, cfg.tol)
+        pair = random_gamma_contraction(rng)
+        sp = schaffer_build(pair, cfg.N)
         worst = max(
             worst,
             opnorm(adj(sp.V) @ sp.embed - sp.embed @ adj(pair.P)),
             opnorm(adj(sp.W) @ sp.embed - sp.embed @ adj(pair.S)),
         )
-        iso_ok, _ = is_gamma_isometry(sp.as_pair(), cfg.tol)
+        iso_ok, _ = is_gamma_isometry(sp.as_pair())
         if not iso_ok:
             bad_iso += 1
     ok = worst <= 1e-12 and bad_iso == 0
@@ -336,12 +323,12 @@ def criterion_blh(cfg: RunConfig) -> CriterionResult:
     while done < 200:
         A, theta = _blh_instance(rng)
         prob = make_problem(A, theta)
-        sol = blh_solve(prob, cfg.tol)
+        sol = blh_solve(prob)
         # skip knife-edge instances where the threshold itself is the question
         if 1e-10 < sol.residual < 1e-4:
             continue
         done += 1
-        invariant, _ = invariance_check(A, theta, max(8, theta.degree + 2), cfg.tol)
+        invariant, _ = invariance_check(A, theta, max(8, theta.degree + 2))
         if isinstance(sol, BlhSolution) != invariant:
             disagree += 1
         if (
@@ -354,16 +341,16 @@ def criterion_blh(cfg: RunConfig) -> CriterionResult:
 
     A = random_symbol(rng, 2)
     zI = SymbolPoly([np.zeros((2, 2)), np.eye(2)])
-    sol_z = blh_solve(make_problem(A, zI), cfg.tol)
+    sol_z = blh_solve(make_problem(A, zI))
     err_z = opnorm(sol_z.B - A) if isinstance(sol_z, BlhSolution) else np.inf
 
     W = random_unitary(rng, 3)
     A3 = random_symbol(rng, 3)
-    sol_w = blh_solve(make_problem(A3, SymbolPoly([W])), cfg.tol)
+    sol_w = blh_solve(make_problem(A3, SymbolPoly([W])))
     err_w = opnorm(sol_w.B - adj(W) @ A3 @ W) if isinstance(sol_w, BlhSolution) else np.inf
 
     diag_theta = SymbolPoly([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
-    counter = blh_solve(make_problem(np.array([[0, 2], [0, 0]]), diag_theta), cfg.tol)
+    counter = blh_solve(make_problem(np.array([[0, 2], [0, 0]]), diag_theta))
     counter_ok = (not isinstance(counter, BlhSolution)) and counter.residual >= 1
 
     ok = disagree == 0 and wb_bad == 0 and err_z <= 1e-12 and err_w <= 1e-12 and counter_ok
@@ -380,18 +367,18 @@ def criterion_complete_invariant(cfg: RunConfig) -> CriterionResult:
     rng = _rng(cfg, 11)
     mismatch = 0
     for i in range(50):
-        pair1 = random_gamma_contraction(rng, tol=cfg.tol)
+        pair1 = random_gamma_contraction(rng)
         if i % 2 == 0:
             U = random_unitary(rng, pair1.dim)
             pair2 = make_pair(U @ pair1.S @ adj(U), U @ pair1.P @ adj(U))
         else:
-            pair2 = random_gamma_contraction(rng, tol=cfg.tol)
-        m1 = nf_ay_build(pair1, cfg.N, cfg.tol)
-        m2 = nf_ay_build(pair2, cfg.N, cfg.tol)
+            pair2 = random_gamma_contraction(rng)
+        m1 = nf_ay_build(pair1, cfg.N)
+        m2 = nf_ay_build(pair2, cfg.N)
         X1 = compressed_scalar(m1).X
         X2 = compressed_scalar(m2).X
-        eq_sp = joint_unitary_equiv([pair1.S, pair1.P], [pair2.S, pair2.P], tol=cfg.tol)
-        eq_xp = joint_unitary_equiv([X1, m1.P_model], [X2, m2.P_model], tol=cfg.tol)
+        eq_sp = joint_unitary_equiv([pair1.S, pair1.P], [pair2.S, pair2.P])
+        eq_xp = joint_unitary_equiv([X1, m1.P_model], [X2, m2.P_model])
         if eq_sp != eq_xp:
             mismatch += 1
     ok = mismatch == 0
@@ -405,9 +392,9 @@ def criterion_factorization(cfg: RunConfig) -> CriterionResult:
     rng = _rng(cfg, 12)
     worst_iso = worst_wd = 0.0
     for _ in range(20):
-        pair = random_gamma_contraction(rng, tol=cfg.tol)
-        sp = schaffer_build(pair, cfg.N, cfg.tol)
-        _, iso_res, wd_res = factorization_check(pair, (sp.V, sp.embed), cfg.N, cfg.tol)
+        pair = random_gamma_contraction(rng)
+        sp = schaffer_build(pair, cfg.N)
+        _, iso_res, wd_res = factorization_check(pair, (sp.V, sp.embed), cfg.N)
         worst_iso = max(worst_iso, iso_res)
         worst_wd = max(worst_wd, wd_res)
     ok = worst_iso <= 1e-8 and worst_wd <= 1e-8

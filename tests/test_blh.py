@@ -16,7 +16,7 @@ from symbidisc.blh import (
 from symbidisc.errors import ProblemTooLarge, TruncationTooSmall
 from symbidisc.generate import random_inner_poly, random_symbol, random_unitary
 from symbidisc.hardy import SymbolPoly, build_mult_op, symbol_a_plus_astar_z
-from symbidisc.linalg import DEFAULT_TOL, adj, opnorm, range_basis
+from symbidisc.linalg import RANK_TOL, RESIDUAL_TOL, adj, opnorm, range_basis
 from symbidisc.numrad import numerical_radius
 
 
@@ -174,7 +174,7 @@ def test_real_linear_solver_matches_kronecker_reference():
     for A, theta in _reference_instances():
         sol = blh_solve(make_problem(A, theta))
         B = sol.B if isinstance(sol, BlhSolution) else sol.best_B
-        ref_B, ref_kernel = _kronecker_reference(A, theta, DEFAULT_TOL.rank_tol)
+        ref_B, ref_kernel = _kronecker_reference(A, theta, RANK_TOL)
         assert opnorm(B - ref_B) < 1e-12
         if isinstance(sol, BlhSolution):
             kernels.append(sol.kernel_dim)
@@ -279,15 +279,15 @@ def test_inner_residual_matches_the_stacked_opnorm_reference(name, A, theta):
     assert abs(residual - reference) <= 8 * np.finfo(float).eps * max(1.0, sup_norm**2)
 
 
-def _dense_invariance_check(A, theta, N, tol=DEFAULT_TOL):
+def _dense_invariance_check(A, theta, N):
     """invariance_check with T_(A + A*z) built as a dense block-Toeplitz matrix."""
     d, e = theta.degree, theta.dom_dim
     T_theta = build_mult_op(theta, N)
-    Q_small = range_basis(T_theta[:, : (N - d) * e], tol)
-    Q_big = range_basis(T_theta[:, : (N - d + 1) * e], tol)
+    Q_small = range_basis(T_theta[:, : (N - d) * e])
+    Q_big = range_basis(T_theta[:, : (N - d + 1) * e])
     img = build_mult_op(symbol_a_plus_astar_z(A), N) @ Q_small
     residual = float(opnorm(img - Q_big @ (adj(Q_big) @ img)))
-    return residual <= tol.residual_tol * max(1.0, opnorm(A)), residual
+    return residual <= RESIDUAL_TOL * max(1.0, opnorm(A)), residual
 
 
 def _assert_matches_dense(A, theta, N):

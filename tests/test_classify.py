@@ -39,7 +39,7 @@ from symbidisc.generate import (
     random_unitary,
 )
 from symbidisc.hardy import gamma_isometry_model
-from symbidisc.linalg import DEFAULT_TOL, adj, opnorm, psd_sqrt, range_basis, sandwich_solve
+from symbidisc.linalg import RESIDUAL_TOL, adj, opnorm, psd_sqrt, range_basis, sandwich_solve
 from symbidisc.numrad import WR_SLACK, NumRadResult, grid_bounds, numerical_radius
 from symbidisc.pair import make_pair
 from test_defect import _LinalgCounter
@@ -69,20 +69,20 @@ def test_make_pair_takes_no_svd(monkeypatch):
 @pytest.mark.parametrize("delta, passes", [(0.9e-8, True), (1.1e-8, False)])
 def test_commutator_gate_decides_on_the_spectral_norm(delta, passes):
     # SP - PS is delta [[0, -1], [0, 0]] twice: spectral norm delta, Frobenius
-    # norm delta sqrt(2) > residual_tol, and the gate's bound is residual_tol
+    # norm delta sqrt(2) > RESIDUAL_TOL, and the gate's bound is RESIDUAL_TOL
     # as ||S|| ||P|| = 0.45
     P = np.diag([0.5, -0.5, 0.5, -0.5])
     X = np.zeros((4, 4))
     X[0, 1] = X[2, 3] = delta
     pair = make_pair(0.9 * np.eye(4) + X, P)
-    assert pair.commutator_fro > DEFAULT_TOL.residual_tol
+    assert pair.commutator_fro > RESIDUAL_TOL
     assert pair.commutator_norm == opnorm(pair.S @ pair.P - pair.P @ pair.S)
     assert pair.commutator_norm == pytest.approx(delta, rel=1e-12)
     if passes:
-        classify._commutator_gate(pair, DEFAULT_TOL)
+        classify._commutator_gate(pair)
     else:
         with pytest.raises(NotCommuting):
-            classify._commutator_gate(pair, DEFAULT_TOL)
+            classify._commutator_gate(pair)
 
 
 def test_scalar_fundamental_operator():
@@ -168,7 +168,7 @@ def test_classification_takes_no_norm_of_s_minus_s_star_p_unless_p_is_isometric(
     assert norms == []
     ok, rep = is_gamma_isometry(pair)
     residual = opnorm(pair.S - adj(pair.S) @ pair.P)
-    assert not ok and ("S = S*P", residual <= DEFAULT_TOL.residual_tol, residual) in rep.checks
+    assert not ok and ("S = S*P", residual <= RESIDUAL_TOL, residual) in rep.checks
     assert norms == [pair.S.shape]
     unitary = gamma_unitary_synth(*random_commuting_unitaries(np.random.default_rng(7), 3))
     _ = unitary.svd_P, unitary.norm_S
@@ -583,6 +583,20 @@ def test_von_neumann_margin_rejects_a_seed_that_is_not_an_integer(seed):
     assert classify._vn_family.cache_info().currsize == before
 
 
+@pytest.mark.parametrize("name, value", [("degree", 0), ("trials", -1), ("grid", 0)])
+def test_von_neumann_margin_rejects_an_out_of_range_size(name, value):
+    before = classify._vn_family.cache_info()
+    with pytest.raises(ValueError, match=name):
+        von_neumann_margin(make_pair([[0.5]], [[0.2]]), **{name: value})
+    assert classify._vn_family.cache_info() == before
+
+
+def test_von_neumann_margin_answers_at_the_smallest_sizes():
+    # only the coordinate monomials: min(sup|s| - 0.5, sup|p| - 0.2) = min(2 - 0.5, 1 - 0.2)
+    margin, _ = von_neumann_margin(make_pair([[0.5]], [[0.2]]), degree=1, trials=0, grid=1)
+    assert margin == pytest.approx(0.8, abs=1e-12)
+
+
 def test_von_neumann_margin_over_budget_trials_is_refused_before_anything_is_allocated():
     # 10^6 trials at n = 10 would ask about 1.6 GB for each stack of candidates
     pair = random_gamma_contraction(np.random.default_rng(34))
@@ -725,7 +739,7 @@ def test_operator_lists_of_size_zero_have_the_empty_intertwiner():
 def test_certificate_below_threshold_is_equivalence():
     # a trace gap of n c is allowed by a certificate of c: each of these
     # certificates is under the threshold, and so each pair is equivalent
-    accept = classify._accept_threshold(DEFAULT_TOL)
+    accept = classify.ACCEPT_THRESHOLD
     rng = np.random.default_rng(6)
     pair = gamma_isometry_model(random_symbol(rng, 3), 4)
     U = random_unitary(rng, pair.dim)
@@ -909,11 +923,11 @@ def test_block_null_space_matches_full_gram(case):
         opnorm(W @ Zh @ T1 - T2 @ W @ Zh) / nrm for T1, T2, nrm in zip(ops1, ops2, norms1)
     )
 
-    space = classify._intertwiner_space(np.stack([ops1, ops2]), scale, DEFAULT_TOL)
+    space = classify._intertwiner_space(np.stack([ops1, ops2]), scale)
     assert space is not None
     assert space[-1].shape[1] == ref_dim
     _, res = find_unitary_intertwiner(ops1, ops2)
-    accept = max(100 * DEFAULT_TOL.residual_tol, 1e-7)
+    accept = 100 * RESIDUAL_TOL
     assert (res <= accept) == (ref_res <= accept)
 
 
@@ -1037,7 +1051,7 @@ def _best_of_eight(ops1, ops2, seed=0):
     norms1 = [max(1.0, opnorm(T)) for T in ops1]
     scale = max(norms1 + [opnorm(T) for T in ops2])
     rng = np.random.default_rng(seed)
-    space = classify._intertwiner_space(np.stack([ops1, ops2]), scale, DEFAULT_TOL)
+    space = classify._intertwiner_space(np.stack([ops1, ops2]), scale)
     if space is None:
         return None, np.inf, 0
     V1, V2, I, J, basis = space
@@ -1063,7 +1077,7 @@ def test_one_polar_draw_matches_the_best_of_eight(seed):
     while other.dim != pair.dim:
         other = random_gamma_contraction(rng)
     ops1 = [pair.S, pair.P]
-    accept = classify._accept_threshold(DEFAULT_TOL)
+    accept = classify.ACCEPT_THRESHOLD
     for ops2, equivalent in ((_haar(rng, ops1), True), ([other.S, other.P], False)):
         ref_U, ref_res, dim = _best_of_eight(ops1, ops2)
         U, res = find_unitary_intertwiner(ops1, ops2)
@@ -1123,7 +1137,7 @@ def test_simple_spectrum_conjugate_takes_one_svd_and_two_eighs(monkeypatch):
     ops = _model_ops(rng, 2, 13)
     conj = _haar(rng, ops)
     scale = max([1.0] + [opnorm(T) for T in ops + conj])
-    V1, _, I, J, basis = classify._intertwiner_space(np.stack([ops, conj]), scale, DEFAULT_TOL)
+    V1, _, I, J, basis = classify._intertwiner_space(np.stack([ops, conj]), scale)
     assert I.size == J.size == len(V1) == 28 and basis.shape[1] == 1
     count = _LinalgCounter(monkeypatch, names=("svd", "eigh"))
     U, res = find_unitary_intertwiner(ops, conj)
@@ -1139,7 +1153,7 @@ def test_certificate_above_the_threshold_is_the_spectral_norm():
     ops2 = [S2 + 5e-7 * E / opnorm(E), P2]
     U, res = find_unitary_intertwiner(ops1, ops2)
     R = [(U @ T1 - T2 @ U) / max(1.0, opnorm(T1)) for T1, T2 in zip(ops1, ops2)]
-    accept = classify._accept_threshold(DEFAULT_TOL)
+    accept = classify.ACCEPT_THRESHOLD
     assert min(np.linalg.norm(r) for r in R) > accept
     assert res > accept
     assert res == pytest.approx(max(opnorm(r) for r in R), rel=1e-12)
@@ -1172,7 +1186,7 @@ def test_equivalence_is_the_certificate_of_every_polar_draw(seed, variant):
     # _best_of_eight reaches the Gram null space without the early
     # rejections, so they may only reject what its certificate rejects
     ops1, ops2 = _equivalence_input(np.random.default_rng(seed), variant)
-    accept = classify._accept_threshold(DEFAULT_TOL)
+    accept = classify.ACCEPT_THRESHOLD
     assert joint_unitary_equiv(ops1, ops2) == (_best_of_eight(ops1, ops2)[1] <= accept)
 
 
@@ -1204,7 +1218,7 @@ def test_near_isometric_residual_stays_at_rounding_level(gap):
 
 
 def test_full_rank_p_just_above_the_cut_has_rounding_level_residual():
-    # the smallest eigenvalue of I - P*P is 2e-10, just above rank_tol
+    # the smallest eigenvalue of I - P*P is 2e-10, just above RANK_TOL
     rng = np.random.default_rng(21)
     n = 4
     U, V = random_unitary(rng, n), random_unitary(rng, n)
@@ -1224,12 +1238,12 @@ def test_flushed_max_separates_rounding_from_a_near_isometric_direction():
     assert rep.kind == GAMMA_UNITARY and rep.flushed_max <= 1e-14
 
 
-def _svd_fundamental_op(S, P, tol=DEFAULT_TOL):
+def _svd_fundamental_op(S, P):
     """The fundamental operator through pinv of D_P and an SVD range basis
     (reference)."""
-    D = psd_sqrt(np.eye(P.shape[0]) - adj(P) @ P, tol)
-    X, residual = sandwich_solve(D, D, S - adj(S) @ P, tol)
-    Q = range_basis(D, tol)
+    D = psd_sqrt(np.eye(P.shape[0]) - adj(P) @ P)
+    X, residual = sandwich_solve(D, D, S - adj(S) @ P)
+    Q = range_basis(D)
     return adj(Q) @ X @ Q, residual
 
 

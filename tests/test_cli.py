@@ -367,7 +367,7 @@ def test_malformed_symbol_file_is_a_value_error(capsys, tmp_path, bad):
 
 @pytest.mark.parametrize(
     "bad",
-    [{"N": "3"}, {"rank_tol": 1.5}, {"seed": 1.0}, {"seed": -1}, {"residual_tol": None}, ["N", 3], "N"],
+    [{"N": "3"}, {"N": 1.5}, {"seed": 1.0}, {"seed": -1}, {"seed": None}, ["N", 3], "N"],
 )
 def test_malformed_config_is_rejected_before_any_output(capsys, tmp_path, bad):
     cfg = tmp_path / "cfg.json"
@@ -451,8 +451,9 @@ def test_deterministic_output(capsys, tmp_path):
 
 def test_config_file_round_trip(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    # unknown keys, such as the retired grid sizes and w(A) slack, are ignored
-    retired = {"boundary_grid": 256, "vn_grid": 64, "wr_slack": 0.5}
+    # unknown keys, such as the retired grid sizes, w(A) slack and tolerances, are ignored
+    retired = {"boundary_grid": 256, "vn_grid": 64, "wr_slack": 0.5,
+               "rank_tol": 1.5, "residual_tol": None}
     cfg.write_text(json.dumps({"seed": 3, "N": 16, **retired}))
     a_path = write_matrix(tmp_path / "A.json", np.eye(2))
     code, out, _ = run(capsys, ["--config", str(cfg), "numrad", "--A", a_path])

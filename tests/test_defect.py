@@ -32,7 +32,7 @@ from symbidisc.generate import (
     random_strict_contraction,
     random_unitary,
 )
-from symbidisc.linalg import DEFAULT_TOL, adj, opnorm
+from symbidisc.linalg import RANK_TOL, adj, opnorm
 
 
 def test_defect_of_unitary_vanishes():
@@ -364,13 +364,13 @@ def test_defect_side_identities(seed, n, gap):
     assert np.allclose(dd.D_P @ (Q / root) @ adj(Q), Q @ adj(Q), rtol=0, atol=atol)
 
 
-def _defect_reference(P, tol=DEFAULT_TOL):
+def _defect_reference(P):
     """(D_P, D_P*, rank of each, flushed_max) from one eigh each of I - P*P and
-    I - PP*, each flushed at rank_tol * max(1, max|w|) (reference)."""
+    I - PP*, each flushed at RANK_TOL * max(1, max|w|) (reference)."""
     sides = []
     for M in (np.eye(len(P)) - adj(P) @ P, np.eye(len(P)) - P @ adj(P)):
         w, V = np.linalg.eigh(0.5 * (M + adj(M)))
-        small = w < tol.rank_tol * max(1.0, np.max(np.abs(w), initial=0.0))
+        small = w < RANK_TOL * max(1.0, np.max(np.abs(w), initial=0.0))
         D = (V * np.sqrt(np.where(small, 0.0, w))) @ adj(V)
         sides.append((0.5 * (D + adj(D)), int(np.sum(~small)), np.max(np.abs(w) * small, initial=0.0)))
     (D_P, rank, flushed), (D_Pstar, rank_star, _) = sides

@@ -30,7 +30,7 @@ from symbidisc.errors import (
 )
 from symbidisc.generate import random_commuting_unitaries, random_gamma_contraction, random_unitary
 from symbidisc.hardy import SymbolPoly, build_mult_op, shift_op, symbol_a_plus_astar_z
-from symbidisc.linalg import DEFAULT_TOL, GRAM_BUDGET_BYTES, adj, opnorm, range_basis
+from symbidisc.linalg import GRAM_BUDGET_BYTES, RANK_TOL, adj, opnorm, range_basis
 from symbidisc.numrad import numerical_radius
 from symbidisc.pair import make_pair
 from test_defect import _LinalgCounter
@@ -272,7 +272,7 @@ def _factorization_reference(pair, other_dilation, N=N):
     V = other_dilation[0]
     Mz, _ = _nf_dilation(pair, N)
     G, T, G1 = _stage_matrices(pair, other_dilation, N=N)
-    Phi = T @ np.linalg.pinv(G, rcond=DEFAULT_TOL.rank_tol)
+    Phi = T @ np.linalg.pinv(G, rcond=RANK_TOL)
     Qg = range_basis(G)
     PhiQ = Phi @ Qg
     iso_res = opnorm(adj(PhiQ) @ PhiQ - np.eye(Qg.shape[1]))
@@ -328,7 +328,7 @@ def test_factorization_basis_spans_the_range_of_g(monkeypatch):
     # schaffer_build factored P on the pair, so that SVD is the only one with vectors
     ((Pi, (U, s, _)),) = calls
     assert np.array_equal(Pi, pi_nf_matrix(dd, N - d)[0])
-    U = U[:, s > DEFAULT_TOL.rank_tol * s[0]]
+    U = U[:, s > RANK_TOL * s[0]]
     B = scipy.linalg.block_diag(np.eye(d * rs), U)
     ref = range_basis(G)
     assert B.shape[1] == ref.shape[1] == d * rs + np.linalg.matrix_rank(pi_nf_matrix(dd, N - d)[0])

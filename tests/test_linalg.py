@@ -4,7 +4,6 @@ import scipy.linalg
 
 from symbidisc.errors import IndefiniteInput, NonFiniteInput, NotHermitian, SymbidiscError
 from symbidisc.linalg import (
-    Tolerance,
     _fix_phases,
     adj,
     as_matrix,
@@ -18,15 +17,6 @@ from symbidisc.linalg import (
 
 def rand_complex(rng, m, n):
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(rank_tol=-1e-10)
-    with pytest.raises(ValueError):
-        Tolerance(residual_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(rank_tol=2.0)
 
 
 def test_as_matrix_rejects_non_finite_with_a_typed_value_error():
@@ -53,7 +43,7 @@ def test_psd_sqrt_against_scipy():
 
 
 def test_psd_sqrt_flushes_noise_eigenvalues():
-    # values within rank_tol of zero must become exact zeros
+    # values within RANK_TOL of zero must become exact zeros
     M = np.diag([1.0, 1e-14, -1e-14])
     R = psd_sqrt(M)
     assert R[1, 1] == 0.0 and R[2, 2] == 0.0
@@ -94,7 +84,7 @@ def test_screened_opnorm_is_frobenius_within_the_bound_and_spectral_above():
 @pytest.mark.parametrize("delta, hermitian", [(0.45e-9, True), (0.55e-9, False)])
 def test_psd_sqrt_decides_on_the_spectral_norm_of_the_skew_part(delta, hermitian):
     # M - M* = 2 delta (E_01 - E_10 + E_23 - E_32): spectral norm 2 delta, Frobenius
-    # norm 4 delta, against the bound 10 rank_tol max(1, ||M||) = 1e-9
+    # norm 4 delta, against the bound 10 RANK_TOL max(1, ||M||) = 1e-9
     M = np.eye(4)
     M[0, 1] = M[2, 3] = delta
     M[1, 0] = M[3, 2] = -delta
