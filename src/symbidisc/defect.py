@@ -131,8 +131,9 @@ def _defect_record(P, U, s, Vh) -> DefectData:
     except IndefiniteInput:
         raise NotAContraction(f"||P|| = {s[0]:.6f} exceeds 1") from None
     kept = np.flatnonzero(w)[::-1]  # descending root
-    Q_dP, Q_dPstar = _fix_phases(adj(Vh[kept])), _fix_phases(U[:, kept])
-    return DefectData(P, Q_dP, Q_dPstar, np.sqrt(w[kept]), float(flushed))
+    Q = _fix_phases(np.hstack([adj(Vh[kept]), U[:, kept]]))  # column by column: one pass for both bases
+    r = len(kept)
+    return DefectData(P, Q[:, :r], Q[:, r:], np.sqrt(w[kept]), float(flushed))
 
 
 def theta_taylor(dd: DefectData, K: int) -> SymbolPoly:

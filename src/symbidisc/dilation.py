@@ -29,6 +29,7 @@ from .classify import (
 from .defect import ModelSpace, _defect_record, build_model_space, pi_nf_matrix
 from .errors import (
     ClassificationFailed,
+    DimensionMismatch,
     NotADilation,
     NotCommuting,
     NotUnitary,
@@ -164,8 +165,12 @@ def compressed_scalar(model: NfAyModel) -> CompressedScalar:
 
 
 def gamma_unitary_synth(U1, U2) -> OperatorPair:
-    """Pair (U1 + U2, U1 U2) from commuting unitaries; always classifies unitary."""
+    """Pair (U1 + U2, U1 U2) from commuting unitaries; always classifies unitary.
+
+    DimensionMismatch unless U1 and U2 are square of one size."""
     U1, U2 = as_matrix(U1), as_matrix(U2)
+    if U1.ndim != 2 or U1.shape != U2.shape or U1.shape[0] != U1.shape[1]:
+        raise DimensionMismatch(f"U1 and U2 must be square of one size, got {U1.shape} and {U2.shape}")
     eye = np.eye(U1.shape[0])
     t = RESIDUAL_TOL
     for name, U in (("U1", U1), ("U2", U2)):
@@ -195,9 +200,13 @@ def factorization_check(pair: OperatorPair, other_dilation, N: int):
     stages define Phi exactly when (E - V E P*)(I - Q Q*) and V^d E
     (I - Vh* Vh) vanish; the last residual is the norm of the two side by
     side.  V Phi = Phi M_z holds on the stages by construction.
+    DimensionMismatch unless V is square and E maps C^n into V's space.
     """
     V, embed = map(as_matrix, other_dilation)
     P, n = pair.P, pair.dim
+    if V.ndim != 2 or V.shape[0] != V.shape[1] or embed.shape != (V.shape[0], n):
+        raise DimensionMismatch(f"a dilation of a pair on C^{n} needs square V and E of shape "
+                                f"({V.shape[0]}, {n}), got V {V.shape} and E {embed.shape}")
 
     d_res = screened_opnorm(adj(V) @ embed - embed @ adj(P), ACCEPT_THRESHOLD)
     if d_res > ACCEPT_THRESHOLD:

@@ -4,13 +4,22 @@ w(A) is the maximum over theta of f(theta), the top eigenvalue of
 Re(e^{i theta} A) = (e^{i theta} A + e^{-i theta} A*) / 2.
 
 `decide_wr` answers w(A) <= level by the first of these steps that decides,
-named in `decided_by`: "closed form" for n <= 1; "grid", a coarse grid of
-angles, evaluated as one stacked eigensolve, which brackets w(A) within a
-factor sec(pi / START_ANGLES) (`grid_bounds`); "norm", w(A) <= ||A||, equal
-for normal A (Gustafson & Rao, Numerical Range, 1997); then "ascent" and
-"level set", which stop at the first lower bound above level.  Every failure
-needs a lower bound (a computed eigenvalue) past level + 8 n eps ||A||_F, upper's allowance.
-`numerical_radius` runs them at level = infinity, so it never stops early.
+named in `decided_by`:
+1. "closed form" for n <= 1;
+2. "kittaneh", which only passes: w(A)^2 <= ||A*A + AA*|| / 2 (F. Kittaneh,
+   Studia Math. 168, 2005), read in the Frobenius norm from two products,
+   plus the rounding allowance of `_kittaneh`;
+3. "grid", a coarse grid of angles, evaluated as one stacked eigensolve,
+   which brackets w(A) within a factor sec(pi / START_ANGLES) (`grid_bounds`);
+4. "norm", which only passes: w(A) <= ||A||, equal for normal A (Gustafson &
+   Rao, Numerical Range, 1997);
+5. "eigenvector", which only fails: |v*Av| / v*v <= w(A) for the
+   eigenvector v of the eigenvalue of largest modulus, equal for normal A;
+6. "ascent" and 7. "level set", which stop at the first lower bound above level.
+Every failure needs a lower bound (a computed eigenvalue or Rayleigh
+quotient) past level + 8 n eps ||A||_F, the allowance the grid's upper bound
+carries.  `numerical_radius` runs them at level = infinity, so it takes
+neither "kittaneh" nor "norm" nor "eigenvector" and never stops early.
 
 The grid also picks a starting angle, and a safeguarded Newton ascent of f
 raises the lower bound to the local maximum near it.  The upper bound comes
@@ -41,32 +50,78 @@ MAX_ASCENT_STEPS = 50  # Newton converges in a few; the cap ends a NaN ascent
 WR_SLACK = 1e-8  # w(A) <= 1 passes when the certified upper bound is at most 1 + WR_SLACK
 CONVERGENCE_TOL = 1e-12  # the certified gap upper - value, relative to max(1, value)
 HUGE = 2.0**256  # larger entries are scaled down, so that no square of one overflows
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class NumRadResult:
     """Bounds value <= w(A) <= upper.
 
-    value is the top eigenvalue of Re(e^{i argmax_angle} A), so a unit
-    vector v attains |v* A v| >= value.
+    A unit vector v attains Re(e^{i argmax_angle} v* A v) = value, so value
+    <= w(A) up to rounding: an eigenvector of the top eigenvalue value of
+    Re(e^{i argmax_angle} A), a unit vector e_i with value = |A_ii| when
+    "kittaneh" decides, or the normalised eigenvector with value = |v*Av| / v*v
+    when "eigenvector" decides.
     """
 
     value: float
     argmax_angle: float
     upper: float
     steps: int = 0  # level-set iterations; the closed forms for n <= 1 take none
-    decided_by: str = "grid"  # "closed form", "grid", "norm", "ascent" or "level set"
+    decided_by: str = "grid"  # one of the seven steps of the module docstring
 
 
 def _rounding(A: np.ndarray) -> float:
     """8 n eps ||A||_F, the allowance for rounding in an eigvalsh or SVD of n x n A."""
-    return 8 * len(A) * np.finfo(float).eps * float(np.linalg.norm(A))
+    return 8 * len(A) * EPS * float(np.linalg.norm(A))
 
 
-def _top_eigs(A: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """f at every angle, from one eigvalsh of the stacked Re(e^{i theta} A)."""
-    z = np.exp(1j * thetas)[:, None, None]
-    return np.linalg.eigvalsh(0.5 * (z * A + np.conj(z) * adj(A)))[:, -1]
+def _top_eigs(A: np.ndarray, thetas: np.ndarray, z=None) -> np.ndarray:
+    """f at every angle, from one eigvalsh of the stacked Re(e^{i theta} A).
+
+    z, if given, is the stack of e^{i theta}.  Re(e^{i theta} A) is (M + M*) / 2
+    with M = e^{i theta} A: conj(z a) = conj(z) conj(a) holds in IEEE arithmetic."""
+    M = (np.exp(1j * thetas)[:, None, None] if z is None else z) * A
+    return np.linalg.eigvalsh(0.5 * (M + adj(M)))[:, -1]
+
+
+_GRID_THETAS = 2 * np.pi * np.arange(START_ANGLES) / START_ANGLES
+_GRID_Z = np.exp(1j * _GRID_THETAS)[:, None, None]
+_GRID_COS = np.cos(np.pi / START_ANGLES)  # the grid's upper bound divides by it
+
+
+def _kittaneh(A: np.ndarray) -> float:
+    """Kittaneh's bound w(A) <= sqrt(||G|| / 2), G = A*A + AA*, read in the Frobenius norm.
+
+    Returns sqrt(||G^||_F / 2 + (n + 2)^2 eps tr G^) for the computed G^.  With
+    u = eps / 2, each entry of a computed product is a complex inner product
+    of length n within sqrt(2) gamma_(n+1) <= (n + 1) eps of (|A|*|A|)_ij or
+    (|A||A|*)_ij (Higham, Accuracy and Stability, 2002, sec. 3.6), whose
+    Frobenius norm is at most ||A||_F^2; their sum adds u ||G^||_F <= eps
+    ||A||_F^2; and the computed ||G^||_F, the root of a sum of 2 n^2 squares,
+    is within (n^2 + 1) eps ||A||_F^2 of the exact one.  So ||G||_F / 2 is at
+    most the computed ||G^||_F / 2 plus (n^2 + 2n + 4) eps ||A||_F^2 / 2 <=
+    (n + 2)^2 eps ||A||_F^2 / 2.  As tr G^ = 2 ||A||_F^2 within a relative
+    gamma_(3n), the allowance is about 4 times that; the rest covers the
+    rounding of the last sum and of the square roots.  The bound needs the
+    squares of the entries far from overflow and underflow: `decide_wr`
+    takes the step only when the largest entry's square is in [1 / HUGE, HUGE] or A = 0.
+    """
+    Ah = adj(A)
+    G = Ah @ A + A @ Ah
+    n = len(A)
+    return float(np.sqrt(0.5 * np.sqrt(np.vdot(G, G).real) + (n + 2) ** 2 * EPS * G.trace().real))
+
+
+def _eigenvector_quotient(A: np.ndarray) -> complex:
+    """v*Av / v*v for the eigenvector v of the eigenvalue of A of largest modulus.
+
+    Its modulus is a lower bound on w(A), equal to w(A) for normal A.  The
+    rounding of A v, v*(Av) and v*v stays within 8 n eps ||A||_F, the
+    allowance of `_rounding`, which the failure threshold adds."""
+    lam, V = np.linalg.eig(A)
+    v = V[:, np.argmax(np.abs(lam))]
+    return complex(np.vdot(v, A @ v) / np.vdot(v, v).real)
 
 
 def grid_bounds(A: np.ndarray) -> tuple[NumRadResult, float, float]:
@@ -80,13 +135,12 @@ def grid_bounds(A: np.ndarray) -> tuple[NumRadResult, float, float]:
     the angle of the grid minimum, the level set's Cayley pole, and that
     rounding allowance.
     """
-    thetas = 2 * np.pi * np.arange(START_ANGLES) / START_ANGLES
-    f = _top_eigs(A, thetas)
+    f = _top_eigs(A, _GRID_THETAS, _GRID_Z)
     k = int(np.argmax(f))
     rounding = _rounding(A)
-    upper = (f[k] + rounding) / np.cos(np.pi / START_ANGLES)
-    grid = NumRadResult(float(f[k]), float(thetas[k]), float(upper))
-    return grid, float(thetas[np.argmin(f)]), rounding
+    upper = (f[k] + rounding) / _GRID_COS
+    grid = NumRadResult(float(f[k]), float(_GRID_THETAS[k]), float(upper))
+    return grid, float(_GRID_THETAS[np.argmin(f)]), rounding
 
 
 def _ascend(A: np.ndarray, theta: float) -> tuple[float, float]:
@@ -153,26 +207,39 @@ def decide_wr(A, level: float) -> NumRadResult:
     """Bounds value <= w(A) <= upper, from the steps of the module docstring.
 
     upper <= level passes, value > level + 8 n eps ||A||_F fails, and otherwise the bounds
-    straddle level within CONVERGENCE_TOL * max(1, value) or that allowance.  An entry above
-    HUGE scales A and level by an exact power of two; ProblemTooLarge if w(A)'s bound overflows."""
+    straddle level within CONVERGENCE_TOL * max(1, value) or that allowance.  A finite level
+    first tries "kittaneh", which reports upper = Kittaneh's bound and value = max_i |A_ii|
+    at argmax_angle = -arg A_ii, and before the ascent "eigenvector", which reports value =
+    |v*Av| / v*v at argmax_angle = -arg(v*Av) and the grid's upper.  An entry above HUGE
+    scales A and level by an exact power of two; ProblemTooLarge if w(A)'s bound overflows.
+    ValueError for an input that is not a square matrix or a NaN level."""
     A = as_matrix(A)
     n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("numerical radius needs a square matrix")
+    if np.isnan(level):
+        raise ValueError("the level of w(A) <= level is NaN")
     if n == 0:
         return NumRadResult(0.0, 0.0, 0.0, 0, "closed form")
     big = max(abs(A.real).max(), abs(A.imag).max())
     scale = 2.0 ** int(2 - np.frexp(big)[1]) if big > HUGE else 1.0  # max entry in [2, 4)
-    A, level = A * scale, level * scale
+    A, level, top = A * scale, level * scale, big * scale
+    finite = level < np.inf
     if n == 1:
         a, w = A[0, 0], float(abs(A[0, 0]))
         res = NumRadResult(w, float(-np.angle(a) % (2 * np.pi)), w, 0, "closed form")
+    elif finite and (top == 0 or 1 / HUGE <= top * top <= HUGE) and (kitt := _kittaneh(A)) <= level:
+        d = np.diagonal(A)
+        i = int(np.argmax(mod := np.abs(d)))
+        res = NumRadResult(float(mod[i]), float(-np.angle(d[i]) % (2 * np.pi)), kitt, 0, "kittaneh")
     else:
         grid, pole, rounding = grid_bounds(A)
-        if grid.upper <= level < np.inf or grid.value > level + rounding:
+        if finite and grid.upper <= level or grid.value > level + rounding:
             res = grid
-        elif level < np.inf and (norm := opnorm(A) + rounding) <= level:
+        elif finite and (norm := opnorm(A) + rounding) <= level:
             res = replace(grid, upper=norm, decided_by="norm")
+        elif finite and abs(q := _eigenvector_quotient(A)) > level + rounding:
+            res = NumRadResult(abs(q), float(-np.angle(q) % (2 * np.pi)), grid.upper, 0, "eigenvector")
         else:
             res = _level_set(A, grid, pole, level + rounding)
     if not np.isfinite(res.upper / scale):

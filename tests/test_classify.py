@@ -157,6 +157,19 @@ def test_grid_decides_a_generated_pair_without_the_level_set(monkeypatch):
     assert rep.wA <= numerical_radius(rep.fundamental_op).value <= rep.wA_upper <= 1 + WR_SLACK
 
 
+def test_kittaneh_decides_a_generated_pair_without_an_eigensolver(monkeypatch):
+    # w(A)^2 <= ||A*A + AA*|| / 2 settles w(A) <= 1 from two products, before the grid
+    pair = random_gamma_contraction(np.random.default_rng(0))
+    _ = pair.svd_P
+    count = _LinalgCounter(monkeypatch, ("eigvalsh", "eigh", "eigvals", "eig"))
+    rep = is_gamma_contraction(pair)
+    assert count.calls == {"eigvalsh": 0, "eigh": 0, "eigvals": 0, "eig": 0}
+    assert rep.kind == GAMMA_CONTRACTION and rep.wA_decided_by == "kittaneh"
+    F = rep.fundamental_op
+    assert F.shape == (3, 3) and rep.wA == np.max(np.abs(np.diagonal(F)))
+    assert rep.wA <= numerical_radius(F).value <= rep.wA_upper <= 1 + WR_SLACK
+
+
 def test_classification_takes_no_norm_of_s_minus_s_star_p_unless_p_is_isometric(monkeypatch):
     # ||S - S*P|| enters only the unitary and isometric verdicts, both of
     # which need P isometric; the isometry check still records it
@@ -188,21 +201,24 @@ def test_grid_maximum_above_one_answers_not_gamma(monkeypatch):
 
 @pytest.mark.parametrize("outside", [True, False], ids=["outside", "inside"])
 def test_knife_edge_pair_falls_back_to_the_level_set(monkeypatch, outside):
-    # w(S) = 1 +/- 1e-6 lies in the band the grid cannot decide.  Outside,
-    # the ascent's lower bound already exceeds 1 + WR_SLACK; inside, S is
-    # normal, so ||S|| = w(S) passes: neither needs a level-set eigvals
+    # w(S) = 1 +/- 1e-6 lies in the band the grid cannot decide, and S is
+    # normal.  Outside, the top eigenvector's Rayleigh quotient, the eigenvalue
+    # of modulus w(S), exceeds 1 + WR_SLACK; inside, ||S|| = w(S) passes:
+    # neither needs an ascent eigh or a level-set eigvals
     rng = np.random.default_rng(16)
     eigs = np.exp(2j * np.pi * rng.random(4))
     eigs[0] *= 1 + 1e-6 if outside else 1 - 1e-6
     U = random_unitary(rng, 4)
     pair = make_pair((U * eigs) @ adj(U), np.zeros((4, 4)))
-    count = _LinalgCounter(monkeypatch, ("eigh", "eigvals"))
+    count = _LinalgCounter(monkeypatch, ("eigh", "eigvals", "eig"))
     rep = is_gamma_contraction(pair)
-    assert count.calls["eigvals"] == 0 and (count.calls["eigh"] > 0) == outside
+    assert count.calls == {"eigh": 0, "eigvals": 0, "eig": int(outside)}
     assert rep.kind == (NOT_GAMMA if outside else GAMMA_CONTRACTION)
-    assert rep.wA_decided_by == ("ascent" if outside else "norm")
+    assert rep.wA_decided_by == ("eigenvector" if outside else "norm")
     w = max(abs(eigs))  # S is normal
     assert rep.wA <= w <= rep.wA_upper
+    if outside:
+        assert rep.wA == pytest.approx(w, abs=1e-13)
     grid, _, _ = grid_bounds(rep.fundamental_op)
     assert rep.wA_upper == (grid.upper if outside else pytest.approx(w, abs=1e-13))
     res = numerical_radius(rep.fundamental_op)

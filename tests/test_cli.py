@@ -84,9 +84,10 @@ def test_classify_command(capsys, tmp_path):
 
 
 def test_classify_reports_the_grid_bounds_that_decided(capsys, tmp_path):
-    # P = 0 makes S the fundamental operator; w(S) = 0.648 is far enough below
-    # 1 for the 16-angle grid to decide, so wA and wA_upper bracket w(S)
-    S = np.array([[0.5, 0.6], [0.0, 0.4j]])
+    # P = 0 makes S the fundamental operator; w(S) = 0.95 is far enough below
+    # 1 for the 16-angle grid to decide, so wA and wA_upper bracket w(S), while
+    # Kittaneh's bound sqrt(1.9^2 / sqrt 2) = 1.60 does not pass it
+    S = np.array([[0.0, 1.9], [0.0, 0.0]])
     s_path = write_matrix(tmp_path / "S.json", S)
     p_path = write_matrix(tmp_path / "P.json", np.zeros((2, 2)))
     code, out, _ = run(capsys, ["classify", "--S", s_path, "--P", p_path])

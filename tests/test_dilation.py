@@ -22,6 +22,7 @@ from symbidisc.dilation import (
 )
 from symbidisc.errors import (
     ClassificationFailed,
+    DimensionMismatch,
     NotADilation,
     NotCommuting,
     NotUnitary,
@@ -219,6 +220,16 @@ def test_gamma_unitary_synth_guards():
     W = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(NotCommuting):
         gamma_unitary_synth(V, W)
+
+
+@pytest.mark.parametrize("U1, U2", [
+    (np.eye(2), np.eye(3)),
+    (np.ones((2, 3)), np.ones((2, 3))),
+    (np.eye(2), np.ones((2, 3))),
+], ids=["sizes", "rectangular", "one-rectangular"])
+def test_gamma_unitary_synth_rejects_mismatched_shapes(U1, U2):
+    with pytest.raises(DimensionMismatch, match=r"\(2, "):
+        gamma_unitary_synth(U1, U2)
 
 
 def _nf_dilation(pair, N=N):
@@ -467,6 +478,30 @@ def test_factorization_rejects_non_dilation():
     n = pair.dim
     with pytest.raises(NotADilation):
         factorization_check(pair, (np.zeros((n, n)), np.eye(n)), N)
+
+
+def _schaffer_dilation():
+    pair = random_gamma_contraction(np.random.default_rng(0))
+    sp = schaffer_build(pair, 8)
+    return pair, sp.V, sp.embed
+
+
+def test_factorization_rejects_a_non_square_v():
+    pair, V, E = _schaffer_dilation()
+    with pytest.raises(DimensionMismatch, match=r"V \(38, 39\)"):
+        factorization_check(pair, (V[:-1], E), N)
+
+
+def test_factorization_rejects_an_embedding_with_the_wrong_row_count():
+    pair, V, E = _schaffer_dilation()
+    with pytest.raises(DimensionMismatch, match=r"E \(38, 12\)"):
+        factorization_check(pair, (V, E[:-1]), N)
+
+
+def test_factorization_rejects_an_embedding_with_the_wrong_column_count():
+    pair, V, E = _schaffer_dilation()
+    with pytest.raises(DimensionMismatch, match=r"E \(39, 11\)"):
+        factorization_check(pair, (V, E[:, :-1]), N)
 
 
 def test_nf_ay_model_needs_the_tail_that_gives_it_full_dimension():

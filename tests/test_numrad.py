@@ -311,7 +311,7 @@ def test_decision_agrees_with_the_numerical_radius(seed, n, kind):
             res = decide_wr(A, level)
             assert (res.upper <= level) == (ref.upper <= level) != (res.value > level)
             assert res.value <= ref.upper + rounding and ref.value <= res.upper + rounding
-            assert res.decided_by in ("grid", "norm", "ascent", "level set")
+            assert res.decided_by in ("kittaneh", "grid", "norm", "eigenvector", "ascent", "level set")
 
 
 def test_numerical_radius_runs_to_convergence_without_the_norm():
@@ -337,9 +337,11 @@ def test_decide_empty_and_scalar():
 
 
 def test_decide_zero_matrix_on_the_grid():
+    # the Gram product of 0 is exact, so Kittaneh's bound and its allowance are 0;
+    # below level 0 it cannot pass, and the grid fails the zero matrix
     Z = np.zeros((3, 3))
     for level in (0.0, 1.0):
-        assert decide_wr(Z, level) == numrad.NumRadResult(0.0, 0.0, 0.0, 0, "grid")
+        assert decide_wr(Z, level) == numrad.NumRadResult(0.0, 0.0, 0.0, 0, "kittaneh")
     res = decide_wr(Z, -1e-300)
     assert res.value > -1e-300 and res.decided_by == "grid"
 
@@ -368,20 +370,34 @@ def test_a_failure_needs_a_lower_bound_past_its_rounding_allowance():
     # w = 1 + 1e-9 is far past the allowance: the grid still fails it
     failed = decide_wr((1 + 1e-9) * J, 1.0)
     assert failed.decided_by == "grid" and failed.value > 1.0 + allowance
+    # normal A with one eigenvalue of modulus exactly 1: the top eigenvector's
+    # Rayleigh quotient often reads above 1, but within the allowance it fails nothing
+    above = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        eigs = np.exp(2j * np.pi * rng.random(n))
+        eigs[1:] *= 0.9 * rng.random(n - 1)
+        A = _normal(rng, eigs)
+        above += abs(numrad._eigenvector_quotient(A)) > 1.0
+        res = decide_wr(A, 1.0)
+        assert res.decided_by != "eigenvector" and res.value <= 1.0 + 8 * n * EPS * np.linalg.norm(A)
+    assert above > 0
 
 
 @pytest.mark.parametrize("scale, level, step", [
-    (1.0, 2.0, "grid"),
+    (1.0, 2.0, "kittaneh"),
     (1.0, 1.0, "level set"),
     (1 + 1e-9, 1.0, "grid"),
     (0.5, np.inf, "level set"),
 ])
 def test_decide_wr_takes_the_rounding_allowance_once(monkeypatch, scale, level, step):
-    # grid_bounds hands decide_wr the allowance it took for its upper bound
+    # grid_bounds hands decide_wr the allowance it took for its upper bound;
+    # Kittaneh's bound (sqrt(2 sqrt 2) = 1.68 for 2 J_2) decides before the grid takes one
     calls, rounding = [], numrad._rounding
     monkeypatch.setattr(numrad, "_rounding", lambda A: calls.append(1) or rounding(A))
     res = decide_wr(scale * np.array([[0.0, 2.0], [0.0, 0.0]]), level)
-    assert res.decided_by == step and len(calls) == 1
+    assert res.decided_by == step and len(calls) == (step != "kittaneh")
 
 
 def test_decide_normal_matrix_with_w_exactly_one():
@@ -409,3 +425,93 @@ def test_decide_scales_entries_above_huge():
     assert decide_wr([[-1.7e308]], 1.0).value == 1.7e308
     with pytest.raises(ProblemTooLarge):
         decide_wr(np.full((2, 2), 1e308), 1.0)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 8),
+    st.sampled_from(["generic", "upper-triangular", "normal", "jordan", "weighted-shift", "near-normal"]),
+)
+def test_the_cheap_bounds_point_the_safe_way(seed, n, kind):
+    # Kittaneh's bound only passes and the top eigenvector's Rayleigh quotient only
+    # fails, so each must lie on its side of w(A), up to the allowance 8 n eps ||A||_F
+    A = _matrix_of_kind(np.random.default_rng(seed), n, kind)
+    ref = numerical_radius(A)
+    rounding = 8 * n * EPS * np.linalg.norm(A)
+    assert numrad._kittaneh(A) >= ref.value - rounding
+    q = numrad._eigenvector_quotient(A)
+    assert abs(q) <= ref.upper + rounding
+    for level in (ref.value * (1 - 1e-6), ref.value * (1 + 1e-6), numrad._kittaneh(A)):
+        res = decide_wr(A, level)
+        if res.decided_by == "kittaneh":
+            assert ref.value - rounding <= res.upper <= level
+            assert res.value == np.max(np.abs(np.diagonal(A))) <= ref.upper + rounding
+        if res.decided_by == "eigenvector":
+            assert level + rounding < res.value <= ref.upper + rounding
+            assert res.value == abs(q) and res.upper >= ref.value
+
+
+def test_level_infinity_takes_neither_cheap_step(monkeypatch):
+    monkeypatch.setattr(numrad, "_kittaneh", lambda A: pytest.fail("kittaneh at level inf"))
+    monkeypatch.setattr(numrad, "_eigenvector_quotient", lambda A: pytest.fail("eigenvector at level inf"))
+    for A in (np.array([[0.0, 2.0], [0.0, 0.0]]), _knife_edge(1e-6, 13)[0], np.zeros((3, 3))):
+        assert numerical_radius(A).decided_by == "level set"
+
+
+def test_kittaneh_bound_and_its_attained_value():
+    # for 2 J_2, A*A + AA* = 4 I: the Frobenius norm 4 sqrt 2 gives sqrt(2 sqrt 2) >= w = 1;
+    # a diagonal entry e_i* A e_i = A_ii is attained, at the angle -arg A_ii
+    J = np.array([[0.0, 2.0], [0.0, 0.0]])
+    assert numrad._kittaneh(J) == pytest.approx(np.sqrt(2 * np.sqrt(2)), rel=1e-14)
+    A = np.array([[0.1, 0.2], [0.0, 0.3j]])
+    res = decide_wr(A, 1.0)
+    assert res.decided_by == "kittaneh" and res.steps == 0
+    assert res.value == pytest.approx(0.3) and res.argmax_angle == pytest.approx(3 * np.pi / 2)
+    assert res.value <= numerical_radius(A).value <= res.upper <= 1.0
+
+
+def test_kittaneh_allowance_covers_a_tight_bound():
+    # for rank-one normal A = c v v*, A*A + AA* = 2 v v* and Kittaneh's bound is w(A)
+    # itself: the bare computed bound drops below the computed w(A) on some draws
+    rng = np.random.default_rng(0)
+    below = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        A = np.exp(2j * np.pi * rng.random()) * np.outer(v, v.conj())
+        G = adj(A) @ A + A @ adj(A)
+        value = numerical_radius(A).value
+        below += np.sqrt(0.5 * np.linalg.norm(G)) < value
+        assert numrad._kittaneh(A) >= value
+    assert below > 0
+
+
+def test_kittaneh_is_skipped_where_the_gram_product_could_overflow_or_underflow(monkeypatch):
+    # the largest entry's square must lie in [1 / HUGE, HUGE]; a larger A is first scaled
+    # down to entries in [2, 4), where the step is taken again
+    seen, kittaneh = [], numrad._kittaneh
+    monkeypatch.setattr(numrad, "_kittaneh", lambda A: seen.append(1) or kittaneh(A))
+    J = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for v, taken in ((2.0**127, True), (2.0**129, False), (2.0**300, True), (2.0**-127, True), (2.0**-129, False)):
+        seen.clear()
+        res = decide_wr(v * J, v)  # w = v / 2
+        assert bool(seen) == taken and res.upper <= v and res.value <= v / 2 * (1 + 4 * EPS)
+        assert res.decided_by == ("kittaneh" if taken else "grid")
+
+
+@pytest.mark.parametrize("A", [np.zeros((2, 2, 2)), np.zeros((3, 2, 2)), np.zeros((2, 3))],
+                         ids=["stack", "uneven-stack", "rectangular"])
+def test_decide_wr_rejects_a_non_square_input(A):
+    with pytest.raises(ValueError, match="needs a square matrix"):
+        numerical_radius(A)
+    with pytest.raises(ValueError, match="needs a square matrix"):
+        decide_wr(A, 1.0)
+
+
+def test_decide_wr_rejects_a_nan_level(monkeypatch):
+    monkeypatch.setattr(numrad, "grid_bounds", lambda A: pytest.fail("work before the level check"))
+    for A in ([[0.0, 2.0], [0.0, 0.0]], [[0.5]], np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="NaN"):
+            decide_wr(A, float("nan"))
